@@ -16,7 +16,8 @@
 //! for CI smoke runs. `T2HX_ENGINE` swaps the HyperX row's routing engine
 //! (default DFSSSP); the Fat-Tree rows keep their topology-native engines.
 
-use hxcore::{engine_from_env_or, run_campaign, CampaignConfig};
+use hxbench::engine_from_env_or;
+use hxcore::{run_campaign, CampaignConfig};
 use hxroute::engines::{Dfsssp, Ftree, RoutingEngine, Sssp};
 use hxroute::Demand;
 use hxsim::SolverKind;
@@ -56,10 +57,10 @@ fn ring_demand(n: usize) -> Demand {
     d
 }
 
-fn study(name: &str, topo: hxtopo::Topology, engine: Box<dyn RoutingEngine>) {
+fn study(name: &str, topo: hxtopo::Topology, engine_for: impl Fn(usize) -> Box<dyn RoutingEngine>) {
     let (_, mut cfg) = scale();
     cfg.demand = Some(ring_demand(topo.num_nodes()));
-    let r = run_campaign(&topo, engine, &cfg).expect("campaign");
+    let r = run_campaign(&topo, engine_for, &cfg).expect("campaign");
     println!(
         "{name:<16} {:>7.2} {:>7.2} {:>6.1}% {:>8.1} {:>8.1} {:>4} {:>4} {:>5.1}% {:>8.1} {:016x}",
         r.healthy_throughput / 1e9,
@@ -67,10 +68,10 @@ fn study(name: &str, topo: hxtopo::Topology, engine: Box<dyn RoutingEngine>) {
         100.0 * r.throughput_drop(),
         r.healthy_latency * 1e6,
         r.faulted_latency * 1e6,
-        r.failures,
-        r.recoveries,
-        100.0 * r.incremental_events as f64 / (r.failures + r.recoveries).max(1) as f64,
-        r.reroute_ns as f64 / 1e3 / (r.failures + r.recoveries).max(1) as f64,
+        r.failures[0],
+        r.recoveries[0],
+        100.0 * r.incremental_events as f64 / r.events().max(1) as f64,
+        r.reroute_ns as f64 / 1e3 / r.events().max(1) as f64,
         r.fingerprint(),
     );
 }
@@ -102,19 +103,15 @@ fn main() {
         "rr_us",
         "fingerprint"
     );
+    study("Fat-Tree ftree", FatTreeConfig::tsubame2(total), |_| {
+        Box::new(Ftree)
+    });
+    study("Fat-Tree SSSP", FatTreeConfig::tsubame2(total), |_| {
+        Box::new(Sssp::default())
+    });
+    let hx_engine = |_: usize| engine_from_env_or(|| Box::new(Dfsssp::default()));
     study(
-        "Fat-Tree ftree",
-        FatTreeConfig::tsubame2(total),
-        Box::new(Ftree),
-    );
-    study(
-        "Fat-Tree SSSP",
-        FatTreeConfig::tsubame2(total),
-        Box::new(Sssp::default()),
-    );
-    let hx_engine = engine_from_env_or(|| Box::new(Dfsssp::default()));
-    study(
-        &format!("HyperX {}", hx_engine.name().to_uppercase()),
+        &format!("HyperX {}", hx_engine(0).name().to_uppercase()),
         HyperXConfig::t2_hyperx(total).build(),
         hx_engine,
     );

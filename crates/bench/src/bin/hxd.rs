@@ -26,7 +26,8 @@
 //! readers; default 400 quick / 2000 full), `T2HX_HXD_SEED` (default
 //! `0x4878`), plus the usual `T2HX_QUICK` / `T2HX_ENGINE` / `T2HX_OBS`.
 
-use hxcore::{engine_from_env_or, FabricService, Query, QueryError};
+use hxbench::engine_from_env_or;
+use hxcore::{FabricService, Query, QueryError};
 use hxroute::engines::Dfsssp;
 use hxroute::SubnetManager;
 use hxtopo::hyperx::HyperXConfig;

@@ -18,36 +18,34 @@
 //! just those crossing the dead cable), guaranteeing the failover path
 //! runs even in short campaigns.
 
-use hxcore::{planes_from_env, run_multiplane_campaign, MultiPlaneConfig};
+use hxbench::{engine_from_env_or, planes_from_env};
+use hxcore::{run_campaign, CampaignConfig};
 use hxmpi::RailPolicy;
 use hxroute::engines::{Dfsssp, RoutingEngine};
 use hxsim::SolverKind;
 use hxtopo::hyperx::HyperXConfig;
 
 /// Plane size and campaign parameters, shrunk under `T2HX_QUICK=1`.
-fn scale() -> (hxtopo::Topology, MultiPlaneConfig) {
+fn scale() -> (hxtopo::Topology, CampaignConfig) {
     let quick = hxbench::quick();
     let topo = if quick {
         HyperXConfig::new(vec![6, 4], 2).build()
     } else {
         HyperXConfig::t2_hyperx(672).build()
     };
-    let cfg = MultiPlaneConfig {
+    let cfg = CampaignConfig {
+        seed: 0x7258,
+        mtbf: if quick { 0.004 } else { 0.002 },
+        mttr: if quick { 0.008 } else { 0.004 },
+        duration: if quick { 0.06 } else { 0.25 },
+        flows: if quick { 12 } else { 48 },
+        bytes: 4 << 20,
+        max_down: if quick { 4 } else { 12 },
+        solver: SolverKind::from_env(),
         planes: planes_from_env(if quick { 2 } else { 4 }),
         rail: RailPolicy::from_env(),
-        failover: true,
         force_failover: std::env::args().any(|a| a == "--force-failover"),
-        base: hxcore::CampaignConfig {
-            seed: 0x7258,
-            mtbf: if quick { 0.004 } else { 0.002 },
-            mttr: if quick { 0.008 } else { 0.004 },
-            duration: if quick { 0.06 } else { 0.25 },
-            flows: if quick { 12 } else { 48 },
-            bytes: 4 << 20,
-            max_down: if quick { 4 } else { 12 },
-            solver: SolverKind::from_env(),
-            ..hxcore::CampaignConfig::default()
-        },
+        ..CampaignConfig::default()
     };
     (topo, cfg)
 }
@@ -55,15 +53,15 @@ fn scale() -> (hxtopo::Topology, MultiPlaneConfig) {
 /// Per-plane engine: `T2HX_ENGINE` overrides the DFSSSP default on every
 /// rail (planes are homogeneous copies of the lattice).
 fn engine_for(_plane: usize) -> Box<dyn RoutingEngine> {
-    hxcore::engine_from_env_or(|| Box::new(Dfsssp::default()))
+    engine_from_env_or(|| Box::new(Dfsssp::default()))
 }
 
-fn study(cfg: &MultiPlaneConfig, topo: &hxtopo::Topology, rail: RailPolicy) {
-    let cfg = MultiPlaneConfig {
+fn study(cfg: &CampaignConfig, topo: &hxtopo::Topology, rail: RailPolicy) {
+    let cfg = CampaignConfig {
         rail,
         ..cfg.clone()
     };
-    let r = run_multiplane_campaign(topo, engine_for, &cfg).expect("campaign");
+    let r = run_campaign(topo, engine_for, &cfg).expect("campaign");
     println!(
         "{:<6} {:>7.2} {:>7.2} {:>6.1}% {:>8.1} {:>4} {:>4} {:>5} {:>4} {:>5} {}  {:016x}",
         r.rail,
@@ -94,12 +92,12 @@ fn main() {
         cfg.planes,
         topo.num_nodes(),
         cfg.planes * topo.num_nodes(),
-        cfg.base.flows,
-        cfg.base.mtbf * 1e3,
-        cfg.base.mttr * 1e3,
-        cfg.base.duration * 1e3,
-        cfg.base.solver.label(),
-        cfg.base.seed,
+        cfg.flows,
+        cfg.mtbf * 1e3,
+        cfg.mttr * 1e3,
+        cfg.duration * 1e3,
+        cfg.solver.label(),
+        cfg.seed,
         if cfg.force_failover {
             ", forced failover"
         } else {

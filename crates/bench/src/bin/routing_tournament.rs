@@ -111,15 +111,15 @@ fn main() {
     );
     for &name in &field {
         for &mtbf in &mtbfs {
-            let engine = engine_by_name(name).expect("registry names resolve");
-            let multipath = engine.multipath().is_some();
+            let engine_for = |_: usize| engine_by_name(name).expect("registry names resolve");
+            let multipath = engine_for(0).multipath().is_some();
             let cfg = CampaignConfig {
                 mtbf,
                 mttr: 2.0 * mtbf,
                 pml: pml_for(name, multipath),
                 ..base.clone()
             };
-            let r = match run_campaign(&topo, engine, &cfg) {
+            let r = match run_campaign(&topo, engine_for, &cfg) {
                 Ok(r) => r,
                 Err(e) => {
                     println!(
@@ -143,7 +143,7 @@ fn main() {
                 r.faulted_latency * 1e6,
                 p99(r.healthy_tail),
                 p99(r.faulted_tail),
-                100.0 * r.incremental_events as f64 / (r.failures + r.recoveries).max(1) as f64,
+                100.0 * r.incremental_events as f64 / r.events().max(1) as f64,
                 r.fingerprint(),
             );
         }

@@ -14,6 +14,7 @@
 pub mod perf;
 
 use hxcore::T2hx;
+use hxroute::engines::RoutingEngine;
 
 /// One runnable harness binary: its name (also the cargo `--bin` name)
 /// and a one-line description of what it reproduces.
@@ -162,6 +163,39 @@ impl Drop for ObsScope {
     }
 }
 
+/// Number of planes requested via `$T2HX_PLANES`, falling back to
+/// `default` when unset or unparsable. Clamped to at least 1.
+pub fn planes_from_env(default: usize) -> usize {
+    std::env::var("T2HX_PLANES")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .unwrap_or(default)
+        .max(1)
+}
+
+/// Resolves the campaign routing engine from `$T2HX_ENGINE` (see
+/// [`hxroute::engines::engine_from_env`]), falling back to `default` when
+/// the variable is unset. Harness binaries use this so one environment
+/// knob swaps the engine under every campaign, mirroring `$T2HX_SOLVER`.
+///
+/// # Panics
+///
+/// Panics when `$T2HX_ENGINE` names an unknown engine — a misspelled
+/// selection must not silently run the default.
+pub fn engine_from_env_or(
+    default: impl FnOnce() -> Box<dyn RoutingEngine>,
+) -> Box<dyn RoutingEngine> {
+    match std::env::var("T2HX_ENGINE") {
+        Ok(name) => hxroute::engine_by_name(&name).unwrap_or_else(|| {
+            panic!(
+                "unknown T2HX_ENGINE {name:?} (known: {:?})",
+                hxroute::ENGINE_NAMES
+            )
+        }),
+        Err(_) => default(),
+    }
+}
+
 /// eBB sample count (paper: 1000).
 pub fn ebb_samples() -> usize {
     std::env::var("T2HX_SAMPLES")
@@ -222,5 +256,12 @@ mod tests {
         std::env::remove_var("T2HX_QUICK");
         assert_eq!(super::series7().last(), Some(&672));
         assert_eq!(super::series_pow2().last(), Some(&512));
+    }
+
+    #[test]
+    fn env_plane_count_defaults() {
+        // T2HX_PLANES is unset in tests.
+        assert_eq!(super::planes_from_env(2), 2);
+        assert_eq!(super::planes_from_env(0), 1);
     }
 }

@@ -15,7 +15,7 @@
 //! ever being compared against each other.
 
 use super::{time_loop, time_loop_batched, Kernel};
-use hxcore::{with_multi_stepper, with_stepper, CampaignConfig, MultiPlaneConfig};
+use hxcore::{with_stepper, CampaignConfig};
 use hxload::ebb::{effective_bisection_bandwidth, EBB_BYTES};
 use hxload::mpigraph::mpigraph;
 use hxmpi::{Fabric, Placement, Pml, RailPolicy, ScheduleBuilder};
@@ -341,7 +341,8 @@ fn campaign_step(quick: bool, warmup: usize, samples: usize) -> (String, Vec<f64
         solver: SolverKind::Incremental,
         ..CampaignConfig::default()
     };
-    let ns = with_stepper(&topo, Box::new(Dfsssp::default()), &cfg, |s| {
+    let engine_for = |_: usize| -> Box<dyn RoutingEngine> { Box::new(Dfsssp::default()) };
+    let ns = with_stepper(&topo, engine_for, &cfg, |s| {
         time_loop(warmup, samples, || {
             s.step();
         })
@@ -357,27 +358,24 @@ fn campaign_step(quick: bool, warmup: usize, samples: usize) -> (String, Vec<f64
 fn rail_failover(quick: bool, warmup: usize, samples: usize) -> (String, Vec<f64>) {
     let (topo, scale) = plane(quick);
     let k = rail_count(quick);
-    let cfg = MultiPlaneConfig {
+    let cfg = CampaignConfig {
+        seed: 0x7258,
+        flows: 16,
+        bytes: 8 << 20,
+        solver: SolverKind::Incremental,
         planes: k,
         rail: RailPolicy::RoundRobin,
-        failover: true,
         force_failover: true,
-        base: CampaignConfig {
-            seed: 0x7258,
-            flows: 16,
-            bytes: 8 << 20,
-            solver: SolverKind::Incremental,
-            ..CampaignConfig::default()
-        },
+        ..CampaignConfig::default()
     };
     let engine_for = |_: usize| -> Box<dyn RoutingEngine> { Box::new(Dfsssp::default()) };
-    let ns = with_multi_stepper(&topo, engine_for, &cfg, |s| {
+    let ns = with_stepper(&topo, engine_for, &cfg, |s| {
         time_loop(warmup, samples, || {
             s.step();
         })
     })
     .unwrap();
-    (format!("{scale}xK{k}/f{}", cfg.base.flows), ns)
+    (format!("{scale}xK{k}/f{}", cfg.flows), ns)
 }
 
 /// The engine-owned incremental repair path: FT-HyperX patches only the

@@ -1,22 +1,33 @@
 //! Fault-churn campaign engine: a deterministic MTBF/MTTR event stream of
-//! cable failures and recoveries driven against a live workload.
+//! cable failures and recoveries driven against a live workload on a
+//! K-plane fabric. A single-plane fabric is the K = 1 case.
 //!
 //! The paper's fail-in-place argument (Section 4.4.3, citing Domke et al.
 //! \[15\]) is about *sustained operation under churn*, not a single snapshot:
 //! cables die, get swapped, and the subnet manager must keep the fabric
-//! routed the whole time. This module closes that loop:
+//! routed the whole time. A K-plane system (one NIC rail per plane) adds
+//! the question the rail layer exists for: when one plane degrades,
+//! traffic riding it has somewhere else to go *right now*. This module
+//! closes both loops:
 //!
-//! * a seeded exponential fault process samples failure and repair times
-//!   over the non-terminal cables,
+//! * K [`SubnetManager`]s (one per plane) absorb a seeded exponential
+//!   fault process over the non-terminal cables; with K > 1 every event
+//!   carries a plane id drawn from the fault stream,
 //! * every event runs through [`SubnetManager::fail_link`] /
-//!   [`SubnetManager::recover_link`] (incremental patch where possible),
-//! * the patched path store is pushed into the running [`Fabric`] via
-//!   [`Fabric::install_pathdb`], and every in-flight flow is re-pathed
-//!   through [`FluidNet::repath`] so the congestion engine's dirty-set
-//!   machinery re-solves only what the reroute touched,
+//!   [`SubnetManager::recover_link`] (incremental patch where possible) on
+//!   exactly one plane, and the patched store is installed into that
+//!   plane's [`PlaneSet`] shard and fabric rail via
+//!   [`Fabric::install_pathdb`] — sibling shards' epochs never move,
+//! * flows ride the [`FluidNet`] of the rail a [`RailPolicy`] picked at
+//!   launch. When a cable dies, the flows whose paths crossed it *fail
+//!   over* to a surviving plane (rail failover; a no-op at K = 1), and
+//!   every other in-flight flow is re-pathed through [`FluidNet::repath`]
+//!   so the congestion engine's dirty-set machinery re-solves only what
+//!   the reroute touched,
 //! * a closed-loop workload (every completion immediately starts a
 //!   replacement flow between a fresh random pair) measures throughput and
-//!   latency degradation against the same workload on the healthy fabric.
+//!   latency degradation against the same workload on the healthy fabric,
+//!   per plane and for the whole system.
 //!
 //! Determinism: the fault schedule and the workload consume two independent
 //! `ChaCha8Rng` streams, and both congestion backends solve bit-identical
@@ -25,10 +36,10 @@
 //! Wall-clock reroute latencies are reported but excluded from the
 //! fingerprint.
 
-use hxmpi::{Fabric, Placement, Pml};
+use hxmpi::{Fabric, MultiFabric, Placement, Pml, RailPolicy};
 use hxobs::{Span, SpanCtx};
 use hxroute::engines::RoutingEngine;
-use hxroute::{RouteError, SubnetManager};
+use hxroute::{DirLink, PlaneSet, RouteError, SubnetManager};
 use hxsim::{FluidNet, NetParams, PathResolver, SolverKind};
 use hxtopo::{LinkClass, LinkId, NodeId, Topology};
 use rand::Rng;
@@ -50,21 +61,29 @@ pub struct CampaignConfig {
     pub flows: usize,
     /// Bytes per flow.
     pub bytes: u64,
-    /// Cap on concurrently-downed cables; failures beyond it are skipped
-    /// (the machine-room analogue: spares run out).
+    /// Cap on concurrently-downed cables across the whole system; failures
+    /// beyond it are skipped (the machine-room analogue: spares run out).
     pub max_down: usize,
-    /// Congestion engine backing the fluid network.
+    /// Congestion engine backing the fluid networks.
     pub solver: SolverKind,
     /// Messaging layer selecting the destination LID per flow (`Ob1` for
     /// single-path engines; `FlowHash` spreads flows across a multipath
-    /// engine's routing layers).
+    /// engine's routing layers). Every plane uses it.
     pub pml: Pml,
-    /// Optional communication profile handed to the SAR/PARX trigger
-    /// before the workload starts. Engines without a demand-aware variant
-    /// log the [`RouteError::NoDemandVariant`] miss and keep the plain
-    /// sweep — the campaign proceeds either way (`None` skips the trigger
-    /// entirely, the pre-PR-9 behavior).
+    /// Optional communication profile handed to every plane's SAR/PARX
+    /// trigger before the workload starts. Engines without a demand-aware
+    /// variant log the [`RouteError::NoDemandVariant`] miss and keep the
+    /// plain sweep — the campaign proceeds either way (`None` skips the
+    /// trigger entirely).
     pub demand: Option<hxroute::Demand>,
+    /// Number of planes (NIC rails per node); 1 is a single-plane fabric.
+    pub planes: usize,
+    /// Rail-selection policy for launches and failovers.
+    pub rail: RailPolicy,
+    /// Migrate *every* flow riding a faulted plane, not just those whose
+    /// paths crossed the dead cable. Forces failovers deterministically —
+    /// the CI smoke knob (`--force-failover`).
+    pub force_failover: bool,
 }
 
 impl Default for CampaignConfig {
@@ -80,16 +99,23 @@ impl Default for CampaignConfig {
             solver: SolverKind::default(),
             pml: Pml::Ob1,
             demand: None,
+            planes: 1,
+            rail: RailPolicy::RoundRobin,
+            force_failover: false,
         }
     }
 }
 
 /// Outcome of a campaign: healthy-baseline vs under-churn workload metrics
-/// plus routing-event accounting.
+/// plus routing-event accounting, system-wide and per plane.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
-    /// Routing engine label.
-    pub engine: String,
+    /// Number of planes.
+    pub planes: usize,
+    /// Rail policy label.
+    pub rail: &'static str,
+    /// Per-plane routing engine labels.
+    pub engines: Vec<String>,
     /// Congestion engine label.
     pub solver: &'static str,
     /// Bytes/second drained with no fault events.
@@ -112,17 +138,25 @@ pub struct CampaignReport {
     pub healthy_completions: u64,
     /// Flows completed under churn.
     pub faulted_completions: u64,
-    /// Cable failures applied.
-    pub failures: u64,
-    /// Cable recoveries applied.
-    pub recoveries: u64,
-    /// Failures skipped (would disconnect, or `max_down` reached).
+    /// Per-plane cable failures applied.
+    pub failures: Vec<u64>,
+    /// Per-plane cable recoveries applied.
+    pub recoveries: Vec<u64>,
+    /// Skipped events: failures that would disconnect or hit `max_down`,
+    /// and recoveries the engine failed to re-route (rolled back).
     pub skipped: u64,
     /// Fault events absorbed by the incremental patch path.
     pub incremental_events: u64,
     /// Destination trees repaired across all events.
     pub trees_patched: u64,
-    /// Largest number of concurrently-downed cables.
+    /// In-flight flows re-resolved onto a surviving plane.
+    pub failovers: u64,
+    /// Per-plane flows completed under churn.
+    pub plane_completions: Vec<u64>,
+    /// Per-plane shard epochs when the campaign ended (from the live
+    /// [`PlaneSet`], not the managers).
+    pub final_epochs: Vec<u64>,
+    /// Largest number of concurrently-downed cables (system-wide).
     pub max_links_down: usize,
     /// Cables still down when the campaign ended.
     pub links_down_at_end: usize,
@@ -132,7 +166,8 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Fractional throughput lost to churn (0 = unharmed, 1 = dead).
+    /// Fractional throughput lost to churn (0 = unharmed, 1 = dead; rail
+    /// failover should keep this near 0 for K >= 2).
     pub fn throughput_drop(&self) -> f64 {
         1.0 - self.faulted_throughput / self.healthy_throughput
     }
@@ -142,8 +177,17 @@ impl CampaignReport {
         self.faulted_latency / self.healthy_latency
     }
 
+    /// Cable failures plus recoveries applied, across all planes.
+    pub fn events(&self) -> u64 {
+        self.failures.iter().chain(&self.recoveries).sum()
+    }
+
     /// FNV-1a over every deterministic field (rate bits included, wall
     /// clock excluded): byte-equal across congestion backends per seed.
+    /// A single-plane report hashes the engine, its four rates and its
+    /// event counts; a K-plane one hashes the rail policy, every plane's
+    /// engine and the per-plane vectors, so each layout matches the
+    /// fingerprints earlier records of its harness carry.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |bytes: &[u8]| {
@@ -152,39 +196,81 @@ impl CampaignReport {
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
         };
-        eat(self.engine.as_bytes());
+        if self.planes == 1 {
+            eat(self.engines[0].as_bytes());
+            for v in [
+                self.healthy_throughput,
+                self.faulted_throughput,
+                self.healthy_latency,
+                self.faulted_latency,
+            ] {
+                eat(&v.to_bits().to_le_bytes());
+            }
+            for v in [
+                self.healthy_completions,
+                self.faulted_completions,
+                self.failures[0],
+                self.recoveries[0],
+                self.skipped,
+                self.incremental_events,
+                self.trees_patched,
+                self.max_links_down as u64,
+                self.links_down_at_end as u64,
+            ] {
+                eat(&v.to_le_bytes());
+            }
+            return h;
+        }
+        eat(self.rail.as_bytes());
+        for e in &self.engines {
+            eat(e.as_bytes());
+        }
         for v in [
             self.healthy_throughput,
             self.faulted_throughput,
-            self.healthy_latency,
             self.faulted_latency,
         ] {
             eat(&v.to_bits().to_le_bytes());
         }
-        for v in [
+        let scalars = [
+            self.planes as u64,
             self.healthy_completions,
             self.faulted_completions,
-            self.failures,
-            self.recoveries,
             self.skipped,
-            self.incremental_events,
-            self.trees_patched,
+            self.failovers,
             self.max_links_down as u64,
-            self.links_down_at_end as u64,
-        ] {
+        ];
+        for v in scalars
+            .iter()
+            .chain(&self.failures)
+            .chain(&self.recoveries)
+            .chain(&self.plane_completions)
+            .chain(&self.final_epochs)
+        {
             eat(&v.to_le_bytes());
         }
         h
     }
 }
 
-/// One in-flight closed-loop flow: the pair it connects and its start time.
-#[derive(Debug, Clone, Copy)]
+/// One in-flight closed-loop flow: the rank pair, launch metadata, and the
+/// resolved hops (kept for the rail-failover check).
+#[derive(Debug, Clone)]
 struct FlowCtx {
     src: usize,
     dst: usize,
     seq: u64,
     started: f64,
+    hops: Vec<DirLink>,
+}
+
+/// Stores a flow's context under its net flow id (ids are recycled).
+fn put(ctx: &mut Vec<Option<FlowCtx>>, id: usize, flow: FlowCtx) {
+    if id == ctx.len() {
+        ctx.push(Some(flow));
+    } else {
+        ctx[id] = Some(flow);
+    }
 }
 
 /// Stream-separation constants: the workload and the fault schedule derive
@@ -192,172 +278,241 @@ struct FlowCtx {
 const WORK_STREAM: u64 = 0x9e37_79b9_7f4a_7c15;
 const FAULT_STREAM: u64 = 0x5851_f42d_4c95_7f2d;
 
-/// Live epoch propagation shared by the campaign loop and the
-/// [`CampaignStepper`]: installs the manager's freshly-patched path store
-/// into the fabric and re-paths every in-flight flow through it. With
-/// observability on, the work emits `repath` and `resolve` spans under
-/// `parent` (the campaign `step`), completing the causal chain
-/// `step → fail_link → pathdb_patch → repath → resolve`.
-fn propagate_epoch(
-    sm: &SubnetManager,
-    fabric: &Fabric<'_>,
-    net: &mut FluidNet,
-    ctx: &[Option<FlowCtx>],
-    bytes: u64,
-    parent: SpanCtx,
-) {
-    let Some(db) = sm.pathdb() else {
-        // A manager without a store (mid-bring-up race) has nothing to
-        // propagate; the fabric keeps routing on its previous epoch. This
-        // is unreachable from the campaign loop — which only calls in
-        // after a successful sweep — but a daemon embedding the stepper
-        // must degrade, not crash.
-        debug_assert!(false, "propagate_epoch before the first sweep");
-        return;
-    };
-    fabric.install_pathdb(db.clone());
-    net.set_obs_epoch(db.epoch());
-    if let Some(o) = hxobs::sink() {
-        use hxobs::Recorder;
-        o.gauge_set("pathdb.epoch", db.epoch() as f64);
-    }
-    let mut repath_sp = Span::under(parent, hxobs::track::RUNNER, 0, "repath", "campaign");
-    repath_sp.set_epoch(db.epoch());
-    let mut repathed = 0u64;
-    for (id, c) in ctx.iter().enumerate() {
-        let Some(c) = c else { continue };
-        let rp = fabric.resolve(c.src, c.dst, bytes, c.seq);
-        net.repath(id, &rp.hops);
-        repathed += 1;
-    }
-    repath_sp.arg("flows", hxobs::Json::from(repathed));
-    repath_sp.end();
-    let mut resolve_sp = Span::under(parent, hxobs::track::RUNNER, 0, "resolve", "campaign");
-    resolve_sp.set_epoch(db.epoch());
-    net.recompute();
-    resolve_sp.end();
-}
-
 /// Exponential inter-arrival sample (inverse CDF; `1 - u` dodges `ln(0)`).
 fn exp_sample(rng: &mut ChaCha8Rng, mean: f64) -> f64 {
     -mean * (1.0 - rng.gen::<f64>()).ln()
 }
 
-/// Starts one closed-loop flow between a fresh random distinct-rank pair.
-#[allow(clippy::too_many_arguments)]
-fn launch(
-    fabric: &Fabric<'_>,
-    bytes: u64,
-    n: usize,
-    net: &mut FluidNet,
-    ctx: &mut Vec<Option<FlowCtx>>,
-    rng: &mut ChaCha8Rng,
-    now: f64,
-    seq: &mut u64,
-) {
-    let src = rng.gen_range(0..n);
-    let mut dst = rng.gen_range(0..n - 1);
-    if dst >= src {
-        dst += 1;
-    }
-    let rp = fabric.resolve(src, dst, bytes, *seq);
-    let id = net.add_flow(rp.hops, bytes);
-    let c = FlowCtx {
-        src,
-        dst,
-        seq: *seq,
-        started: now,
-    };
-    *seq += 1;
-    if id == ctx.len() {
-        ctx.push(Some(c));
-    } else {
-        ctx[id] = Some(c);
-    }
-}
-
-/// The closed-loop workload simulator: runs `cfg.flows` concurrent random
-/// pair flows for `cfg.duration`, with an optional fault process mutating
-/// the subnet manager underneath. Returns the workload metrics plus event
-/// accounting (all zero when `churn` is off).
-struct CampaignRun<'a> {
-    sm: &'a mut SubnetManager,
-    fabric: &'a Fabric<'a>,
+/// The live K-plane system: one manager and one fluid net per plane, the
+/// sharded store handle, and the rail-selecting fabric bundle.
+struct Live<'a> {
+    sms: Vec<SubnetManager>,
+    mf: &'a MultiFabric<'a>,
+    set: PlaneSet,
+    nets: Vec<FluidNet>,
+    /// Per-plane flow contexts, indexed by that plane's net flow id.
+    ctx: Vec<Vec<Option<FlowCtx>>>,
     cfg: &'a CampaignConfig,
-    report: &'a mut CampaignReport,
+    seq: u64,
 }
 
-impl CampaignRun<'_> {
-    /// Applies one fault-process event at simulated time `t`, returning the
-    /// victim's repair time if a cable actually went down.
-    fn apply_failure(
-        &mut self,
-        net: &mut FluidNet,
-        ctx: &[Option<FlowCtx>],
-        fault_rng: &mut ChaCha8Rng,
-        down_count: usize,
-    ) -> Option<LinkId> {
-        let candidates: Vec<LinkId> = self
-            .sm
-            .topo()
+impl Live<'_> {
+    /// The plane id stamped onto spans and sketches: a multi-plane system
+    /// tags every event with its plane, a single-plane one stays untagged.
+    fn tag(&self, p: usize) -> Option<u32> {
+        (self.sms.len() > 1).then_some(p as u32)
+    }
+
+    /// A campaign span on plane `p`: a root when `parent` is `None`.
+    fn span(&self, p: usize, parent: Option<SpanCtx>, name: &'static str) -> Span {
+        let mut sp = match parent {
+            Some(c) => Span::under(c, hxobs::track::RUNNER, 0, name, "campaign"),
+            None => Span::root(hxobs::track::RUNNER, 0, name, "campaign"),
+        };
+        if let Some(t) = self.tag(p) {
+            sp.set_plane(t);
+        }
+        sp
+    }
+
+    /// Rebuilds fresh fluid nets and launches the configured closed-loop
+    /// flows — each workload phase (healthy baseline, churn replay) starts
+    /// from the same initial population.
+    fn reset(&mut self, work_rng: &mut ChaCha8Rng) {
+        self.nets = (0..self.sms.len())
+            .map(|p| {
+                let mut net = FluidNet::with_solver(self.mf.rail(p).topo, self.cfg.solver);
+                if let Some(t) = self.tag(p) {
+                    net.set_plane(t);
+                }
+                net.set_obs_epoch(self.set.epoch(p));
+                net
+            })
+            .collect();
+        self.ctx = vec![Vec::new(); self.sms.len()];
+        self.seq = 0;
+        for _ in 0..self.cfg.flows {
+            self.launch(work_rng, 0.0);
+        }
+        for net in &mut self.nets {
+            net.recompute();
+        }
+    }
+
+    /// Starts one closed-loop flow between a fresh random distinct-rank
+    /// pair, on the rail the policy picks.
+    fn launch(&mut self, rng: &mut ChaCha8Rng, now: f64) {
+        let n = self.mf.rail(0).placement.num_ranks();
+        let src = rng.gen_range(0..n);
+        let mut dst = rng.gen_range(0..n - 1);
+        if dst >= src {
+            dst += 1;
+        }
+        let seq = self.seq;
+        self.seq += 1;
+        let plane = self.mf.select_rail(src, dst, seq);
+        let rp = self.mf.resolve_on(plane, src, dst, self.cfg.bytes, seq);
+        let id = self.nets[plane].add_flow_ref(&rp.hops, self.cfg.bytes);
+        let flow = FlowCtx {
+            src,
+            dst,
+            seq,
+            started: now,
+            hops: rp.hops,
+        };
+        put(&mut self.ctx[plane], id, flow);
+    }
+
+    /// Live epoch propagation: installs plane `p`'s freshly-patched store
+    /// into its shard and rail, then re-paths that plane's in-flight flows
+    /// through it. With observability on, the work emits `repath` and
+    /// `resolve` spans under `parent` (the campaign `step`), completing the
+    /// causal chain `step → fail_link → pathdb_patch → repath → resolve`.
+    fn propagate(&mut self, p: usize, parent: SpanCtx) {
+        let Some(db) = self.sms[p].pathdb().cloned() else {
+            // A manager without a store (mid-bring-up race) has nothing to
+            // propagate; the fabric keeps routing on its previous epoch.
+            // Unreachable from the campaign loop, which only runs after a
+            // successful sweep.
+            debug_assert!(false, "propagate before the first sweep");
+            return;
+        };
+        let epoch = db.epoch();
+        self.set.install(p, db.clone());
+        self.mf.rail(p).install_pathdb(db);
+        self.nets[p].set_obs_epoch(epoch);
+        if let Some(o) = hxobs::sink() {
+            use hxobs::Recorder;
+            o.gauge_set("pathdb.epoch", epoch as f64);
+        }
+        let mut sp = self.span(p, Some(parent), "repath");
+        sp.set_epoch(epoch);
+        let rail = self.mf.rail(p);
+        let mut repathed = 0u64;
+        for (id, c) in self.ctx[p].iter_mut().enumerate() {
+            let Some(c) = c else { continue };
+            let rp = rail.resolve(c.src, c.dst, self.cfg.bytes, c.seq);
+            self.nets[p].repath(id, &rp.hops);
+            c.hops = rp.hops;
+            repathed += 1;
+        }
+        sp.arg("flows", hxobs::Json::from(repathed));
+        sp.end();
+        let mut resolve_sp = self.span(p, Some(parent), "resolve");
+        resolve_sp.set_epoch(epoch);
+        self.nets[p].recompute();
+        resolve_sp.end();
+    }
+
+    /// Rail failover: moves flows off plane `p` onto a surviving plane,
+    /// preserving their remaining bytes. Only flows whose current path
+    /// crosses `victim` move, unless `force_failover` moves every flow on
+    /// the plane. Returns how many flows migrated (0 at K = 1: there is
+    /// nowhere to go).
+    fn failover(&mut self, p: usize, victim: LinkId, parent: SpanCtx) -> u64 {
+        if self.mf.healthy_planes().iter().all(|&q| q == p) {
+            return 0;
+        }
+        let mut sp = self.span(p, Some(parent), "failover");
+        sp.arg("link", hxobs::Json::from(victim.0 as u64));
+        // The faulted plane must not win selection for the migrating flows.
+        self.mf.fail_plane(p);
+        let mut moved = 0u64;
+        for id in 0..self.ctx[p].len() {
+            let affected = match &self.ctx[p][id] {
+                Some(f) => self.cfg.force_failover || f.hops.iter().any(|h| h.link() == victim),
+                None => continue,
+            };
+            if !affected {
+                continue;
+            }
+            let flow = self.ctx[p][id].take().expect("checked above");
+            let remaining = (self.nets[p].flow_remaining(id).unwrap_or(0.0) as u64).max(1);
+            self.nets[p].remove(id);
+            let q = self.mf.select_rail(flow.src, flow.dst, flow.seq);
+            let rp = self
+                .mf
+                .resolve_on(q, flow.src, flow.dst, remaining, flow.seq);
+            let nid = self.nets[q].add_flow_ref(&rp.hops, remaining);
+            put(
+                &mut self.ctx[q],
+                nid,
+                FlowCtx {
+                    hops: rp.hops,
+                    ..flow
+                },
+            );
+            self.nets[q].recompute();
+            moved += 1;
+        }
+        if moved > 0 {
+            self.nets[p].recompute();
+        }
+        self.mf.recover_plane(p);
+        hxobs::count("campaign.failovers", moved);
+        sp.arg("flows", hxobs::Json::from(moved));
+        sp.end();
+        moved
+    }
+
+    /// Draws a victim among plane `p`'s active non-terminal cables.
+    fn draw_victim(&self, p: usize, rng: &mut ChaCha8Rng) -> Option<LinkId> {
+        let topo = self.sms[p].topo();
+        let candidates: Vec<LinkId> = topo
             .links()
-            .filter(|&(id, l)| l.class != LinkClass::Terminal && self.sm.topo().is_active(id))
+            .filter(|&(id, l)| l.class != LinkClass::Terminal && topo.is_active(id))
             .map(|(id, _)| id)
             .collect();
-        if candidates.is_empty() || down_count >= self.cfg.max_down {
-            self.report.skipped += 1;
-            return None;
-        }
-        let victim = candidates[fault_rng.gen_range(0..candidates.len())];
-        let t0 = std::time::Instant::now();
-        let mut step_sp = Span::root(hxobs::track::RUNNER, 0, "step", "campaign");
-        step_sp.arg("kind", hxobs::Json::from("fail"));
-        step_sp.arg("link", hxobs::Json::from(victim.0 as u64));
-        step_sp.arg("engine", hxobs::Json::from(self.sm.engine_name()));
-        let step = step_sp.ctx();
-        match self.sm.fail_link_spanned(victim, step) {
-            Ok(r) => {
-                self.report.failures += 1;
-                self.report.trees_patched += r.patched_trees as u64;
-                if r.incremental {
-                    self.report.incremental_events += 1;
-                }
-                self.propagate(net, ctx, step);
-                self.report.reroute_ns += t0.elapsed().as_nanos();
-                step_sp.set_epoch(r.epoch);
-                step_sp.end();
-                Some(victim)
-            }
-            Err(_) => {
-                // Disconnecting kill: rolled back inside fail_link.
-                self.report.skipped += 1;
-                self.report.reroute_ns += t0.elapsed().as_nanos();
-                step_sp.arg("rolled_back", hxobs::Json::from(true));
-                step_sp.end();
-                None
-            }
-        }
+        (!candidates.is_empty()).then(|| candidates[rng.gen_range(0..candidates.len())])
     }
 
-    /// Recovers a downed cable and propagates the new epoch.
-    fn apply_recovery(&mut self, net: &mut FluidNet, ctx: &[Option<FlowCtx>], l: LinkId) {
+    /// Fails `victim` on plane `p`, fails affected flows over and
+    /// propagates the patched shard. Returns whether the cable went down;
+    /// a disconnecting kill is rolled back inside `fail_link` and counted
+    /// as a skip.
+    fn apply_failure(&mut self, p: usize, victim: LinkId, report: &mut CampaignReport) -> bool {
         let t0 = std::time::Instant::now();
-        let mut step_sp = Span::root(hxobs::track::RUNNER, 0, "step", "campaign");
+        let mut step_sp = self.span(p, None, "step");
+        step_sp.arg("kind", hxobs::Json::from("fail"));
+        step_sp.arg("link", hxobs::Json::from(victim.0 as u64));
+        step_sp.arg("engine", hxobs::Json::from(self.sms[p].engine_name()));
+        let step = step_sp.ctx();
+        let down = match self.sms[p].fail_link_spanned(victim, step) {
+            Ok(r) => {
+                report.failures[p] += 1;
+                report.trees_patched += r.patched_trees as u64;
+                report.incremental_events += u64::from(r.incremental);
+                report.failovers += self.failover(p, victim, step);
+                self.propagate(p, step);
+                step_sp.set_epoch(r.epoch);
+                true
+            }
+            Err(_) => {
+                report.skipped += 1;
+                step_sp.arg("rolled_back", hxobs::Json::from(true));
+                false
+            }
+        };
+        report.reroute_ns += t0.elapsed().as_nanos();
+        step_sp.end();
+        down
+    }
+
+    /// Recovers a downed cable on plane `p` and propagates its shard.
+    fn apply_recovery(&mut self, p: usize, l: LinkId, report: &mut CampaignReport) {
+        let t0 = std::time::Instant::now();
+        let mut step_sp = self.span(p, None, "step");
         step_sp.arg("kind", hxobs::Json::from("recover"));
         step_sp.arg("link", hxobs::Json::from(l.0 as u64));
-        step_sp.arg("engine", hxobs::Json::from(self.sm.engine_name()));
+        step_sp.arg("engine", hxobs::Json::from(self.sms[p].engine_name()));
         let step = step_sp.ctx();
-        match self.sm.recover_link_spanned(l, step) {
+        match self.sms[p].recover_link_spanned(l, step) {
             Ok(r) => {
-                self.report.recoveries += 1;
-                self.report.trees_patched += r.patched_trees as u64;
-                if r.incremental {
-                    self.report.incremental_events += 1;
-                }
-                self.propagate(net, ctx, step);
-                self.report.reroute_ns += t0.elapsed().as_nanos();
+                report.recoveries[p] += 1;
+                report.trees_patched += r.patched_trees as u64;
+                report.incremental_events += u64::from(r.incremental);
+                self.propagate(p, step);
                 step_sp.set_epoch(r.epoch);
-                step_sp.end();
             }
             Err(e) => {
                 // Recovery re-adds capacity, so this only fires when the
@@ -365,47 +520,24 @@ impl CampaignRun<'_> {
                 // fallback resweep). recover_link rolled back to the
                 // previous consistent state; count the skip and keep the
                 // campaign alive instead of crashing it.
-                self.report.skipped += 1;
-                self.report.reroute_ns += t0.elapsed().as_nanos();
+                report.skipped += 1;
                 step_sp.arg("recover_failed", hxobs::Json::from(e.to_string()));
-                step_sp.end();
             }
         }
+        report.reroute_ns += t0.elapsed().as_nanos();
+        step_sp.end();
     }
 
-    /// Live epoch propagation: installs the freshly-patched path store into
-    /// the fabric and re-paths every in-flight flow through it.
-    fn propagate(&mut self, net: &mut FluidNet, ctx: &[Option<FlowCtx>], parent: SpanCtx) {
-        propagate_epoch(self.sm, self.fabric, net, ctx, self.cfg.bytes, parent);
-    }
-
-    /// Runs the closed-loop workload; `churn` switches the fault process on.
-    /// Returns (throughput bytes/s, mean latency s, completions, completion
-    /// tail quantiles µs).
-    fn run(&mut self, churn: bool) -> (f64, f64, u64, Option<[f64; 4]>) {
+    /// Runs the closed-loop workload over the K nets; `churn` switches the
+    /// fault process on. Fills the report's healthy or faulted side.
+    fn run(&mut self, report: &mut CampaignReport, churn: bool) {
         let cfg = self.cfg;
-        let n = self.fabric.placement.num_ranks();
+        let k = self.sms.len();
         // Independent streams: the workload draw sequence must not shift
         // when the fault schedule consumes differently (and vice versa).
         let mut work_rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ WORK_STREAM);
         let mut fault_rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ FAULT_STREAM);
-        let mut net = FluidNet::with_solver(self.fabric.topo, cfg.solver);
-        let mut ctx: Vec<Option<FlowCtx>> = Vec::new();
-        let mut seq = 0u64;
-        for _ in 0..cfg.flows {
-            launch(
-                self.fabric,
-                cfg.bytes,
-                n,
-                &mut net,
-                &mut ctx,
-                &mut work_rng,
-                0.0,
-                &mut seq,
-            );
-        }
-        net.recompute();
-
+        self.reset(&mut work_rng);
         let mut bytes_done = 0u64;
         let mut completions = 0u64;
         let mut latency_sum = 0.0f64;
@@ -413,54 +545,79 @@ impl CampaignRun<'_> {
         // which collides when a tournament replays many engines).
         let mut tail = hxobs::Sketch::new();
         let mut next_fail = churn.then(|| exp_sample(&mut fault_rng, cfg.mtbf));
-        // Downed cables with their scheduled repair times, kept sorted by
-        // insertion; the earliest repair is scanned out (the list stays
-        // tiny: at most `max_down`).
-        let mut down: Vec<(f64, LinkId)> = Vec::new();
+        // Downed cables with their repair times and planes; the earliest
+        // repair is scanned out (the list stays tiny: at most `max_down`).
+        let mut down: Vec<(f64, usize, LinkId)> = Vec::new();
         let mut drained: Vec<usize> = Vec::new();
 
         loop {
-            let t_complete = net.next_completion().unwrap_or(f64::INFINITY);
+            let t_complete = self
+                .nets
+                .iter_mut()
+                .filter_map(|net| net.next_completion())
+                .fold(f64::INFINITY, f64::min);
             let t_fail = next_fail.unwrap_or(f64::INFINITY);
-            let t_repair = down.iter().map(|&(t, _)| t).fold(f64::INFINITY, f64::min);
+            let t_repair = down.iter().map(|d| d.0).fold(f64::INFINITY, f64::min);
             let t = t_complete.min(t_fail).min(t_repair);
             if t >= cfg.duration {
-                net.advance_to(cfg.duration);
+                for net in &mut self.nets {
+                    net.advance_to(cfg.duration);
+                }
                 break;
             }
-            net.advance_to(t);
+            for net in &mut self.nets {
+                net.advance_to(t);
+            }
             if t_complete <= t_fail && t_complete <= t_repair {
-                net.drained_into(&mut drained);
-                let epoch = self.sm.epoch();
-                for &id in &drained {
-                    let c = ctx[id].take().expect("drained flow has context");
-                    bytes_done += cfg.bytes;
-                    completions += 1;
-                    latency_sum += t - c.started;
-                    // Per-epoch tail of simulated flow completion times.
-                    hxobs::sketch_record("flow.completion_us", epoch, (t - c.started) * 1e6);
-                    tail.record((t - c.started) * 1e6);
-                    net.remove(id);
+                let mut finished = 0;
+                for p in 0..k {
+                    self.nets[p].drained_into(&mut drained);
+                    let epoch = self.sms[p].epoch();
+                    for &id in &drained {
+                        let c = self.ctx[p][id].take().expect("drained flow has context");
+                        bytes_done += cfg.bytes;
+                        completions += 1;
+                        if churn {
+                            report.plane_completions[p] += 1;
+                        }
+                        latency_sum += t - c.started;
+                        // Per-epoch tail of simulated flow completion times.
+                        let us = (t - c.started) * 1e6;
+                        match self.tag(p) {
+                            Some(tag) => {
+                                hxobs::sketch_record_plane("flow.completion_us", epoch, tag, us)
+                            }
+                            None => hxobs::sketch_record("flow.completion_us", epoch, us),
+                        }
+                        tail.record(us);
+                        self.nets[p].remove(id);
+                    }
+                    finished += drained.len();
                 }
-                // Closed loop: replacements keep the offered load constant.
-                for _ in 0..drained.len() {
-                    launch(
-                        self.fabric,
-                        cfg.bytes,
-                        n,
-                        &mut net,
-                        &mut ctx,
-                        &mut work_rng,
-                        t,
-                        &mut seq,
-                    );
+                // Closed loop: replacements keep the offered load constant
+                // (the rail policy re-selects, so a recovered plane wins
+                // back traffic here).
+                for _ in 0..finished {
+                    self.launch(&mut work_rng, t);
                 }
-                net.recompute();
+                for net in &mut self.nets {
+                    net.recompute();
+                }
             } else if t_fail <= t_repair {
-                if let Some(victim) = self.apply_failure(&mut net, &ctx, &mut fault_rng, down.len())
-                {
-                    down.push((t + exp_sample(&mut fault_rng, cfg.mttr), victim));
-                    self.report.max_links_down = self.report.max_links_down.max(down.len());
+                let p = if k > 1 { fault_rng.gen_range(0..k) } else { 0 };
+                let victim = if down.len() < cfg.max_down {
+                    self.draw_victim(p, &mut fault_rng)
+                } else {
+                    None
+                };
+                match victim {
+                    Some(v) => {
+                        if self.apply_failure(p, v, report) {
+                            down.push((t + exp_sample(&mut fault_rng, cfg.mttr), p, v));
+                            report.max_links_down = report.max_links_down.max(down.len());
+                        }
+                    }
+                    None => report.skipped += 1,
                 }
                 hxobs::gauge("campaign.links_down", down.len() as f64);
                 next_fail = Some(t + exp_sample(&mut fault_rng, cfg.mtbf));
@@ -471,60 +628,45 @@ impl CampaignRun<'_> {
                     .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
                     .map(|(i, _)| i)
                     .expect("repair event requires a downed cable");
-                let (_, l) = down.swap_remove(i);
-                self.apply_recovery(&mut net, &ctx, l);
+                let (_, p, l) = down.swap_remove(i);
+                self.apply_recovery(p, l, report);
                 hxobs::gauge("campaign.links_down", down.len() as f64);
             }
         }
         // Account the tail: bytes moved by still-running flows count toward
         // throughput (the workload is a sustained stream, not a batch).
-        for (id, c) in ctx.iter().enumerate() {
-            if c.is_some() {
-                let left = net.flow_remaining(id).unwrap_or(0.0);
-                bytes_done += cfg.bytes.saturating_sub(left as u64);
+        for (net, ctx) in self.nets.iter().zip(&self.ctx) {
+            for (id, c) in ctx.iter().enumerate() {
+                if c.is_some() {
+                    let left = net.flow_remaining(id).unwrap_or(0.0);
+                    bytes_done += cfg.bytes.saturating_sub(left as u64);
+                }
             }
         }
-        self.report.links_down_at_end = down.len();
-        // Heal the fabric so a faulted run leaves the manager as it found
-        // it (and the healthy baseline can run in either order). These are
-        // ordinary recovery events and count as such.
-        for (_, l) in std::mem::take(&mut down) {
-            self.apply_recovery(&mut net, &ctx, l);
+        report.links_down_at_end = down.len();
+        // Heal the fabric so a faulted run leaves the managers as it found
+        // them (and the healthy baseline can run in either order). These
+        // are ordinary recovery events and count as such.
+        for (_, p, l) in std::mem::take(&mut down) {
+            self.apply_recovery(p, l, report);
         }
         let latency = if completions > 0 {
             latency_sum / completions as f64
         } else {
             f64::INFINITY
         };
-        (
-            bytes_done as f64 / cfg.duration,
-            latency,
-            completions,
-            tail.tail(),
-        )
-    }
-}
-
-/// Resolves the campaign routing engine from `$T2HX_ENGINE` (see
-/// [`hxroute::engines::engine_from_env`]), falling back to `default` when
-/// the variable is unset. Harness binaries use this so one environment
-/// knob swaps the engine under every campaign, mirroring `$T2HX_SOLVER`.
-///
-/// # Panics
-///
-/// Panics when `$T2HX_ENGINE` names an unknown engine — a misspelled
-/// selection must not silently run the default.
-pub fn engine_from_env_or(
-    default: impl FnOnce() -> Box<dyn RoutingEngine>,
-) -> Box<dyn RoutingEngine> {
-    match std::env::var("T2HX_ENGINE") {
-        Ok(name) => hxroute::engine_by_name(&name).unwrap_or_else(|| {
-            panic!(
-                "unknown T2HX_ENGINE {name:?} (known: {:?})",
-                hxroute::ENGINE_NAMES
-            )
-        }),
-        Err(_) => default(),
+        let throughput = bytes_done as f64 / cfg.duration;
+        if churn {
+            report.faulted_throughput = throughput;
+            report.faulted_latency = latency;
+            report.faulted_completions = completions;
+            report.faulted_tail = tail.tail();
+        } else {
+            report.healthy_throughput = throughput;
+            report.healthy_latency = latency;
+            report.healthy_completions = completions;
+            report.healthy_tail = tail.tail();
+        }
     }
 }
 
@@ -550,190 +692,208 @@ fn apply_demand_trigger(sm: &mut SubnetManager, cfg: &CampaignConfig) -> Result<
     }
 }
 
-/// Runs a full campaign on one plane: sweeps the topology with `engine`
-/// (applying the optional demand profile through the SAR trigger),
-/// measures the healthy closed-loop baseline, then replays the same
-/// workload under the seeded MTBF/MTTR churn process.
-pub fn run_campaign(
+/// Builds the live K-plane system — every plane swept by `engine_for(p)`
+/// (with the optional demand trigger), rails bundled under the campaign's
+/// PML and rail policy — and hands it to `f`: the borrow-friendly shape
+/// for the fabric's internal lifetimes.
+///
+/// # Panics
+///
+/// Panics when `cfg.planes` is 0.
+fn with_live<R>(
     topo: &Topology,
-    engine: Box<dyn RoutingEngine>,
+    engine_for: impl Fn(usize) -> Box<dyn RoutingEngine>,
     cfg: &CampaignConfig,
-) -> Result<CampaignReport, RouteError> {
-    let mut sm = SubnetManager::new(topo.clone(), engine);
-    sm.verify = false; // throughput study; correctness pinned by tests
-    sm.sweep()?;
-    apply_demand_trigger(&mut sm, cfg)?;
-    let fab_topo = sm.topo().clone();
-    let fab_routes = sm.routes().expect("swept").clone();
-    let nodes: Vec<NodeId> = fab_topo.nodes().collect();
-    let n = nodes.len();
-    let fabric = Fabric::with_pathdb(
-        &fab_topo,
-        &fab_routes,
-        Placement::linear(&nodes, n),
-        cfg.pml.clone(),
-        NetParams::qdr().with_solver(cfg.solver),
-        sm.pathdb().expect("swept").clone(),
-    );
-    let mut report = CampaignReport {
-        engine: fab_routes.engine.to_string(),
-        solver: cfg.solver.label(),
-        healthy_throughput: 0.0,
-        faulted_throughput: 0.0,
-        healthy_latency: 0.0,
-        faulted_latency: 0.0,
-        healthy_tail: None,
-        faulted_tail: None,
-        healthy_completions: 0,
-        faulted_completions: 0,
-        failures: 0,
-        recoveries: 0,
-        skipped: 0,
-        incremental_events: 0,
-        trees_patched: 0,
-        max_links_down: 0,
-        links_down_at_end: 0,
-        reroute_ns: 0,
-    };
-    {
-        let mut run = CampaignRun {
-            sm: &mut sm,
-            fabric: &fabric,
-            cfg,
-            report: &mut report,
-        };
-        let (tp, lat, done, tail) = run.run(false);
-        run.report.healthy_throughput = tp;
-        run.report.healthy_latency = lat;
-        run.report.healthy_completions = done;
-        run.report.healthy_tail = tail;
-        let (tp, lat, done, tail) = run.run(true);
-        run.report.faulted_throughput = tp;
-        run.report.faulted_latency = lat;
-        run.report.faulted_completions = done;
-        run.report.faulted_tail = tail;
+    f: impl FnOnce(Live<'_>) -> R,
+) -> Result<R, RouteError> {
+    assert!(cfg.planes >= 1, "a campaign needs at least one plane");
+    let mut sms = Vec::with_capacity(cfg.planes);
+    for p in 0..cfg.planes {
+        let mut sm = SubnetManager::new(topo.clone(), engine_for(p));
+        sm.verify = false; // throughput study; correctness pinned by tests
+        if cfg.planes > 1 {
+            sm.plane = Some(p as u32);
+        }
+        sm.sweep()?;
+        apply_demand_trigger(&mut sm, cfg)?;
+        sms.push(sm);
     }
-    if let Some(o) = hxobs::sink() {
-        use hxobs::Recorder;
-        o.counter_add("campaign.failures", report.failures);
-        o.counter_add("campaign.recoveries", report.recoveries);
-        o.histogram_record("campaign.reroute_ns", report.reroute_ns as f64);
+    let mut states = Vec::with_capacity(cfg.planes);
+    for sm in &sms {
+        let routes = sm.routes().ok_or(RouteError::NotSwept("campaign"))?;
+        let db = sm.pathdb().ok_or(RouteError::NoPathDb)?;
+        states.push((sm.topo().clone(), routes.clone(), db.clone()));
     }
-    Ok(report)
+    let nodes: Vec<NodeId> = states[0].0.nodes().collect();
+    let placement = Placement::linear(&nodes, nodes.len());
+    let rails: Vec<Fabric<'_>> = states
+        .iter()
+        .map(|(t, r, db)| {
+            Fabric::with_pathdb(
+                t,
+                r,
+                placement.clone(),
+                cfg.pml.clone(),
+                NetParams::qdr().with_solver(cfg.solver),
+                db.clone(),
+            )
+        })
+        .collect();
+    let mf = MultiFabric::new(rails, cfg.rail);
+    let set = PlaneSet::new(states.iter().map(|s| s.2.clone()).collect());
+    Ok(f(Live {
+        sms,
+        mf: &mf,
+        set,
+        nets: Vec::new(),
+        ctx: Vec::new(),
+        cfg,
+        seq: 0,
+    }))
 }
 
-/// Outcome of one [`CampaignStepper::step`]: what the fail → propagate →
-/// recover → propagate round-trip did.
+/// Runs a full campaign: `cfg.planes` planes of `topo` routed by
+/// `engine_for(p)` (each applying the optional demand profile through the
+/// SAR trigger), a healthy closed-loop baseline, then the same workload
+/// replayed under the seeded MTBF/MTTR churn process with rail failover.
+pub fn run_campaign(
+    topo: &Topology,
+    engine_for: impl Fn(usize) -> Box<dyn RoutingEngine>,
+    cfg: &CampaignConfig,
+) -> Result<CampaignReport, RouteError> {
+    with_live(topo, engine_for, cfg, |mut live| {
+        let k = cfg.planes;
+        let mut report = CampaignReport {
+            planes: k,
+            rail: cfg.rail.label(),
+            engines: (0..k)
+                .map(|p| live.mf.rail(p).routes.engine.to_string())
+                .collect(),
+            solver: cfg.solver.label(),
+            healthy_throughput: 0.0,
+            faulted_throughput: 0.0,
+            healthy_latency: 0.0,
+            faulted_latency: 0.0,
+            healthy_tail: None,
+            faulted_tail: None,
+            healthy_completions: 0,
+            faulted_completions: 0,
+            failures: vec![0; k],
+            recoveries: vec![0; k],
+            skipped: 0,
+            incremental_events: 0,
+            trees_patched: 0,
+            failovers: 0,
+            plane_completions: vec![0; k],
+            final_epochs: Vec::new(),
+            max_links_down: 0,
+            links_down_at_end: 0,
+            reroute_ns: 0,
+        };
+        live.run(&mut report, false);
+        live.run(&mut report, true);
+        report.final_epochs = live.set.epochs();
+        if let Some(o) = hxobs::sink() {
+            use hxobs::Recorder;
+            o.counter_add("campaign.failures", report.failures.iter().sum());
+            o.counter_add("campaign.recoveries", report.recoveries.iter().sum());
+            o.histogram_record("campaign.reroute_ns", report.reroute_ns as f64);
+        }
+        report
+    })
+}
+
+/// Outcome of one [`CampaignStepper::step`].
 #[derive(Debug, Clone, Copy)]
 pub struct StepReport {
+    /// The plane the step degraded and healed.
+    pub plane: usize,
     /// The cable the step killed and restored.
     pub victim: LinkId,
-    /// Destination trees repaired across the fail and recover patches.
-    pub trees_patched: usize,
-    /// Whether the failure was absorbed by the incremental patch path.
-    pub fail_incremental: bool,
-    /// Whether the recovery was absorbed by the incremental patch path.
-    pub recover_incremental: bool,
-    /// Path-store epoch after the step.
+    /// In-flight flows the step re-resolved onto surviving planes.
+    pub failovers: u64,
+    /// The plane's shard epoch after the step.
     pub epoch: u64,
 }
 
-/// A live campaign system exposing one fault-churn event at a time — the
-/// single-step hook behind `hxperf`'s `campaign_step` kernel and any
-/// driver that wants to interleave churn with its own logic.
+/// A live campaign system exposing one fault-churn round-trip at a time —
+/// the single-step hook behind `hxperf`'s `campaign_step` (K = 1) and
+/// `rail_failover` (K > 1) kernels, and any driver that wants to
+/// interleave churn with its own logic.
 ///
-/// Construction (via [`with_stepper`]) sweeps the topology, builds a
-/// fabric sharing the manager's path store, and launches the configured
+/// Construction (via [`with_stepper`]) sweeps every plane, builds the rail
+/// fabrics sharing the managers' path stores, and launches the configured
 /// closed-loop flows. Each [`step`](CampaignStepper::step) then performs
-/// exactly one full churn round-trip on the live system: kill a random
-/// active non-terminal cable ([`SubnetManager::fail_link`]), propagate the
-/// patched epoch into the fabric and re-path every in-flight flow, restore
-/// the same cable ([`SubnetManager::recover_link`]), and propagate again.
-/// The fabric ends every step healthy, so steps can repeat indefinitely;
+/// exactly one full churn round-trip on the next plane (round-robin): kill
+/// a random active non-terminal cable, fail affected flows over to
+/// surviving rails, propagate the patched epoch and re-path every
+/// in-flight flow, restore the same cable, and propagate again. The
+/// fabric ends every step healthy, so steps can repeat indefinitely;
 /// victims are drawn from the same seeded fault stream the campaign
 /// scheduler uses.
 pub struct CampaignStepper<'a> {
-    sm: SubnetManager,
-    fabric: &'a Fabric<'a>,
-    cfg: CampaignConfig,
-    net: FluidNet,
-    ctx: Vec<Option<FlowCtx>>,
+    live: Live<'a>,
     fault_rng: ChaCha8Rng,
+    round: usize,
 }
 
 impl CampaignStepper<'_> {
-    /// Applies one fail → propagate → recover → propagate round-trip.
-    /// Victims whose removal would disconnect the fabric are redrawn
-    /// (`fail_link` rolls back on error), so a step always completes.
+    /// Applies one fail → failover → propagate → recover → propagate
+    /// round-trip. Victims whose removal would disconnect the fabric are
+    /// redrawn (`fail_link` rolls back on error), as are victims the
+    /// engine fails to re-route on recovery, so a step always completes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the stepped plane has no active non-terminal cable.
     pub fn step(&mut self) -> StepReport {
+        let live = &mut self.live;
+        let p = self.round % live.sms.len();
+        self.round += 1;
         loop {
-            let candidates: Vec<LinkId> = self
-                .sm
-                .topo()
-                .links()
-                .filter(|&(id, l)| l.class != LinkClass::Terminal && self.sm.topo().is_active(id))
-                .map(|(id, _)| id)
-                .collect();
-            let victim = candidates[self.fault_rng.gen_range(0..candidates.len())];
-            let mut step_sp = Span::root(hxobs::track::RUNNER, 0, "step", "campaign");
+            let victim = live
+                .draw_victim(p, &mut self.fault_rng)
+                .expect("a plane without live cables cannot churn");
+            let mut step_sp = live.span(p, None, "step");
             step_sp.arg("link", hxobs::Json::from(victim.0 as u64));
             let step = step_sp.ctx();
-            let Ok(fail) = self.sm.fail_link_spanned(victim, step) else {
+            if live.sms[p].fail_link_spanned(victim, step).is_err() {
                 step_sp.arg("rolled_back", hxobs::Json::from(true));
                 step_sp.end();
                 continue; // disconnecting kill: rolled back, redraw
-            };
-            propagate_epoch(
-                &self.sm,
-                self.fabric,
-                &mut self.net,
-                &self.ctx,
-                self.cfg.bytes,
-                step,
-            );
-            let recover = match self.sm.recover_link_spanned(victim, step) {
-                Ok(r) => r,
-                Err(e) => {
-                    // Restoring capacity cannot disconnect, so this is the
-                    // engine failing to re-route (rolled back inside
-                    // recover_link). Propagate the still-consistent state
-                    // and redraw rather than crash the resident loop.
-                    propagate_epoch(
-                        &self.sm,
-                        self.fabric,
-                        &mut self.net,
-                        &self.ctx,
-                        self.cfg.bytes,
-                        step,
-                    );
-                    step_sp.arg("recover_failed", hxobs::Json::from(e.to_string()));
-                    step_sp.end();
-                    continue;
-                }
-            };
-            propagate_epoch(
-                &self.sm,
-                self.fabric,
-                &mut self.net,
-                &self.ctx,
-                self.cfg.bytes,
-                step,
-            );
-            step_sp.set_epoch(self.sm.epoch());
+            }
+            let failovers = live.failover(p, victim, step);
+            live.propagate(p, step);
+            let recovered = live.sms[p].recover_link_spanned(victim, step);
+            // A failed recovery rolled back inside recover_link: propagate
+            // the still-consistent state and redraw rather than crash the
+            // resident loop.
+            live.propagate(p, step);
+            if let Err(e) = recovered {
+                step_sp.arg("recover_failed", hxobs::Json::from(e.to_string()));
+                step_sp.end();
+                continue;
+            }
+            let epoch = live.set.epoch(p);
+            step_sp.set_epoch(epoch);
             step_sp.end();
             return StepReport {
+                plane: p,
                 victim,
-                trees_patched: fail.patched_trees + recover.patched_trees,
-                fail_incremental: fail.incremental,
-                recover_incremental: recover.incremental,
-                epoch: self.sm.epoch(),
+                failovers,
+                epoch,
             };
         }
     }
 
-    /// The number of in-flight closed-loop flows riding the fabric.
+    /// In-flight closed-loop flows across all planes.
     pub fn active_flows(&self) -> usize {
-        self.net.active_flows()
+        self.live.nets.iter().map(|n| n.active_flows()).sum()
+    }
+
+    /// Per-plane shard epochs (from the live [`PlaneSet`]).
+    pub fn epochs(&self) -> Vec<u64> {
+        self.live.set.epochs()
     }
 }
 
@@ -742,58 +902,25 @@ impl CampaignStepper<'_> {
 /// The workload and fault streams are seeded exactly like [`run_campaign`].
 pub fn with_stepper<R>(
     topo: &Topology,
-    engine: Box<dyn RoutingEngine>,
+    engine_for: impl Fn(usize) -> Box<dyn RoutingEngine>,
     cfg: &CampaignConfig,
     f: impl FnOnce(&mut CampaignStepper<'_>) -> R,
 ) -> Result<R, RouteError> {
-    let mut sm = SubnetManager::new(topo.clone(), engine);
-    sm.verify = false;
-    sm.sweep()?;
-    apply_demand_trigger(&mut sm, cfg)?;
-    let fab_topo = sm.topo().clone();
-    let fab_routes = sm.routes().expect("swept").clone();
-    let nodes: Vec<NodeId> = fab_topo.nodes().collect();
-    let n = nodes.len();
-    let fabric = Fabric::with_pathdb(
-        &fab_topo,
-        &fab_routes,
-        Placement::linear(&nodes, n),
-        cfg.pml.clone(),
-        NetParams::qdr().with_solver(cfg.solver),
-        sm.pathdb().expect("swept").clone(),
-    );
-    let mut net = FluidNet::with_solver(fabric.topo, cfg.solver);
-    let mut ctx: Vec<Option<FlowCtx>> = Vec::new();
-    let mut work_rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ WORK_STREAM);
-    let mut seq = 0u64;
-    for _ in 0..cfg.flows {
-        launch(
-            &fabric,
-            cfg.bytes,
-            n,
-            &mut net,
-            &mut ctx,
-            &mut work_rng,
-            0.0,
-            &mut seq,
-        );
-    }
-    net.recompute();
-    let mut stepper = CampaignStepper {
-        sm,
-        fabric: &fabric,
-        cfg: cfg.clone(),
-        net,
-        ctx,
-        fault_rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ FAULT_STREAM),
-    };
-    Ok(f(&mut stepper))
+    with_live(topo, engine_for, cfg, |mut live| {
+        live.reset(&mut ChaCha8Rng::seed_from_u64(cfg.seed ^ WORK_STREAM));
+        f(&mut CampaignStepper {
+            live,
+            fault_rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ FAULT_STREAM),
+            round: 0,
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hxroute::engines::{Dfsssp, Sssp};
+    use hxroute::engines::{Dfsssp, FatPaths, MinHop, Parx, Sssp};
+    use hxroute::Demand;
     use hxtopo::hyperx::HyperXConfig;
 
     fn quick_cfg(solver: SolverKind) -> CampaignConfig {
@@ -806,21 +933,52 @@ mod tests {
             bytes: 1 << 20,
             max_down: 4,
             solver,
-            pml: Pml::Ob1,
-            demand: None,
+            ..CampaignConfig::default()
         }
+    }
+
+    fn multi_cfg(planes: usize, rail: RailPolicy) -> CampaignConfig {
+        CampaignConfig {
+            planes,
+            rail,
+            ..quick_cfg(SolverKind::Exact)
+        }
+    }
+
+    fn sssp(_: usize) -> Box<dyn RoutingEngine> {
+        Box::<Sssp>::default()
+    }
+
+    fn dfsssp(_: usize) -> Box<dyn RoutingEngine> {
+        Box::<Dfsssp>::default()
+    }
+
+    fn parx(_: usize) -> Box<dyn RoutingEngine> {
+        Box::<Parx>::default()
+    }
+
+    fn mixed(p: usize) -> Box<dyn RoutingEngine> {
+        match p % 3 {
+            0 => Box::<Dfsssp>::default(),
+            1 => Box::<MinHop>::default(),
+            _ => Box::<Sssp>::default(),
+        }
+    }
+
+    fn topo() -> Topology {
+        HyperXConfig::new(vec![4, 4], 2).build()
+    }
+
+    fn demand(n: usize) -> Demand {
+        let mut d = Demand::new(n);
+        d.add(NodeId(0), NodeId(31), 16 << 20);
+        d
     }
 
     #[test]
     fn campaign_reports_churn_and_heals() {
-        let topo = HyperXConfig::new(vec![4, 4], 2).build();
-        let r = run_campaign(
-            &topo,
-            Box::new(Sssp::default()),
-            &quick_cfg(SolverKind::Exact),
-        )
-        .unwrap();
-        assert!(r.failures > 0, "no churn at mtbf << duration: {r:?}");
+        let r = run_campaign(&topo(), sssp, &quick_cfg(SolverKind::Exact)).unwrap();
+        assert!(r.failures[0] > 0, "no churn at mtbf << duration: {r:?}");
         assert_eq!(r.recoveries, r.failures, "heal must recover all: {r:?}");
         assert!(r.links_down_at_end <= r.max_links_down);
         assert!(r.incremental_events > 0, "ISL churn should patch in place");
@@ -836,9 +994,8 @@ mod tests {
 
     #[test]
     fn stepper_steps_heal_and_bump_epochs() {
-        let topo = HyperXConfig::new(vec![4, 4], 2).build();
         let cfg = quick_cfg(SolverKind::Incremental);
-        let reports = with_stepper(&topo, Box::new(Sssp::default()), &cfg, |s| {
+        let reports = with_stepper(&topo(), sssp, &cfg, |s| {
             assert_eq!(s.active_flows(), cfg.flows);
             [s.step(), s.step(), s.step()]
         })
@@ -847,55 +1004,66 @@ mod tests {
         for r in reports {
             // fail + recover each bump the epoch at least once.
             assert!(r.epoch >= last_epoch + 2, "{r:?}");
+            assert_eq!(r.plane, 0);
             last_epoch = r.epoch;
         }
         // Same seed, fresh stepper: the victim sequence replays.
-        let again = with_stepper(&topo, Box::new(Sssp::default()), &cfg, |s| s.step()).unwrap();
-        let first = with_stepper(&topo, Box::new(Sssp::default()), &cfg, |s| s.step()).unwrap();
+        let again = with_stepper(&topo(), sssp, &cfg, |s| s.step()).unwrap();
+        let first = with_stepper(&topo(), sssp, &cfg, |s| s.step()).unwrap();
         assert_eq!(again.victim, first.victim);
     }
 
     #[test]
     fn demand_trigger_falls_back_without_capability() {
-        use hxroute::Demand;
-        use hxtopo::NodeId;
-        let topo = HyperXConfig::new(vec![4, 4], 2).build();
-        let mut d = Demand::new(topo.num_nodes());
-        d.add(NodeId(0), NodeId(31), 16 << 20);
+        let topo = topo();
         let mut cfg = quick_cfg(SolverKind::Exact);
-        cfg.demand = Some(d);
+        cfg.demand = Some(demand(topo.num_nodes()));
         // SSSP has no demand variant: the campaign must log-and-fallback,
         // producing exactly the non-demand campaign.
-        let with = run_campaign(&topo, Box::new(Sssp::default()), &cfg).unwrap();
-        let without = run_campaign(
-            &topo,
-            Box::new(Sssp::default()),
-            &quick_cfg(SolverKind::Exact),
-        )
-        .unwrap();
+        let with = run_campaign(&topo, sssp, &cfg).unwrap();
+        let without = run_campaign(&topo, sssp, &quick_cfg(SolverKind::Exact)).unwrap();
         assert_eq!(with.fingerprint(), without.fingerprint());
         // PARX owns the trigger: the demand-aware campaign must run clean.
-        use hxroute::engines::Parx;
-        let parx = run_campaign(&topo, Box::new(Parx::default()), &cfg).unwrap();
-        assert!(parx.failures > 0);
-        assert_eq!(parx.recoveries, parx.failures);
+        let parx_r = run_campaign(&topo, parx, &cfg).unwrap();
+        assert!(parx_r.failures[0] > 0);
+        assert_eq!(parx_r.recoveries, parx_r.failures);
+    }
+
+    #[test]
+    fn demand_trigger_fires_on_every_plane() {
+        // A successful trigger is a second sweep, so every shard starts one
+        // epoch later; a fallback leaves the epoch at the first sweep's.
+        let topo = topo();
+        let mut cfg = multi_cfg(2, RailPolicy::RoundRobin);
+        cfg.demand = Some(demand(topo.num_nodes()));
+        let epochs = |engine_for: fn(usize) -> Box<dyn RoutingEngine>| {
+            with_stepper(&topo, engine_for, &cfg, |s| s.epochs()).unwrap()
+        };
+        assert_eq!(epochs(parx), [2, 2]);
+        assert_eq!(epochs(sssp), [1, 1]);
+        let r = run_campaign(&topo, parx, &cfg).unwrap();
+        assert_eq!(r.failures, r.recoveries);
+        assert!(r.failures.iter().sum::<u64>() > 0);
+    }
+
+    #[test]
+    fn flow_hash_pml_reaches_every_plane() {
+        // FatPaths exposes one routing layer per LID offset; only the
+        // flow-hash PML spreads flows across them, on every plane.
+        let topo = topo();
+        let fatpaths = |_: usize| -> Box<dyn RoutingEngine> { Box::<FatPaths>::default() };
+        let mut cfg = multi_cfg(2, RailPolicy::FlowHash);
+        let ob1 = run_campaign(&topo, fatpaths, &cfg).unwrap();
+        cfg.pml = Pml::FlowHash;
+        let hashed = run_campaign(&topo, fatpaths, &cfg).unwrap();
+        assert_ne!(ob1.fingerprint(), hashed.fingerprint());
     }
 
     #[test]
     fn campaign_is_deterministic_across_backends() {
-        let topo = HyperXConfig::new(vec![4, 4], 2).build();
-        let a = run_campaign(
-            &topo,
-            Box::new(Dfsssp::default()),
-            &quick_cfg(SolverKind::Exact),
-        )
-        .unwrap();
-        let b = run_campaign(
-            &topo,
-            Box::new(Dfsssp::default()),
-            &quick_cfg(SolverKind::Incremental),
-        )
-        .unwrap();
+        let topo = topo();
+        let a = run_campaign(&topo, dfsssp, &quick_cfg(SolverKind::Exact)).unwrap();
+        let b = run_campaign(&topo, dfsssp, &quick_cfg(SolverKind::Incremental)).unwrap();
         assert_eq!(a.fingerprint(), b.fingerprint(), "\n{a:?}\nvs\n{b:?}");
         assert_eq!(
             a.healthy_throughput.to_bits(),
@@ -906,17 +1074,99 @@ mod tests {
             b.faulted_throughput.to_bits()
         );
         // Same seed, same backend: exactly reproducible.
-        let c = run_campaign(
-            &topo,
-            Box::new(Dfsssp::default()),
-            &quick_cfg(SolverKind::Exact),
-        )
-        .unwrap();
+        let c = run_campaign(&topo, dfsssp, &quick_cfg(SolverKind::Exact)).unwrap();
         assert_eq!(a.fingerprint(), c.fingerprint());
         // Different seed: different campaign.
         let mut cfg = quick_cfg(SolverKind::Exact);
         cfg.seed = 43;
-        let d = run_campaign(&topo, Box::new(Dfsssp::default()), &cfg).unwrap();
+        let d = run_campaign(&topo, dfsssp, &cfg).unwrap();
         assert_ne!(a.fingerprint(), d.fingerprint());
+    }
+
+    #[test]
+    fn two_plane_campaign_reports_churn_and_failovers() {
+        let mut cfg = multi_cfg(2, RailPolicy::RoundRobin);
+        cfg.force_failover = true;
+        let r = run_campaign(&topo(), mixed, &cfg).unwrap();
+        assert_eq!(r.planes, 2);
+        assert!(r.events() > 0, "no churn at mtbf << duration: {r:?}");
+        assert_eq!(
+            r.failures, r.recoveries,
+            "heal must recover all per plane: {r:?}"
+        );
+        assert!(r.failovers > 0, "forced failover must migrate flows: {r:?}");
+        assert!(r.healthy_throughput > 0.0);
+        assert!(r.faulted_throughput > 0.0);
+        assert!(
+            r.faulted_throughput <= r.healthy_throughput * 1.001,
+            "churn increased throughput? {r:?}"
+        );
+        // Only churned planes' shards moved past the initial epoch 1.
+        for (p, &e) in r.final_epochs.iter().enumerate() {
+            assert!(
+                e >= 1 + r.failures[p] + r.recoveries[p],
+                "plane {p} epoch {e} vs events {r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn campaign_is_deterministic_per_seed_and_policy() {
+        let topo = topo();
+        for rail in RailPolicy::all() {
+            let cfg = multi_cfg(2, rail);
+            let a = run_campaign(&topo, mixed, &cfg).unwrap();
+            let b = run_campaign(&topo, mixed, &cfg).unwrap();
+            assert_eq!(a.fingerprint(), b.fingerprint(), "{rail:?}");
+            let mut c2 = cfg.clone();
+            c2.solver = SolverKind::Incremental;
+            let c = run_campaign(&topo, mixed, &c2).unwrap();
+            assert_eq!(
+                a.fingerprint(),
+                c.fingerprint(),
+                "{rail:?} across backends\n{a:?}\nvs\n{c:?}"
+            );
+        }
+        // Different seed: different campaign.
+        let mut cfg = multi_cfg(2, RailPolicy::RoundRobin);
+        cfg.seed = 43;
+        let d = run_campaign(&topo, mixed, &cfg).unwrap();
+        let a = run_campaign(&topo, mixed, &multi_cfg(2, RailPolicy::RoundRobin)).unwrap();
+        assert_ne!(a.fingerprint(), d.fingerprint());
+    }
+
+    #[test]
+    fn stepper_heals_and_round_robins_planes() {
+        let mut cfg = multi_cfg(3, RailPolicy::FlowHash);
+        cfg.force_failover = true;
+        let reports = with_stepper(&topo(), mixed, &cfg, |s| {
+            assert_eq!(s.active_flows(), cfg.flows);
+            [s.step(), s.step(), s.step()]
+        })
+        .unwrap();
+        assert_eq!(
+            reports.iter().map(|r| r.plane).collect::<Vec<_>>(),
+            vec![0, 1, 2]
+        );
+        for r in &reports {
+            // fail + recover each bump the stepped plane's epoch.
+            assert!(r.epoch >= 3, "{r:?}");
+        }
+        assert!(
+            reports.iter().any(|r| r.failovers > 0),
+            "forced failover must migrate at least one flow: {reports:?}"
+        );
+    }
+
+    #[test]
+    fn single_plane_system_survives_without_failover_targets() {
+        // K = 1: failover has nowhere to go and must degrade gracefully to
+        // in-place patching.
+        let mut cfg = multi_cfg(1, RailPolicy::LeastLoaded);
+        cfg.force_failover = true;
+        let r = run_campaign(&topo(), mixed, &cfg).unwrap();
+        assert_eq!(r.failovers, 0);
+        assert!(r.failures.iter().sum::<u64>() > 0);
+        assert!(r.faulted_completions > 0);
     }
 }

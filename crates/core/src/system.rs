@@ -23,16 +23,6 @@ use hxtopo::hyperx::HyperXConfig;
 use hxtopo::{FaultPlan, NodeId, Topology};
 use std::sync::Arc;
 
-/// Number of planes requested via `$T2HX_PLANES`, falling back to
-/// `default` when unset or unparsable. Clamped to at least 1.
-pub fn planes_from_env(default: usize) -> usize {
-    std::env::var("T2HX_PLANES")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(default)
-        .max(1)
-}
-
 /// One routing plane: a topology, the routes one engine computed over it,
 /// and the shared path store extracted from them.
 ///
@@ -599,12 +589,5 @@ mod tests {
             assert!(!rp.hops.is_empty());
         }
         assert!(mf.rail_load(0) > 0 && mf.rail_load(1) > 0);
-    }
-
-    #[test]
-    fn env_plane_count_defaults() {
-        // T2HX_PLANES is unset in tests.
-        assert_eq!(planes_from_env(2), 2);
-        assert_eq!(planes_from_env(0), 1);
     }
 }

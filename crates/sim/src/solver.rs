@@ -52,7 +52,7 @@ impl SolverKind {
     /// Engine choice from `$T2HX_SOLVER`, defaulting to [`SolverKind::Incremental`].
     /// Unrecognized values fall back to the default. The congestion solver
     /// is orthogonal to the *routing* engine, which campaigns select via
-    /// `$T2HX_ENGINE` (see `hxcore::engine_from_env_or`).
+    /// `$T2HX_ENGINE` (see `hxbench::engine_from_env_or`).
     pub fn from_env() -> SolverKind {
         std::env::var("T2HX_SOLVER")
             .ok()

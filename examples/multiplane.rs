@@ -6,7 +6,7 @@
 //! cargo run --release --example multiplane
 //! ```
 
-use t2hx::core::{run_multiplane_campaign, CampaignConfig, MultiPlaneConfig, System};
+use t2hx::core::{run_campaign, CampaignConfig, System};
 use t2hx::mpi::{Placement, Pml, RailPolicy};
 use t2hx::route::engines::{Dfsssp, RoutingEngine};
 use t2hx::route::{DeltaPathDb, PathDb};
@@ -66,26 +66,22 @@ fn main() {
     }
 
     println!("\n# Short churn campaign with rail failover\n");
-    let cfg = MultiPlaneConfig {
+    let cfg = CampaignConfig {
+        seed: 0x7258,
+        mtbf: 0.002,
+        mttr: 0.004,
+        duration: 0.05,
+        flows: 24,
+        bytes: 4 << 20,
+        max_down: 8,
+        solver: SolverKind::Incremental,
         planes: 4,
         rail: RailPolicy::from_env(),
-        failover: true,
         force_failover: false,
-        base: CampaignConfig {
-            seed: 0x7258,
-            mtbf: 0.002,
-            mttr: 0.004,
-            duration: 0.05,
-            flows: 24,
-            bytes: 4 << 20,
-            max_down: 8,
-            solver: SolverKind::Incremental,
-            ..CampaignConfig::default()
-        },
+        ..CampaignConfig::default()
     };
     let topo = HyperXConfig::t2_hyperx(672).build();
-    let r =
-        run_multiplane_campaign(&topo, |_| Box::new(Dfsssp::default()), &cfg).expect("campaign");
+    let r = run_campaign(&topo, |_| Box::new(Dfsssp::default()), &cfg).expect("campaign");
     println!(
         "rail {}: healthy {:.1} GB/s -> faulted {:.1} GB/s ({:.1}% drop), \
          {} failures / {} recoveries across planes, {} failovers, epochs {:?}",

@@ -1,7 +1,7 @@
 //! Multi-plane integration: N-plane system assembly at the paper's scale,
 //! rail-policy failover guarantees, and campaign survival under churn.
 
-use t2hx::core::{run_multiplane_campaign, CampaignConfig, MultiPlaneConfig, System};
+use t2hx::core::{run_campaign, CampaignConfig, System};
 use t2hx::mpi::{Fabric, MultiFabric, Placement, Pml, RailPolicy};
 use t2hx::route::engines::{Dfsssp, RoutingEngine};
 use t2hx::sim::{FluidNet, NetParams, SolverKind};
@@ -119,25 +119,21 @@ fn four_plane_t7_system_assembles_and_routes() {
 #[test]
 fn four_plane_t7_campaign_survives_with_failover() {
     let topo = HyperXConfig::t2_hyperx(672).build();
-    let cfg = MultiPlaneConfig {
+    let cfg = CampaignConfig {
+        seed: 0x7258,
+        mtbf: 0.002,
+        mttr: 0.004,
+        duration: 0.02,
+        flows: 16,
+        bytes: 4 << 20,
+        max_down: 8,
+        solver: SolverKind::Incremental,
         planes: 4,
         rail: RailPolicy::FlowHash,
-        failover: true,
         force_failover: true,
-        base: CampaignConfig {
-            seed: 0x7258,
-            mtbf: 0.002,
-            mttr: 0.004,
-            duration: 0.02,
-            flows: 16,
-            bytes: 4 << 20,
-            max_down: 8,
-            solver: SolverKind::Incremental,
-            ..CampaignConfig::default()
-        },
+        ..CampaignConfig::default()
     };
-    let r = run_multiplane_campaign(&topo, |_| Box::new(Dfsssp::default()), &cfg)
-        .expect("campaign survives");
+    let r = run_campaign(&topo, |_| Box::new(Dfsssp::default()), &cfg).expect("campaign survives");
     assert_eq!(r.planes, 4);
     let fails: u64 = r.failures.iter().sum();
     assert!(fails > 0, "churn must fire: {r:?}");
