@@ -22,6 +22,9 @@ pub use crate::solver::FlowId;
 struct ActiveFlow {
     remaining: f64,
     rate: f64,
+    /// Absolute finish time at the current rate: the key of the flow's
+    /// live heap entry (infinite until solved, or while stalled).
+    finish: f64,
 }
 
 /// Ordered f64 for the completion heap.
@@ -199,6 +202,7 @@ impl FluidNet {
         let f = ActiveFlow {
             remaining: bytes as f64,
             rate: 0.0,
+            finish: f64::INFINITY,
         };
         self.active += 1;
         self.dirty = true;
@@ -291,6 +295,7 @@ impl FluidNet {
             } else {
                 f64::INFINITY
             };
+            f.finish = finish;
             if finish.is_finite() {
                 heap.push(Reverse((T(finish), id, epochs[id])));
             }
@@ -330,13 +335,24 @@ impl FluidNet {
     /// Flows fully drained at the current time, collected into `out`
     /// (cleared first; allocation reusable across events).
     pub fn drained_into(&self, out: &mut Vec<FlowId>) {
+        let collect = |out: &mut Vec<FlowId>, done: &dyn Fn(&ActiveFlow) -> bool| {
+            out.extend(
+                self.flows
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, f)| f.as_ref().filter(|f| done(f)).map(|_| i)),
+            );
+        };
         out.clear();
-        out.extend(
-            self.flows
-                .iter()
-                .enumerate()
-                .filter_map(|(i, f)| f.as_ref().filter(|f| f.remaining <= EPS_BYTES).map(|_| i)),
-        );
+        collect(out, &|f| f.remaining <= EPS_BYTES);
+        if out.is_empty() {
+            // Far into a run the clock's resolution times a cable rate
+            // exceeds EPS_BYTES: `now + remaining / rate` rounds to `now`
+            // while bytes remain, so no advance of the clock can move them.
+            // Such a flow is due; without this a loop that advances to the
+            // next completion would spin at `now` forever.
+            collect(out, &|f| f.finish <= self.now);
+        }
     }
 
     /// Flows fully drained at the current time.
@@ -394,6 +410,31 @@ mod tests {
         }
         let isl = b.link_switches(SwitchId(0), SwitchId(1), LinkClass::Aoc);
         (b.build(), DirLink::new(isl, true))
+    }
+
+    #[test]
+    fn overdue_flow_drains_instead_of_stalling_the_clock() {
+        // At t = 1e9 s one clock ulp is ~1.2e-7 s, more than a 1-byte
+        // flow needs on any cable: its finish time rounds to `now`. The
+        // event loop is bounded so a stall fails instead of hanging.
+        let (t, isl) = dumbbell(1);
+        let mut net = FluidNet::new(&t);
+        net.advance_to(1e9);
+        net.add_flow(vec![isl], 1);
+        net.recompute();
+        let mut done = Vec::new();
+        for _ in 0..8 {
+            let Some(tc) = net.next_completion() else {
+                break;
+            };
+            net.advance_to(tc);
+            net.drained_into(&mut done);
+            for &id in &done {
+                net.remove(id);
+            }
+            net.recompute();
+        }
+        assert_eq!(net.active_flows(), 0, "the event loop stalled at t = 1e9");
     }
 
     #[test]
