@@ -315,10 +315,12 @@ impl Live<'_> {
         sp
     }
 
-    /// Rebuilds fresh fluid nets and launches the configured closed-loop
-    /// flows — each workload phase (healthy baseline, churn replay) starts
-    /// from the same initial population.
+    /// Rebuilds fresh fluid nets, restarts rail selection and launches the
+    /// configured closed-loop flows — each workload phase (healthy
+    /// baseline, churn replay) starts from the same initial population on
+    /// the same rails.
     fn reset(&mut self, work_rng: &mut ChaCha8Rng) {
+        self.mf.reset_selection();
         self.nets = (0..self.sms.len())
             .map(|p| {
                 let mut net = FluidNet::with_solver(self.mf.rail(p).topo, self.cfg.solver);
@@ -1156,6 +1158,23 @@ mod tests {
             reports.iter().any(|r| r.failovers > 0),
             "forced failover must migrate at least one flow: {reports:?}"
         );
+    }
+
+    #[test]
+    fn both_phases_launch_onto_the_same_rails() {
+        // Rail selection restarts with every phase: with no fault in the
+        // window, the churn replay is the healthy baseline bit for bit.
+        for rail in RailPolicy::all() {
+            let cfg = CampaignConfig {
+                mtbf: 1e9,
+                ..multi_cfg(3, rail)
+            };
+            let r = run_campaign(&topo(), mixed, &cfg).unwrap();
+            assert_eq!(r.events(), 0);
+            let healthy = (r.healthy_completions, r.healthy_latency.to_bits());
+            let faulted = (r.faulted_completions, r.faulted_latency.to_bits());
+            assert_eq!(healthy, faulted, "{rail:?}");
+        }
     }
 
     #[test]

@@ -148,6 +148,16 @@ impl<'a> MultiFabric<'a> {
         self.load[plane].fetch_add(bytes, Ordering::Relaxed);
     }
 
+    /// Restarts rail selection: the round-robin cursor and every rail's
+    /// cumulative load go back to zero, so a replayed workload picks the
+    /// rails it picked the first time.
+    pub fn reset_selection(&self) {
+        self.rr.store(0, Ordering::Relaxed);
+        for l in &self.load {
+            l.store(0, Ordering::Relaxed);
+        }
+    }
+
     /// Picks the rail a message leaves on. Unhealthy rails never win: the
     /// hash and round-robin choices walk forward to the next healthy rail,
     /// least-loaded only considers healthy ones. Falls back to rail 0 when
