@@ -29,25 +29,21 @@
 //! `T2HX_CAP_SEED` (base seed, default `0xCA9`), plus the usual
 //! `T2HX_QUICK` / `T2HX_OBS`.
 
+use hxbench::knobs;
 use hxcap::{PolicyKind, POLICY_KINDS};
 use hxcore::{run_capacity_scale, ScaleConfig, ScaleReport, System};
 use hxroute::engines::Dfsssp;
+use hxsim::NetParams;
 use hxtopo::hyperx::HyperXConfig;
 use hxtopo::FaultPlan;
 use std::sync::Arc;
 use std::time::Instant;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// The streamed plane: the paper's degraded 12x8 T=7 HyperX in full mode,
-/// a 6x4 T=2 miniature under `T2HX_QUICK=1` — same shapes as hxd.
-fn plane_system(quick: bool, rails: usize) -> (System, &'static str) {
-    let (topo, label) = if quick {
+/// a 6x4 T=2 miniature under `T2HX_QUICK=1` — same shapes as hxd — on the
+/// configured congestion solver.
+fn plane_system(knobs: &knobs::RunConfig, rails: usize) -> (System, &'static str) {
+    let (topo, label) = if knobs.quick {
         (HyperXConfig::new(vec![6, 4], 2).build(), "hx-6x4-t2")
     } else {
         let mut topo = HyperXConfig::t2_hyperx(672).build();
@@ -55,7 +51,7 @@ fn plane_system(quick: bool, rails: usize) -> (System, &'static str) {
         (topo, "hx-12x8-t7+15aoc")
     };
     let topo = Arc::new(topo);
-    let mut b = System::builder();
+    let mut b = System::builder().params(NetParams::qdr().with_solver(knobs.solver));
     for r in 0..rails {
         b = b.plane(
             format!("cap:p{r}"),
@@ -95,25 +91,23 @@ fn main() {
         o.tracer
             .name_process(hxobs::track::CAP, "capacity allocator");
     }
-    let quick = hxbench::quick();
-    let seeds = env_u64("T2HX_CAP_SEEDS", if quick { 2 } else { 3 }).max(1);
-    let base_seed = env_u64("T2HX_CAP_SEED", 0xCA9);
-    let mut cfg = if quick {
+    let knobs = knobs::config();
+    let seeds = knobs.cap_seeds.unwrap_or(if knobs.quick { 2 } else { 3 });
+    let base_seed = knobs.cap_seed.unwrap_or(0xCA9);
+    let mut cfg = if knobs.quick {
         ScaleConfig::quick()
     } else {
         ScaleConfig::full()
     };
-    if let Ok(days) = std::env::var("T2HX_CAP_DAYS") {
-        cfg.days = days.parse().expect("T2HX_CAP_DAYS parses as f64");
+    if let Some(days) = knobs.cap_days {
+        cfg.days = days;
     }
-    let policies: Vec<PolicyKind> =
-        match std::env::var("T2HX_CAP_POLICY") {
-            Ok(name) => vec![PolicyKind::parse(&name)
-                .unwrap_or_else(|| panic!("unknown T2HX_CAP_POLICY {name:?}"))],
-            Err(_) => POLICY_KINDS.to_vec(),
-        };
+    let policies: Vec<PolicyKind> = match knobs.cap_policy {
+        Some(policy) => vec![policy],
+        None => POLICY_KINDS.to_vec(),
+    };
 
-    let (sys, label) = plane_system(quick, 1);
+    let (sys, label) = plane_system(knobs, 1);
     println!(
         "# capacity_scale: {label} ({} nodes), {:.2} simulated days, \
          {:.0} jobs/h of {}..{} ranks (median {:.0}s service), {} seeds\n",
@@ -137,7 +131,7 @@ fn main() {
     // The two-rail section: same offered stream, twice the planes. Jobs
     // land on the most-free rail, so waits shrink and interference
     // spreads across rails.
-    let (multi, _) = plane_system(quick, 2);
+    let (multi, _) = plane_system(knobs, 2);
     println!(
         "\n# two-rail system ({} planes x {} nodes):\n",
         2,

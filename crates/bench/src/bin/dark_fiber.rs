@@ -4,13 +4,13 @@
 //! HyperX cable directions a dense alltoall actually lights up and how
 //! imbalanced the load is.
 
-use hxcore::{Combo, T2hx};
+use hxcore::Combo;
 use hxmpi::rounds::{estimate_detailed, RoundProgram};
 use hxsim::stats::LinkUsage;
 
 fn main() {
     let _obs = hxbench::obs_scope("dark_fiber");
-    let sys = T2hx::build(672, true).expect("system routes");
+    let sys = hxbench::build_full();
     let n = 112;
     println!("# Dark-fiber analysis: alltoall(1 MiB) at {n} nodes, HyperX plane\n");
     println!(

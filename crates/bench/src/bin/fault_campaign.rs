@@ -16,11 +16,10 @@
 //! for CI smoke runs. `T2HX_ENGINE` swaps the HyperX row's routing engine
 //! (default DFSSSP); the Fat-Tree rows keep their topology-native engines.
 
-use hxbench::engine_from_env_or;
+use hxbench::knobs;
 use hxcore::{run_campaign, CampaignConfig};
 use hxroute::engines::{Dfsssp, Ftree, RoutingEngine, Sssp};
 use hxroute::Demand;
-use hxsim::SolverKind;
 use hxtopo::fattree::FatTreeConfig;
 use hxtopo::hyperx::HyperXConfig;
 use hxtopo::NodeId;
@@ -36,7 +35,7 @@ fn scale() -> (usize, CampaignConfig) {
         flows: if quick { 12 } else { 48 },
         bytes: 4 << 20,
         max_down: if quick { 4 } else { 12 },
-        solver: SolverKind::from_env(),
+        solver: knobs::config().solver,
         ..CampaignConfig::default()
     };
     (if quick { 168 } else { 672 }, cfg)
@@ -109,7 +108,7 @@ fn main() {
     study("Fat-Tree SSSP", FatTreeConfig::tsubame2(total), |_| {
         Box::new(Sssp::default())
     });
-    let hx_engine = |_: usize| engine_from_env_or(|| Box::new(Dfsssp::default()));
+    let hx_engine = |_: usize| knobs::config().engine_or(|| Box::new(Dfsssp::default()));
     study(
         &format!("HyperX {}", hx_engine(0).name().to_uppercase()),
         HyperXConfig::t2_hyperx(total).build(),

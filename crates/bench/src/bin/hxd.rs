@@ -26,7 +26,7 @@
 //! readers; default 400 quick / 2000 full), `T2HX_HXD_SEED` (default
 //! `0x4878`), plus the usual `T2HX_QUICK` / `T2HX_ENGINE` / `T2HX_OBS`.
 
-use hxbench::engine_from_env_or;
+use hxbench::knobs;
 use hxcore::{FabricService, Query, QueryError};
 use hxroute::engines::Dfsssp;
 use hxroute::SubnetManager;
@@ -55,13 +55,6 @@ fn plane(quick: bool) -> (Topology, &'static str) {
         FaultPlan::t2_hyperx().apply(&mut topo);
         (topo, "hx-12x8-t7+15aoc")
     }
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Draws the next query of a reader's seeded stream: ~70% resolve, 15%
@@ -157,13 +150,15 @@ fn churn_once(sm: &mut SubnetManager, victims: &[LinkId]) -> (u64, u64) {
 
 fn main() {
     let _obs = hxbench::obs_scope("hxd");
-    let quick = hxbench::quick();
-    let (topo, scale) = plane(quick);
-    let engine = engine_from_env_or(|| Box::new(Dfsssp::default()));
+    let knobs = knobs::config();
+    let (topo, scale) = plane(knobs.quick);
+    let engine = knobs.engine_or(|| Box::new(Dfsssp::default()));
     let engine_name = engine.name();
-    let readers = env_u64("T2HX_HXD_READERS", 4).max(1);
-    let queries = env_u64("T2HX_HXD_QUERIES", if quick { 400 } else { 2000 });
-    let seed = env_u64("T2HX_HXD_SEED", 0x4878);
+    let readers = knobs.hxd_readers.unwrap_or(4);
+    let queries = knobs
+        .hxd_queries
+        .unwrap_or(if knobs.quick { 400 } else { 2000 });
+    let seed = knobs.hxd_seed.unwrap_or(0x4878);
     let n = topo.num_nodes() as u32;
     let num_links = topo.num_links() as u32;
 
@@ -262,7 +257,7 @@ fn main() {
     // Replay phase: a fresh fabric, a fixed churn schedule, and the same
     // query streams replayed single-threaded. This fingerprint is the
     // determinism contract — identical across runs for one seed.
-    let engine = engine_from_env_or(|| Box::new(Dfsssp::default()));
+    let engine = knobs.engine_or(|| Box::new(Dfsssp::default()));
     let mut replay_sm = SubnetManager::new(topo, engine);
     replay_sm.verify = false;
     replay_sm.incremental = true;

@@ -5,7 +5,7 @@
 //! CI), writes the stable-schema trajectory point `BENCH_<pr>.json`, and
 //! compares it against the previous point with noise-aware gating: a
 //! kernel is flagged only when the CIs separate AND the median moves more
-//! than the threshold (default 10%, `T2HX_PERF_THRESHOLD`).
+//! than the threshold (default 10%, `--threshold`).
 //!
 //! ```sh
 //! cargo run --release -p hxbench --bin hxperf            # full trajectory point
@@ -17,13 +17,14 @@
 //! hxperf --advisory                                      # report, never fail
 //! ```
 //!
-//! Output path: `--out`, else `$T2HX_BENCH_OUT`, else `BENCH_<pr>.json`
-//! in the working directory (full mode) or `$T2HX_RESULTS_DIR|results/
-//! quick/BENCH_<pr>.json` (quick mode, so a smoke run never clobbers the
-//! committed trajectory). Baseline: `--baseline`, else the
+//! Output path: `--out`, else `BENCH_<pr>.json` in the working directory
+//! (full mode) or in the results directory (`$T2HX_RESULTS_DIR`, default
+//! `results/quick/`) in quick mode, so a smoke run never clobbers the
+//! committed trajectory. Baseline: `--baseline`, else the
 //! highest-numbered other `BENCH_<k>.json` (k ≤ pr) next to the output.
 //! Exit code 1 on a gated regression unless `--advisory`.
 
+use hxbench::knobs::{self, RunConfig};
 use hxbench::perf::{self, compare, BenchFile, RunSpec};
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -97,22 +98,13 @@ fn load(path: &Path) -> BenchFile {
 }
 
 /// Where this run's trajectory point goes (see the module docs).
-fn out_path(args: &Args, quick: bool) -> PathBuf {
+fn out_path(args: &Args, cfg: &RunConfig) -> PathBuf {
     if let Some(p) = &args.out {
         return p.clone();
     }
-    if let Ok(p) = std::env::var("T2HX_BENCH_OUT") {
-        if !p.is_empty() {
-            return PathBuf::from(p);
-        }
-    }
     let file = format!("BENCH_{}.json", perf::PR);
-    if quick {
-        let dir = match std::env::var("T2HX_RESULTS_DIR") {
-            Ok(d) if !d.is_empty() => PathBuf::from(d),
-            _ => PathBuf::from("results/quick"),
-        };
-        dir.join(file)
+    if cfg.quick {
+        cfg.results_dir().join(file)
     } else {
         PathBuf::from(file)
     }
@@ -143,8 +135,9 @@ fn mode(quick: bool) -> &'static str {
 }
 
 fn main() {
+    let cfg = knobs::config();
     let args = parse_args();
-    let mut gate = compare::Gate::from_env();
+    let mut gate = compare::Gate::default();
     if let Some(t) = args.threshold {
         gate.threshold_pct = t;
     }
@@ -161,7 +154,7 @@ fn main() {
     }
 
     let _obs = hxbench::obs_scope("hxperf");
-    let spec = RunSpec::from_env();
+    let spec = RunSpec::from_config(cfg);
     println!(
         "# hxperf trajectory point: PR {}, {} mode, {} warmup + {} samples per kernel\n",
         perf::PR,
@@ -198,7 +191,7 @@ fn main() {
         quick: spec.quick,
         kernels: records,
     };
-    let out = out_path(&args, spec.quick);
+    let out = out_path(&args, cfg);
     if let Some(dir) = out.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
     }

@@ -18,16 +18,16 @@
 //! just those crossing the dead cable), guaranteeing the failover path
 //! runs even in short campaigns.
 
-use hxbench::{engine_from_env_or, planes_from_env};
+use hxbench::knobs;
 use hxcore::{run_campaign, CampaignConfig};
 use hxmpi::RailPolicy;
 use hxroute::engines::{Dfsssp, RoutingEngine};
-use hxsim::SolverKind;
 use hxtopo::hyperx::HyperXConfig;
 
 /// Plane size and campaign parameters, shrunk under `T2HX_QUICK=1`.
 fn scale() -> (hxtopo::Topology, CampaignConfig) {
-    let quick = hxbench::quick();
+    let knobs = knobs::config();
+    let quick = knobs.quick;
     let topo = if quick {
         HyperXConfig::new(vec![6, 4], 2).build()
     } else {
@@ -41,9 +41,8 @@ fn scale() -> (hxtopo::Topology, CampaignConfig) {
         flows: if quick { 12 } else { 48 },
         bytes: 4 << 20,
         max_down: if quick { 4 } else { 12 },
-        solver: SolverKind::from_env(),
-        planes: planes_from_env(if quick { 2 } else { 4 }),
-        rail: RailPolicy::from_env(),
+        solver: knobs.solver,
+        planes: knobs.planes.unwrap_or(if quick { 2 } else { 4 }),
         force_failover: std::env::args().any(|a| a == "--force-failover"),
         ..CampaignConfig::default()
     };
@@ -53,7 +52,7 @@ fn scale() -> (hxtopo::Topology, CampaignConfig) {
 /// Per-plane engine: `T2HX_ENGINE` overrides the DFSSSP default on every
 /// rail (planes are homogeneous copies of the lattice).
 fn engine_for(_plane: usize) -> Box<dyn RoutingEngine> {
-    engine_from_env_or(|| Box::new(Dfsssp::default()))
+    knobs::config().engine_or(|| Box::new(Dfsssp::default()))
 }
 
 fn study(cfg: &CampaignConfig, topo: &hxtopo::Topology, rail: RailPolicy) {
@@ -109,12 +108,12 @@ fn main() {
         "rail", "tpH", "tpF", "drop", "latF_us", "fail", "recv", "fovr", "skip", "done",
     );
     // T2HX_RAIL pins the table to one policy; unset sweeps all three.
-    if std::env::var("T2HX_RAIL").is_ok() {
-        study(&cfg, &topo, cfg.rail);
-    } else {
-        for rail in RailPolicy::all() {
-            study(&cfg, &topo, rail);
-        }
+    let rails = match knobs::config().rail {
+        Some(rail) => vec![rail],
+        None => RailPolicy::all().to_vec(),
+    };
+    for rail in rails {
+        study(&cfg, &topo, rail);
     }
     println!("\ntpH/tpF: healthy/faulted throughput [GB/s]; fovr: in-flight flows");
     println!("re-resolved onto a surviving rail; epochs: per-plane shard epochs at");

@@ -29,8 +29,8 @@
 //!   tail of the same story (a `step` span-end record).
 //!
 //! Usage: `obs_validate [obs_dir] [harness_name]` — both default to
-//! [`hxobs::out_dir`] and `fault_campaign`. Exits nonzero with a reason
-//! on the first violated invariant.
+//! [`hxbench::knobs::RunConfig::obs_dir`] and `fault_campaign`. Exits
+//! nonzero with a reason on the first violated invariant.
 
 use hxobs::Json;
 use std::collections::HashMap;
@@ -388,10 +388,11 @@ fn validate_flight(path: &PathBuf, harness: &str) {
 }
 
 fn main() {
+    let cfg = hxbench::knobs::config();
     let dir = std::env::args()
         .nth(1)
         .map(PathBuf::from)
-        .unwrap_or_else(hxobs::out_dir);
+        .unwrap_or_else(|| cfg.obs_dir());
     let harness = std::env::args()
         .nth(2)
         .unwrap_or_else(|| "fault_campaign".into());

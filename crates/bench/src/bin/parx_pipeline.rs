@@ -4,14 +4,14 @@
 //! re-route the HyperX fabric with the demand-aware PARX, and compare the
 //! application's runtime before and after.
 
-use hxcore::{Combo, T2hx};
+use hxcore::Combo;
 use hxload::profile::RankProfile;
 use hxload::proxy::{Qball, Swfft};
 use hxload::workload::Workload;
 
 fn main() {
     let _obs = hxbench::obs_scope("parx_pipeline");
-    let mut sys = T2hx::build(672, true).expect("system routes");
+    let mut sys = hxbench::build_full();
     let combo = Combo::HxParxClustered;
     let n = 112;
 

@@ -21,7 +21,6 @@
 use hxcore::{run_campaign, CampaignConfig};
 use hxmpi::Pml;
 use hxroute::{engine_by_name, ENGINE_NAMES};
-use hxsim::SolverKind;
 use hxtopo::hyperx::HyperXConfig;
 use hxtopo::Topology;
 
@@ -46,7 +45,7 @@ fn scale() -> (Topology, Vec<f64>, CampaignConfig) {
         flows: if quick { 12 } else { 48 },
         bytes: 4 << 20,
         max_down: if quick { 4 } else { 12 },
-        solver: SolverKind::from_env(),
+        solver: hxbench::knobs::config().solver,
         ..CampaignConfig::default()
     };
     (topo, mtbfs, cfg)
@@ -54,19 +53,9 @@ fn scale() -> (Topology, Vec<f64>, CampaignConfig) {
 
 /// The field: every registry engine, or just `$T2HX_ENGINE` when set.
 fn entrants() -> Vec<&'static str> {
-    match std::env::var("T2HX_ENGINE") {
-        Ok(name) => {
-            let name = name.to_ascii_lowercase();
-            let entry = ENGINE_NAMES
-                .iter()
-                .copied()
-                .find(|&n| n == name)
-                .unwrap_or_else(|| {
-                    panic!("unknown T2HX_ENGINE {name:?} (known: {ENGINE_NAMES:?})")
-                });
-            vec![entry]
-        }
-        Err(_) => ENGINE_NAMES.to_vec(),
+    match hxbench::knobs::config().engine {
+        Some(name) => vec![name],
+        None => ENGINE_NAMES.to_vec(),
     }
 }
 

@@ -13,10 +13,10 @@
 //! `--only <substring>` may repeat; a harness runs if its name contains any
 //! of the given substrings. A filter matching nothing is an error.
 //!
-//! The results directory is `$T2HX_RESULTS_DIR` when set; otherwise
-//! `results/` for full runs and `results/quick/` for `T2HX_QUICK=1` runs,
-//! so a smoke run can never silently overwrite the committed full-mode
-//! numbers. Pointing a quick run at `results/` explicitly is refused while
+//! The results directory is [`hxbench::knobs::RunConfig::results_dir`]:
+//! `$T2HX_RESULTS_DIR` when set; otherwise `results/` for full runs and
+//! `results/quick/` for `T2HX_QUICK=1` runs, so a smoke run can never
+//! silently overwrite the committed full-mode numbers. Pointing a quick run at `results/` explicitly is refused while
 //! full-mode outputs are present there.
 //!
 //! A failing harness leaves its stderr in `<results>/<name>.stderr.txt`.
@@ -25,9 +25,10 @@
 //! additionally exports `<results>/obs/<name>.metrics.jsonl` and a
 //! Perfetto-loadable `<results>/obs/<name>.trace.json`.
 
+use hxbench::knobs;
 use hxobs::Json;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 
 /// The registry lives in the library ([`hxbench::HARNESSES`]) so that
@@ -35,21 +36,6 @@ use std::process::Command;
 /// source of truth.
 fn harness_names() -> Vec<&'static str> {
     hxbench::HARNESSES.iter().map(|h| h.name).collect()
-}
-
-/// Where this run's outputs go: `$T2HX_RESULTS_DIR`, else `results/` in
-/// full mode and `results/quick/` in quick mode.
-fn results_dir() -> PathBuf {
-    match std::env::var("T2HX_RESULTS_DIR") {
-        Ok(d) if !d.is_empty() => PathBuf::from(d),
-        _ => {
-            if hxbench::quick() {
-                PathBuf::from("results/quick")
-            } else {
-                PathBuf::from("results")
-            }
-        }
-    }
 }
 
 /// Refuses to let a quick run clobber full-mode outputs sitting in the
@@ -116,16 +102,15 @@ fn select_harnesses() -> Vec<&'static str> {
 }
 
 fn main() {
+    let cfg = knobs::config();
     let harnesses = select_harnesses();
-    let dir = results_dir();
+    let dir = cfg.results_dir();
     guard_against_clobber(&dir);
     fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
-    let obs = hxobs::env_requested();
+    let obs = cfg.obs;
     // Children inherit the environment; steer their obs artefacts into this
     // run's results tree unless the user already chose a location.
-    let obs_dir = std::env::var("T2HX_OBS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| dir.join("obs"));
+    let obs_dir = cfg.obs_dir();
     let exe_dir = std::env::current_exe()
         .ok()
         .and_then(|p| p.parent().map(|d| d.to_path_buf()))
@@ -198,7 +183,7 @@ fn main() {
 
     let manifest = Json::obj([
         ("obs_enabled", Json::from(obs)),
-        ("quick", Json::from(hxbench::quick())),
+        ("quick", Json::from(cfg.quick)),
         ("results_dir", Json::str(dir.display().to_string())),
         ("harnesses", Json::Arr(entries)),
         ("failures", Json::from(failures)),

@@ -7,14 +7,14 @@
 //! `tests/registry_sync.rs`). See DESIGN.md §4 for the figure index and
 //! DESIGN.md §10 for hxperf.
 //!
-//! Environment knobs: `T2HX_QUICK=1` shrinks sweeps for smoke runs;
-//! `T2HX_SAMPLES=n` overrides the eBB sample count; see README.md for the
-//! consolidated `T2HX_*` table.
+//! Every `T2HX_*` environment knob is parsed once, in [`knobs`]; the
+//! helpers below read the parsed [`knobs::config`].
 
+pub mod knobs;
 pub mod perf;
 
 use hxcore::T2hx;
-use hxroute::engines::RoutingEngine;
+use knobs::RunConfig;
 
 /// One runnable harness binary: its name (also the cargo `--bin` name)
 /// and a one-line description of what it reproduces.
@@ -119,20 +119,20 @@ pub const HARNESSES: &[Harness] = &[
     },
 ];
 
-/// Whether quick (CI-sized) mode is requested.
+/// Whether quick (CI-sized) mode is requested (`T2HX_QUICK=1`).
 pub fn quick() -> bool {
-    std::env::var("T2HX_QUICK").is_ok_and(|v| v != "0")
+    knobs::config().quick
 }
 
 /// Observability scope for a harness binary: when `T2HX_OBS=1`, installs
-/// the global [`hxobs`] sink on creation and exports
+/// the global [`hxobs`] sink and flight ring on creation and exports
 /// `<obs_dir>/<name>.metrics.jsonl` + `<obs_dir>/<name>.trace.json` on
-/// drop, where `<obs_dir>` honours `T2HX_OBS_DIR` /
-/// `T2HX_RESULTS_DIR` / `T2HX_QUICK` (see [`hxobs::out_dir`]). The flight
-/// ring, when armed, is dumped to `<obs_dir>/flightdump.json` alongside
-/// them. When observability is off this is a no-op.
+/// drop, where `<obs_dir>` is [`RunConfig::obs_dir`]. The flight ring is
+/// dumped to `<obs_dir>/flightdump.json` alongside them. When
+/// observability is off this is a no-op.
 ///
-/// First line of every harness `main`:
+/// First line of every harness `main` — it also parses the knobs, so a
+/// refused environment exits before any work:
 ///
 /// ```no_run
 /// let _obs = hxbench::obs_scope("fig05b_barrier");
@@ -141,73 +141,37 @@ pub fn quick() -> bool {
 pub struct ObsScope(String);
 
 /// Creates an [`ObsScope`] named after the harness. Each scope is
-/// hermetic: when a previous scope in the same process left a sink
-/// installed (a panicking harness skips its finalize), the registry,
-/// tracer, sketches and flight ring are all swapped fresh via
-/// [`hxobs::reset`], so per-harness `metrics.jsonl` exports never bleed
-/// counters across scopes.
+/// hermetic: [`hxobs::init`] swaps in a fresh sink and flight ring, so
+/// per-harness `metrics.jsonl` exports never bleed counters across
+/// scopes.
 pub fn obs_scope(name: &str) -> ObsScope {
-    if hxobs::enabled() {
-        hxobs::reset();
-    } else {
-        hxobs::init_from_env();
+    let cfg = knobs::config();
+    if cfg.obs {
+        hxobs::init(&cfg.obs_dir());
     }
     ObsScope(name.to_string())
 }
 
 impl Drop for ObsScope {
     fn drop(&mut self) {
-        if let Some((m, t)) = hxobs::finalize(&self.0) {
+        if let Some((m, t)) = hxobs::finalize(&self.0, &knobs::config().obs_dir()) {
             eprintln!("# obs: wrote {} and {}", m.display(), t.display());
         }
     }
 }
 
-/// Number of planes requested via `$T2HX_PLANES`, falling back to
-/// `default` when unset or unparsable. Clamped to at least 1.
-pub fn planes_from_env(default: usize) -> usize {
-    std::env::var("T2HX_PLANES")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(default)
-        .max(1)
-}
-
-/// Resolves the campaign routing engine from `$T2HX_ENGINE` (see
-/// [`hxroute::engines::engine_from_env`]), falling back to `default` when
-/// the variable is unset. Harness binaries use this so one environment
-/// knob swaps the engine under every campaign, mirroring `$T2HX_SOLVER`.
-///
-/// # Panics
-///
-/// Panics when `$T2HX_ENGINE` names an unknown engine — a misspelled
-/// selection must not silently run the default.
-pub fn engine_from_env_or(
-    default: impl FnOnce() -> Box<dyn RoutingEngine>,
-) -> Box<dyn RoutingEngine> {
-    match std::env::var("T2HX_ENGINE") {
-        Ok(name) => hxroute::engine_by_name(&name).unwrap_or_else(|| {
-            panic!(
-                "unknown T2HX_ENGINE {name:?} (known: {:?})",
-                hxroute::ENGINE_NAMES
-            )
-        }),
-        Err(_) => default(),
-    }
-}
-
-/// eBB sample count (paper: 1000).
+/// eBB sample count: `T2HX_SAMPLES`, else 50 quick / 1000 full (paper:
+/// 1000).
 pub fn ebb_samples() -> usize {
-    std::env::var("T2HX_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick() { 50 } else { 1000 })
+    let cfg = knobs::config();
+    cfg.samples.unwrap_or(if cfg.quick { 50 } else { 1000 })
 }
 
-/// Builds the full 672-node dual-plane system with the paper's faults.
+/// Builds the full 672-node dual-plane system with the paper's faults, on
+/// the configured congestion solver.
 pub fn build_full() -> T2hx {
     let t0 = std::time::Instant::now();
-    let sys = T2hx::build(672, true).expect("system routes");
+    let sys = build_t2hx(672, knobs::config());
     eprintln!(
         "# built dual-plane system in {:.1?}: FT {} switches / HX {} switches; \
          DFSSSP {} VLs, PARX {} VLs",
@@ -218,6 +182,12 @@ pub fn build_full() -> T2hx {
         sys.hx_parx().num_vls,
     );
     sys
+}
+
+fn build_t2hx(nodes: usize, cfg: &RunConfig) -> T2hx {
+    T2hx::build(nodes, true)
+        .expect("system routes")
+        .with_solver(cfg.solver)
 }
 
 /// The capability node series for seven-based benchmarks, shrunk in quick
@@ -250,18 +220,15 @@ pub fn thin_sizes(sizes: Vec<u64>) -> Vec<u64> {
 
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn series_shapes() {
-        // Full-mode series match the paper's figures.
-        std::env::remove_var("T2HX_QUICK");
-        assert_eq!(super::series7().last(), Some(&672));
-        assert_eq!(super::series_pow2().last(), Some(&512));
-    }
+    use hxsim::SolverKind;
 
     #[test]
-    fn env_plane_count_defaults() {
-        // T2HX_PLANES is unset in tests.
-        assert_eq!(super::planes_from_env(2), 2);
-        assert_eq!(super::planes_from_env(0), 1);
+    fn configured_solver_reaches_the_system() {
+        // The library default is incremental, so exact proves the plumbing.
+        let cfg = super::knobs::parse([("T2HX_SOLVER", "exact")]).unwrap();
+        assert_eq!(
+            super::build_t2hx(168, &cfg).params().solver,
+            SolverKind::Exact
+        );
     }
 }

@@ -32,18 +32,6 @@ impl Default for Gate {
     }
 }
 
-impl Gate {
-    /// Reads `T2HX_PERF_THRESHOLD` (percent), falling back to the default.
-    pub fn from_env() -> Gate {
-        let threshold_pct = std::env::var("T2HX_PERF_THRESHOLD")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&t: &f64| t >= 0.0)
-            .unwrap_or(DEFAULT_THRESHOLD_PCT);
-        Gate { threshold_pct }
-    }
-}
-
 /// Per-kernel comparison verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {

@@ -459,13 +459,13 @@ const OBS_BATCH: usize = 1024;
 /// The cost of the observability layer when it is *off*: every hot path in
 /// the repo now carries span/counter/sketch call sites, so this kernel
 /// pins their disabled-path overhead (one relaxed atomic load each). The
-/// global sink and flight ring are force-uninstalled for the measurement
-/// and restored afterwards, so the number is the true `T2HX_OBS`-unset
-/// cost even when hxperf itself runs under observability.
+/// global sink is force-uninstalled for the measurement and restored
+/// afterwards (with no sink, nothing reaches the flight ring), so the
+/// number is the true `T2HX_OBS`-unset cost even when hxperf itself runs
+/// under observability.
 fn obs_disabled(quick: bool, warmup: usize, samples: usize) -> (String, Vec<f64>) {
     let _ = quick; // same batch at both scales: the cost is plane-free
     let saved_sink = hxobs::uninstall();
-    let saved_ring = hxobs::flight::uninstall();
     let mut epoch = 0u64;
     let ns = time_loop(warmup, samples, || {
         for i in 0..OBS_BATCH {
@@ -482,9 +482,6 @@ fn obs_disabled(quick: bool, warmup: usize, samples: usize) -> (String, Vec<f64>
     });
     if let Some(s) = saved_sink {
         hxobs::install(s);
-    }
-    if let Some(r) = saved_ring {
-        hxobs::flight::install(r);
     }
     (format!("callsites-x{OBS_BATCH}"), ns)
 }

@@ -212,15 +212,12 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// Reads the plan from the environment: `T2HX_QUICK` picks the scale,
-    /// `T2HX_PERF_SAMPLES` overrides the sample count (quick 5 / full 20).
-    pub fn from_env() -> RunSpec {
-        let quick = crate::quick();
-        let samples = std::env::var("T2HX_PERF_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(if quick { 5 } else { 20 });
+    /// The plan a run configuration asks for: `T2HX_QUICK` picks the
+    /// scale, `T2HX_PERF_SAMPLES` overrides the sample count (quick 5 /
+    /// full 20).
+    pub fn from_config(cfg: &crate::knobs::RunConfig) -> RunSpec {
+        let quick = cfg.quick;
+        let samples = cfg.perf_samples.unwrap_or(if quick { 5 } else { 20 });
         RunSpec {
             quick,
             warmup: if quick { 1 } else { 3 },

@@ -2,8 +2,10 @@
 //! harness has a binary source file, and README.md's "Reproducing the
 //! paper" command list names exactly the registry (plus `run_all`
 //! itself). `run_all --list` prints straight from the registry, so this
-//! keeps all three views in lockstep.
+//! keeps all three views in lockstep. README.md's environment table is
+//! pinned the same way to the knob table.
 
+use hxbench::knobs::KNOBS;
 use hxbench::HARNESSES;
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -69,5 +71,26 @@ fn readme_command_list_matches_registry() {
     assert_eq!(
         listed, registry,
         "README.md's --bin list must mirror hxbench::HARNESSES (same names, same order)"
+    );
+}
+
+#[test]
+fn readme_env_table_matches_knob_table() {
+    let readme = std::fs::read_to_string(repo_root().join("README.md")).expect("README.md");
+    let section = readme
+        .split("### Environment knobs")
+        .nth(1)
+        .expect("an 'Environment knobs' section")
+        .split("\n## ")
+        .next()
+        .unwrap();
+    let listed: Vec<&str> = section
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `")?.split('`').next())
+        .collect();
+    let table: Vec<&str> = KNOBS.iter().map(|k| k.name).collect();
+    assert_eq!(
+        listed, table,
+        "README.md's env table must mirror hxbench::knobs::KNOBS (same names, same order)"
     );
 }

@@ -172,11 +172,6 @@ impl CampaignReport {
         1.0 - self.faulted_throughput / self.healthy_throughput
     }
 
-    /// Latency inflation factor under churn (1 = unharmed).
-    pub fn latency_inflation(&self) -> f64 {
-        self.faulted_latency / self.healthy_latency
-    }
-
     /// Cable failures plus recoveries applied, across all planes.
     pub fn events(&self) -> u64 {
         self.failures.iter().chain(&self.recoveries).sum()

@@ -262,11 +262,6 @@ impl<'a> ScaleStepper<'a> {
         self.allocs.iter().map(|a| a.live_jobs()).sum()
     }
 
-    /// Jobs waiting for nodes.
-    pub fn queued_jobs(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Whether every event — arrivals, queue, departures — is exhausted.
     pub fn done(&self) -> bool {
         self.next_arrival_s > self.horizon_s && self.queue.is_empty() && self.departures.is_empty()

@@ -17,7 +17,7 @@ use crate::combos::{Combo, Scheme};
 use hxmpi::{Fabric, MultiFabric, Placement, Pml, RailPolicy};
 use hxroute::engines::{Dfsssp, Ftree, Parx, RoutingEngine, Sssp};
 use hxroute::{Demand, PathDb, PlaneSet, RouteError, Routes};
-use hxsim::NetParams;
+use hxsim::{NetParams, SolverKind};
 use hxtopo::fattree::{FatTreeConfig, Stage};
 use hxtopo::hyperx::HyperXConfig;
 use hxtopo::{FaultPlan, NodeId, Topology};
@@ -80,13 +80,14 @@ impl Default for SystemBuilder {
 }
 
 impl SystemBuilder {
-    /// An empty builder with QDR timing and the `$T2HX_SOLVER` congestion
-    /// engine (a perf knob only; both solvers are bit-identical).
+    /// An empty builder with QDR timing and the incremental congestion
+    /// solver (override with [`SystemBuilder::params`]; both solvers are
+    /// bit-identical).
     pub fn new() -> SystemBuilder {
         SystemBuilder {
             specs: Vec::new(),
             epoch: 1,
-            params: NetParams::qdr().with_solver(hxsim::solver::SolverKind::from_env()),
+            params: NetParams::qdr(),
         }
     }
 
@@ -410,6 +411,14 @@ impl T2hx {
     /// Timing parameters.
     pub fn params(&self) -> NetParams {
         self.sys.params()
+    }
+
+    /// Switches every fabric assembled from the system to the `solver`
+    /// congestion backend (the default is incremental; rates are
+    /// bit-identical either way).
+    pub fn with_solver(mut self, solver: SolverKind) -> T2hx {
+        self.sys.params = self.sys.params.with_solver(solver);
+        self
     }
 
     /// Number of compute nodes.

@@ -32,16 +32,6 @@ pub enum RailPolicy {
 }
 
 impl RailPolicy {
-    /// Parses the `T2HX_RAIL` environment knob: `rr` (default), `hash`,
-    /// or `load`.
-    pub fn from_env() -> RailPolicy {
-        match std::env::var("T2HX_RAIL").as_deref() {
-            Ok("hash") | Ok("flowhash") => RailPolicy::FlowHash,
-            Ok("load") | Ok("leastloaded") => RailPolicy::LeastLoaded,
-            _ => RailPolicy::RoundRobin,
-        }
-    }
-
     /// Stable label for reports and bench records.
     pub fn label(&self) -> &'static str {
         match self {
@@ -324,14 +314,5 @@ mod tests {
         let rp2 = mf.resolve(0, 9, 4096, 1);
         assert!(!rp2.hops.is_empty());
         assert_eq!(mf.rail_load(1), 4096);
-    }
-
-    #[test]
-    fn env_knob_parses() {
-        // No env set in tests: default is round-robin.
-        assert_eq!(RailPolicy::from_env(), RailPolicy::RoundRobin);
-        for p in RailPolicy::all() {
-            assert!(!p.label().is_empty());
-        }
     }
 }

@@ -3,9 +3,10 @@
 //! demand.
 //!
 //! A failing harness, a wedged campaign or a crashed `hxd` service leaves
-//! `flightdump.json` under [`crate::out_dir`] — the post-mortem that flat
-//! log files cannot give: the spans that were *open* when the process
-//! died, in causal order, with their epoch provenance.
+//! `flightdump.json` in the directory the ring was [`install`]ed with —
+//! the post-mortem that flat log files cannot give: the spans that were
+//! *open* when the process died, in causal order, with their epoch
+//! provenance.
 //!
 //! ## Concurrency design
 //!
@@ -21,12 +22,10 @@
 //! apart landing on one slot mid-write), where the later claim spins for
 //! the ~16-word copy.
 //!
-//! The ring is global and enabled together with the observability sink
-//! (`T2HX_OBS=1`); `T2HX_OBS_FLIGHT=0` opts out, `T2HX_OBS_FLIGHT_CAP`
-//! sizes it (default 4096 events, rounded up to a power of two).
+//! The ring is global and armed together with the observability sink by
+//! [`crate::init`], at [`DEFAULT_CAP`] events.
 
 use crate::json::Json;
-use crate::out_dir;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -36,8 +35,11 @@ pub const WORDS: usize = 16;
 /// Bytes of event name retained (longer names truncate).
 pub const NAME_BYTES: usize = (WORDS - 7) * 8;
 
-/// Default ring capacity (events) when `T2HX_OBS_FLIGHT_CAP` is unset.
+/// Ring capacity (events) armed by [`crate::init`].
 pub const DEFAULT_CAP: usize = 4096;
+
+/// File name of a ring dump inside its output directory.
+pub const DUMP_FILE: &str = "flightdump.json";
 
 /// What a flight event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -297,7 +299,13 @@ impl FlightRecorder {
 }
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
-static RING: parking_lot::RwLock<Option<Arc<FlightRecorder>>> = parking_lot::RwLock::new(None);
+/// The armed ring and the file its panic dump goes to.
+struct Armed {
+    ring: Arc<FlightRecorder>,
+    dump: PathBuf,
+}
+
+static RING: parking_lot::RwLock<Option<Armed>> = parking_lot::RwLock::new(None);
 static PANIC_HOOK: OnceLock<()> = OnceLock::new();
 
 /// True when a flight ring is installed: the single relaxed load gating
@@ -312,12 +320,16 @@ pub fn ring() -> Option<Arc<FlightRecorder>> {
     if !active() {
         return None;
     }
-    RING.read().clone()
+    RING.read().as_ref().map(|a| a.ring.clone())
 }
 
-/// Installs (or replaces) the global ring and arms the panic hook.
-pub fn install(r: Arc<FlightRecorder>) {
-    *RING.write() = Some(r);
+/// Installs (or replaces) the global ring and arms the panic hook, which
+/// dumps the ring to `<dir>/flightdump.json`.
+pub fn install(r: Arc<FlightRecorder>, dir: &Path) {
+    *RING.write() = Some(Armed {
+        ring: r,
+        dump: dir.join(DUMP_FILE),
+    });
     ACTIVE.store(true, Ordering::Release);
     install_panic_hook();
 }
@@ -325,30 +337,7 @@ pub fn install(r: Arc<FlightRecorder>) {
 /// Removes the global ring, returning it so callers can still dump it.
 pub fn uninstall() -> Option<Arc<FlightRecorder>> {
     ACTIVE.store(false, Ordering::Release);
-    RING.write().take()
-}
-
-/// Requested ring capacity: `T2HX_OBS_FLIGHT_CAP` or [`DEFAULT_CAP`].
-pub fn env_capacity() -> usize {
-    std::env::var("T2HX_OBS_FLIGHT_CAP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_CAP)
-}
-
-/// Installs a fresh ring unless `T2HX_OBS_FLIGHT=0` opts out. Called by
-/// [`crate::init_from_env`] alongside the sink install; returns whether the
-/// recorder is now armed.
-pub fn init_from_env() -> bool {
-    let off = std::env::var("T2HX_OBS_FLIGHT")
-        .map(|v| v == "0")
-        .unwrap_or(false);
-    if off {
-        uninstall();
-        return false;
-    }
-    install(Arc::new(FlightRecorder::new(env_capacity())));
-    true
+    RING.write().take().map(|a| a.ring)
 }
 
 /// Records one event if a ring is armed.
@@ -361,13 +350,8 @@ pub fn record(ev: &FlightEvent) {
     }
 }
 
-/// Where on-demand and panic dumps land: `<out_dir>/flightdump.json`.
-pub fn dump_path() -> PathBuf {
-    out_dir().join("flightdump.json")
-}
-
-/// Dumps a specific ring to `path` (parent directories created) — useful
-/// for a ring already detached via [`uninstall`].
+/// Dumps a ring to `path` (parent directories created) — used for a ring
+/// already detached via [`uninstall`].
 pub fn dump_ring_to(ring: &FlightRecorder, path: &Path) -> std::io::Result<PathBuf> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
@@ -376,27 +360,20 @@ pub fn dump_ring_to(ring: &FlightRecorder, path: &Path) -> std::io::Result<PathB
     Ok(path.to_path_buf())
 }
 
-/// Dumps the armed ring to `path`. `None` when no ring is armed.
-pub fn dump_to(path: &Path) -> Option<std::io::Result<PathBuf>> {
-    let r = ring()?;
-    Some(dump_ring_to(&r, path))
-}
-
-/// On-demand dump to the default [`dump_path`].
-pub fn dump() -> Option<std::io::Result<PathBuf>> {
-    dump_to(&dump_path())
-}
-
 /// Arms the process panic hook (once): on panic, the hook records the
-/// panic itself as an [`Kind::Instant`] event and writes the flight dump
-/// to [`dump_path`] before delegating to the previous hook. The dump path
-/// is resolved at panic time, so late `T2HX_OBS_DIR`/`T2HX_RESULTS_DIR`
-/// changes are honoured.
-pub fn install_panic_hook() {
+/// panic itself as an [`Kind::Instant`] event and dumps the armed ring to
+/// the directory it was [`install`]ed with before delegating to the
+/// previous hook.
+fn install_panic_hook() {
     PANIC_HOOK.get_or_init(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if let Some(r) = ring() {
+            let armed = RING
+                .read()
+                .as_ref()
+                .filter(|_| active())
+                .map(|a| (a.ring.clone(), a.dump.clone()));
+            if let Some((r, path)) = armed {
                 let msg = info
                     .payload()
                     .downcast_ref::<&str>()
@@ -418,11 +395,9 @@ pub fn install_panic_hook() {
                     value: 0.0,
                     name: format!("panic: {msg} @ {loc}"),
                 });
-                let path = dump_path();
-                match dump_to(&path) {
-                    Some(Ok(p)) => eprintln!("hxobs: flight dump -> {}", p.display()),
-                    Some(Err(e)) => eprintln!("hxobs: flight dump failed: {e}"),
-                    None => {}
+                match dump_ring_to(&r, &path) {
+                    Ok(p) => eprintln!("hxobs: flight dump -> {}", p.display()),
+                    Err(e) => eprintln!("hxobs: flight dump failed: {e}"),
                 }
             }
             prev(info);

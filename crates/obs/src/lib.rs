@@ -21,10 +21,11 @@
 //!
 //! Instrumented code pays for what it uses: the global sink defaults to
 //! off and every call site is gated on [`enabled`], a single relaxed
-//! atomic load. Enable by calling [`init_from_env`] (honours `T2HX_OBS=1`)
-//! or [`install`]; drain with [`finalize`] which writes
-//! `<out_dir>/<name>.metrics.jsonl` and `<out_dir>/<name>.trace.json`
-//! (see [`out_dir`]).
+//! atomic load. Enable by calling [`init`] (sink plus flight ring, both
+//! exporting into one output directory) or [`install`]; drain with
+//! [`finalize`] which writes `<out_dir>/<name>.metrics.jsonl` and
+//! `<out_dir>/<name>.trace.json`. The library never reads the environment:
+//! the caller decides whether observability is on and where it writes.
 
 #![deny(missing_docs)]
 
@@ -230,83 +231,34 @@ pub fn sink() -> Option<Arc<ObsRecorder>> {
     SINK.read().clone()
 }
 
-/// True when the `T2HX_OBS` environment variable requests observability
-/// (set and not `"0"`).
-pub fn env_requested() -> bool {
-    std::env::var("T2HX_OBS").map(|v| v != "0").unwrap_or(false)
-}
-
-/// Installs a fresh [`ObsRecorder`] iff `T2HX_OBS=1` (any value but `"0"`),
-/// and arms the [`flight`] recorder alongside it (opt out with
-/// `T2HX_OBS_FLIGHT=0`). Returns whether observability is now on. Harness
-/// binaries call this at startup and [`finalize`] before exit.
-pub fn init_from_env() -> bool {
-    if env_requested() {
-        install(Arc::new(ObsRecorder::new()));
-        flight::init_from_env();
-        true
-    } else {
-        false
-    }
-}
-
-/// Swaps in a fresh [`ObsRecorder`] (and a fresh flight ring of the same
-/// capacity, when one was armed), returning the previous recorder so its
-/// contents can still be exported. Use between logical phases sharing one
-/// process — e.g. consecutive harness scopes — so counters, traces,
-/// sketches and the flight ring never bleed across exports. `None` (and
-/// nothing installed) when observability was off.
-pub fn reset() -> Option<Arc<ObsRecorder>> {
-    if !enabled() {
-        return None;
-    }
-    let prev = uninstall();
+/// Installs a fresh [`ObsRecorder`] and arms a fresh [`flight`] ring of
+/// [`flight::DEFAULT_CAP`] events whose panic dump lands in
+/// `<dir>/flightdump.json`, replacing whatever an earlier phase of the
+/// same process left installed, so counters, traces, sketches and the
+/// ring never bleed across exports. Harness binaries call this at startup
+/// and [`finalize`] with the same `dir` before exit.
+pub fn init(dir: &Path) {
     install(Arc::new(ObsRecorder::new()));
-    if let Some(ring) = flight::uninstall() {
-        flight::install(Arc::new(flight::FlightRecorder::new(ring.capacity())));
-    }
-    prev
-}
-
-/// Output directory for observability artefacts, in precedence order:
-/// `$T2HX_OBS_DIR`; else `$T2HX_RESULTS_DIR/obs`; else
-/// `results/quick/obs` under `T2HX_QUICK` and `results/obs` otherwise —
-/// mirroring where `run_all` puts harness outputs, so quick runs never
-/// clobber full-mode obs artefacts.
-pub fn out_dir() -> PathBuf {
-    if let Ok(d) = std::env::var("T2HX_OBS_DIR") {
-        if !d.is_empty() {
-            return PathBuf::from(d);
-        }
-    }
-    if let Ok(d) = std::env::var("T2HX_RESULTS_DIR") {
-        if !d.is_empty() {
-            return PathBuf::from(d).join("obs");
-        }
-    }
-    let quick = std::env::var("T2HX_QUICK").is_ok_and(|v| v != "0");
-    if quick {
-        PathBuf::from("results/quick/obs")
-    } else {
-        PathBuf::from("results/obs")
-    }
+    flight::install(
+        Arc::new(flight::FlightRecorder::new(flight::DEFAULT_CAP)),
+        dir,
+    );
 }
 
 /// Uninstalls the global sink and writes `<name>.metrics.jsonl` +
-/// `<name>.trace.json` under [`out_dir`]. When a flight ring is armed and
-/// holds events, it is dumped to `flightdump.json` alongside them and
+/// `<name>.trace.json` under `dir`. When a flight ring is armed and holds
+/// events, it is dumped to `<dir>/flightdump.json` alongside them and
 /// disarmed. No-op (returns `None`) when observability was never enabled.
-pub fn finalize(name: &str) -> Option<(PathBuf, PathBuf)> {
+pub fn finalize(name: &str, dir: &Path) -> Option<(PathBuf, PathBuf)> {
     let rec = uninstall()?;
     if let Some(ring) = flight::uninstall() {
         if ring.recorded() > 0 {
-            let path = flight::dump_path();
-            if let Err(e) = flight::dump_ring_to(&ring, &path) {
+            if let Err(e) = flight::dump_ring_to(&ring, &dir.join(flight::DUMP_FILE)) {
                 eprintln!("hxobs: failed to write flight dump: {e}");
             }
         }
     }
-    match rec.write_files(&out_dir(), name) {
+    match rec.write_files(dir, name) {
         Ok(paths) => Some(paths),
         Err(e) => {
             eprintln!("hxobs: failed to write observability files: {e}");

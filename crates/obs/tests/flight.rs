@@ -2,8 +2,8 @@
 //! `flightdump.json` holding the ring's tail — the spans and metrics that
 //! led up to the crash plus the panic record itself.
 //!
-//! This file stays a single test: the panic hook, the global ring and the
-//! `T2HX_OBS_DIR` override are all process-wide, and one test per binary
+//! This file stays a single test: the panic hook and the global ring are
+//! process-wide, and one test per binary
 //! (integration tests are separate processes) is the cheap way to keep
 //! them hermetic.
 
@@ -15,10 +15,9 @@ use std::sync::Arc;
 fn injected_panic_dumps_parseable_flight_recording() {
     let dir = std::env::temp_dir().join(format!("hxobs_flight_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::env::set_var("T2HX_OBS_DIR", &dir);
 
     hxobs::install(Arc::new(ObsRecorder::new()));
-    flight::install(Arc::new(FlightRecorder::new(64)));
+    flight::install(Arc::new(FlightRecorder::new(64)), &dir);
 
     // Some pre-crash history for the ring to retain.
     let mut sp = Span::root(hxobs::track::RUNNER, 0, "step", "campaign");
@@ -64,6 +63,5 @@ fn injected_panic_dumps_parseable_flight_recording() {
 
     hxobs::uninstall();
     flight::uninstall();
-    std::env::remove_var("T2HX_OBS_DIR");
     let _ = std::fs::remove_dir_all(&dir);
 }

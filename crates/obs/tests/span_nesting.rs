@@ -21,7 +21,8 @@ fn fresh() -> (MutexGuard<'static, ()>, Arc<ObsRecorder>) {
     let guard = GLOBAL.lock().unwrap_or_else(|p| p.into_inner());
     let rec = Arc::new(ObsRecorder::new());
     hxobs::install(rec.clone());
-    flight::install(Arc::new(FlightRecorder::new(256)));
+    // No test here dumps the ring; a failing assertion's panic hook does.
+    flight::install(Arc::new(FlightRecorder::new(256)), &std::env::temp_dir());
     (guard, rec)
 }
 

@@ -18,9 +18,7 @@
 //! [`IncrementalRepair`] lets an engine own its `fail_link`/`recover_link`
 //! patches (the subnet manager's load-aware Dijkstra repair is the generic
 //! fallback), and [`Multipath`] exposes per-layer routing over the LMC LID
-//! block. [`engine_by_name`] / [`engine_from_env`] resolve the
-//! `$T2HX_ENGINE` knob the way `SolverKind::from_env` resolves
-//! `$T2HX_SOLVER`.
+//! block. [`engine_by_name`] resolves an engine from its registry name.
 
 mod dfsssp;
 mod fatpaths;
@@ -182,15 +180,6 @@ pub fn engine_by_name(name: &str) -> Option<Box<dyn RoutingEngine>> {
         "ftree" => Box::new(Ftree),
         _ => return None,
     })
-}
-
-/// The `$T2HX_ENGINE` knob, mirroring `SolverKind::from_env` /
-/// `$T2HX_SOLVER`: `None` when unset or unrecognized (callers keep their
-/// default engine).
-pub fn engine_from_env() -> Option<Box<dyn RoutingEngine>> {
-    std::env::var("T2HX_ENGINE")
-        .ok()
-        .and_then(|v| engine_by_name(&v))
 }
 
 /// Installs one destination tree into the LFTs: every reachable switch

@@ -135,11 +135,6 @@ impl FluidNet {
         self.obs_plane = Some(plane);
     }
 
-    /// The active congestion engine's label.
-    pub fn solver_name(&self) -> &'static str {
-        self.solver.name()
-    }
-
     /// Current simulation time of the fluid state.
     pub fn now(&self) -> f64 {
         self.now

@@ -49,17 +49,6 @@ impl SolverKind {
         }
     }
 
-    /// Engine choice from `$T2HX_SOLVER`, defaulting to [`SolverKind::Incremental`].
-    /// Unrecognized values fall back to the default. The congestion solver
-    /// is orthogonal to the *routing* engine, which campaigns select via
-    /// `$T2HX_ENGINE` (see `hxbench::engine_from_env_or`).
-    pub fn from_env() -> SolverKind {
-        std::env::var("T2HX_SOLVER")
-            .ok()
-            .and_then(|v| SolverKind::parse(&v))
-            .unwrap_or_default()
-    }
-
     /// Stable lower-case label (matches what [`SolverKind::parse`] accepts).
     pub fn label(&self) -> &'static str {
         match self {
@@ -102,14 +91,6 @@ pub struct RateTable {
 }
 
 impl RateTable {
-    /// Table pre-sized for `n` flows.
-    pub fn with_len(n: usize) -> RateTable {
-        RateTable {
-            rates: vec![f64::NAN; n],
-            changed: Vec::new(),
-        }
-    }
-
     /// Marks a (new or recycled) flow slot as having no valid rate, so the
     /// next [`RateTable::set`] always registers as a change.
     pub fn invalidate(&mut self, id: FlowId) {
@@ -162,9 +143,6 @@ impl RateTable {
 /// [`RateSolver::resolve`] (the property `crates/sim/tests/solver.rs`
 /// pins with proptests).
 pub trait RateSolver: fmt::Debug + Send {
-    /// The backend's [`SolverKind::label`].
-    fn name(&self) -> &'static str;
-
     /// Registers a flow under a caller-chosen id (ids may be recycled after
     /// [`RateSolver::remove`]). The path is copied into internal storage.
     fn add(&mut self, id: FlowId, path: &[DirLink]);
@@ -492,10 +470,6 @@ impl Exact {
 }
 
 impl RateSolver for Exact {
-    fn name(&self) -> &'static str {
-        SolverKind::Exact.label()
-    }
-
     fn add(&mut self, id: FlowId, path: &[DirLink]) {
         self.store.add(id, path);
     }
@@ -598,10 +572,6 @@ impl Incremental {
 }
 
 impl RateSolver for Incremental {
-    fn name(&self) -> &'static str {
-        SolverKind::Incremental.label()
-    }
-
     fn add(&mut self, id: FlowId, path: &[DirLink]) {
         self.store.add(id, path);
         for i in 0..self.store.paths[id].len() {

@@ -210,15 +210,6 @@ impl Topology {
         self.links[l.idx()].active = true;
     }
 
-    /// Scales every cable's capacity by `factor` (used to build the
-    /// "infinite network" reference for compute/communication splits).
-    pub fn scale_capacities(&mut self, factor: f64) {
-        assert!(factor > 0.0);
-        for l in &mut self.links {
-            l.capacity *= factor;
-        }
-    }
-
     /// Checks that every node can reach every other node over active links
     /// (BFS over the switch graph from the first switch with any attachment).
     pub fn is_connected(&self) -> bool {

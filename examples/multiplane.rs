@@ -1,6 +1,6 @@
-//! Multi-plane quickstart: assemble a K-rail HyperX system, compare the
-//! CSR path store against the delta-encoded compact representation, and
-//! run a short churn campaign with rail failover.
+//! Multi-plane quickstart: assemble a K-rail HyperX system, resolve a
+//! message on every rail, and run a short churn campaign with rail
+//! failover.
 //!
 //! ```sh
 //! cargo run --release --example multiplane
@@ -8,40 +8,13 @@
 
 use t2hx::core::{run_campaign, CampaignConfig, System};
 use t2hx::mpi::{Placement, Pml, RailPolicy};
-use t2hx::route::engines::{Dfsssp, RoutingEngine};
-use t2hx::route::{DeltaPathDb, PathDb};
+use t2hx::route::engines::Dfsssp;
 use t2hx::sim::SolverKind;
 use t2hx::topo::hyperx::HyperXConfig;
 use t2hx::topo::NodeId;
 
-fn sizes(label: &str, cfg: HyperXConfig) {
-    let topo = cfg.build();
-    let routes = Dfsssp::default().route(&topo).expect("routable");
-    let t0 = std::time::Instant::now();
-    let csr = PathDb::build(&topo, &routes, 1, 0).expect("csr");
-    let t_csr = t0.elapsed();
-    let t0 = std::time::Instant::now();
-    let delta = DeltaPathDb::build(&topo, &routes, 1, 0).expect("delta");
-    let t_delta = t0.elapsed();
-    println!(
-        "{label:<14} {:>5} sw {:>5} nodes  csr {:>12} B in {:>8.1?}  delta {:>11} B in {:>8.1?}  ({:.2}x smaller)",
-        topo.num_switches(),
-        topo.num_nodes(),
-        csr.approx_bytes(),
-        t_csr,
-        delta.approx_bytes(),
-        t_delta,
-        csr.approx_bytes() as f64 / delta.approx_bytes() as f64,
-    );
-}
-
 fn main() {
-    println!("# Path-store size: CSR vs delta encoding (equal resolve results)\n");
-    sizes("hx-12x8-t7", HyperXConfig::t2_hyperx(672));
-    sizes("hx-16x16-t2", HyperXConfig::new(vec![16, 16], 2));
-    sizes("hx-32x32-t1", HyperXConfig::new(vec![32, 32], 1));
-
-    println!("\n# 4-plane 12x8 T=7 system (2688 endpoints)\n");
+    println!("# 4-plane 12x8 T=7 system (2688 endpoints)\n");
     let t0 = std::time::Instant::now();
     let sys = System::replicated_hyperx(HyperXConfig::t2_hyperx(672), 4, |_| {
         Box::new(Dfsssp::default())
@@ -56,7 +29,7 @@ fn main() {
     );
     let nodes: Vec<NodeId> = sys.plane(0).topo().nodes().collect();
     let placement = Placement::linear(&nodes, sys.num_nodes());
-    let mf = sys.multi_fabric(&placement, Pml::Ob1, RailPolicy::from_env());
+    let mf = sys.multi_fabric(&placement, Pml::Ob1, RailPolicy::RoundRobin);
     for p in 0..sys.num_planes() {
         let rp = mf.resolve_on(p, 0, 671, 1 << 20, 0);
         println!(
@@ -76,7 +49,7 @@ fn main() {
         max_down: 8,
         solver: SolverKind::Incremental,
         planes: 4,
-        rail: RailPolicy::from_env(),
+        rail: RailPolicy::RoundRobin,
         force_failover: false,
         ..CampaignConfig::default()
     };
