@@ -266,10 +266,7 @@ pub(crate) fn assign_vls(
     routes: &mut Routes,
     max_vls: u8,
 ) -> Result<u8, RouteError> {
-    assert!(max_vls >= 1);
-    let channels = topo.num_links() * 2;
-    let mut cdgs: Vec<Cdg> = vec![Cdg::new(channels)];
-    let mut used: u8 = 1;
+    let mut lanes = Lanes::new(topo.num_links() * 2, max_vls)?;
 
     // Only switches that host nodes originate traffic.
     let src_switches: Vec<SwitchId> = topo
@@ -291,29 +288,110 @@ pub(crate) fn assign_vls(
             if chain.is_empty() {
                 continue; // single-hop paths cannot deadlock
             }
-            let mut placed = false;
-            for vl in 0..used {
-                if !cdgs[vl as usize].would_cycle(&chain) {
-                    cdgs[vl as usize].add_chain(&chain);
-                    *routes.sl_entry_mut(ssw, lid) = vl;
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                if used >= max_vls {
-                    return Err(RouteError::VlOverflow {
-                        required: used + 1,
-                        available: max_vls,
-                    });
-                }
-                cdgs.push(Cdg::new(channels));
-                cdgs[used as usize].add_chain(&chain);
-                *routes.sl_entry_mut(ssw, lid) = used;
-                used += 1;
-            }
+            *routes.sl_entry_mut(ssw, lid) = lanes.place(&chain, ssw, lid)?;
         }
     }
+    let used = lanes.cdgs.len() as u8;
     routes.num_vls = used;
     Ok(used)
+}
+
+/// The open virtual lanes of [`assign_vls`], one acyclic CDG each.
+struct Lanes {
+    cdgs: Vec<Cdg>,
+    channels: usize,
+    max_vls: u8,
+}
+
+impl Lanes {
+    /// Lane 0 open; errs when the hardware has no lane at all.
+    fn new(channels: usize, max_vls: u8) -> Result<Lanes, RouteError> {
+        if max_vls == 0 {
+            return Err(RouteError::VlOverflow {
+                required: 1,
+                available: 0,
+            });
+        }
+        Ok(Lanes {
+            cdgs: vec![Cdg::new(channels)],
+            channels,
+            max_vls,
+        })
+    }
+
+    /// Places the dependency chain of the path from `ssw` to `lid` on the
+    /// lowest open lane it keeps acyclic, opening a lane when none does.
+    fn place(
+        &mut self,
+        chain: &[(DirLink, DirLink)],
+        ssw: SwitchId,
+        lid: Lid,
+    ) -> Result<u8, RouteError> {
+        if let Some(vl) = self.cdgs.iter_mut().position(|c| c.try_add_chain(chain)) {
+            return Ok(vl as u8);
+        }
+        let used = self.cdgs.len() as u8;
+        if used >= self.max_vls {
+            return Err(RouteError::VlOverflow {
+                required: used + 1,
+                available: self.max_vls,
+            });
+        }
+        let mut fresh = Cdg::new(self.channels);
+        if !fresh.try_add_chain(chain) {
+            return Err(RouteError::CyclicChain { switch: ssw, lid });
+        }
+        self.cdgs.push(fresh);
+        Ok(used)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hxtopo::hyperx::HyperXConfig;
+
+    #[test]
+    fn zero_lane_budget_is_a_typed_error() {
+        let t = HyperXConfig::new(vec![3, 3], 1).build();
+        let engines: [Box<dyn RoutingEngine>; 4] = [
+            Box::new(Dfsssp { lmc: 0, max_vls: 0 }),
+            Box::new(Lash { max_vls: 0 }),
+            Box::new(FatPaths {
+                max_vls: 0,
+                ..FatPaths::default()
+            }),
+            Box::new(FtHyperX { max_vls: 0 }),
+        ];
+        for e in engines {
+            assert!(
+                matches!(
+                    e.route(&t),
+                    Err(RouteError::VlOverflow {
+                        required: 1,
+                        available: 0
+                    })
+                ),
+                "{}",
+                e.name()
+            );
+        }
+    }
+
+    #[test]
+    fn self_cyclic_chain_is_a_typed_error() {
+        let mut lanes = Lanes::new(8, 8).unwrap();
+        let (a, b) = (DirLink::from_index(0), DirLink::from_index(1));
+        let err = lanes.place(&[(a, b), (b, a)], SwitchId(3), 7).unwrap_err();
+        assert!(matches!(
+            err,
+            RouteError::CyclicChain {
+                switch: SwitchId(3),
+                lid: 7
+            }
+        ));
+        // The rejected chain opened no lane and left lane 0 usable.
+        assert_eq!(lanes.cdgs.len(), 1);
+        assert_eq!(lanes.place(&[(a, b)], SwitchId(3), 7).unwrap(), 0);
+    }
 }

@@ -127,6 +127,12 @@ pub enum RouteError {
         /// Hardware limit.
         available: u8,
     },
+    /// The path from `switch` to `lid` depends on its own channels: its
+    /// dependency chain is cyclic by itself, so no virtual lane can hold it.
+    CyclicChain { switch: SwitchId, lid: Lid },
+    /// The installed routes close a channel dependency cycle on virtual
+    /// lane `vl`: they can deadlock.
+    DeadlockCycle { vl: u8 },
     /// The demand-aware reroute trigger fired but the active engine has
     /// no demand-aware variant (`RoutingEngine::with_demand` is `None`).
     NoDemandVariant(&'static str),
@@ -158,6 +164,15 @@ impl std::fmt::Display for RouteError {
                 required,
                 available,
             } => write!(f, "needs {required} VLs, hardware has {available}"),
+            RouteError::CyclicChain { switch, lid } => {
+                write!(
+                    f,
+                    "path from {switch} to LID {lid} depends on its own channels"
+                )
+            }
+            RouteError::DeadlockCycle { vl } => {
+                write!(f, "channel dependency cycle on VL {vl}")
+            }
             RouteError::NoDemandVariant(engine) => {
                 write!(f, "engine {engine} has no demand-aware variant")
             }

@@ -2,7 +2,6 @@
 //! freedom, fault tolerance (reachability) and deadlock freedom — checked
 //! explicitly on any [`Routes`].
 
-use crate::cdg::{chain_of, Cdg};
 use crate::engines::walk_lft;
 use crate::lft::{DirLink, RouteError, Routes};
 use crate::pathdb::PathDb;
@@ -34,11 +33,14 @@ pub fn verify_paths(topo: &Topology, routes: &Routes) -> Result<PathStats, Route
 /// Rebuilds the channel dependency graph of every virtual lane from the
 /// actual forwarding state and SL table, and checks each for acyclicity
 /// (Dally & Seitz). Returns the number of VLs populated.
+///
+/// An independent oracle for the VL assignment: the per-lane graphs are
+/// plain adjacency lists checked by their own Kahn pass, sharing no cycle
+/// code with the incremental order of [`crate::cdg::Cdg`].
 pub fn verify_deadlock_free(topo: &Topology, routes: &Routes) -> Result<u8, RouteError> {
     let channels = topo.num_links() * 2;
-    let mut cdgs: Vec<Cdg> = (0..routes.num_vls.max(1))
-        .map(|_| Cdg::new(channels))
-        .collect();
+    // `lanes[vl][c]`: the distinct channels `c` depends on in lane `vl`.
+    let mut lanes: Vec<Vec<Vec<u32>>> = Vec::new();
     let mut hops: Vec<DirLink> = Vec::new();
     for src_sw in topo.switches() {
         if topo.attached_nodes(src_sw).next().is_none() {
@@ -51,29 +53,52 @@ pub fn verify_deadlock_free(topo: &Topology, routes: &Routes) -> Result<u8, Rout
             }
             hops.clear();
             walk_lft(topo, routes, src_sw, lid, |dl| hops.push(dl))?;
-            let vl = routes.sl(src_sw, lid) as usize;
-            if vl >= cdgs.len() {
-                cdgs.resize_with(vl + 1, || Cdg::new(channels));
+            if hops.len() < 2 {
+                continue;
             }
-            cdgs[vl].add_chain(&chain_of(&hops));
+            let vl = routes.sl(src_sw, lid) as usize;
+            if vl >= lanes.len() {
+                lanes.resize_with(vl + 1, || vec![Vec::new(); channels]);
+            }
+            for w in hops.windows(2) {
+                let outs = &mut lanes[vl][w[0].index()];
+                let to = w[1].index() as u32;
+                if !outs.contains(&to) {
+                    outs.push(to);
+                }
+            }
         }
     }
-    for (vl, cdg) in cdgs.iter().enumerate() {
-        if !cdg.is_acyclic() {
-            // Reuse VlOverflow to signal the failing layer in a typed way.
-            return Err(RouteError::VlOverflow {
-                required: vl as u8 + 1,
-                available: 0,
-            });
+    for (vl, adj) in lanes.iter().enumerate() {
+        if !kahn_acyclic(adj) {
+            return Err(RouteError::DeadlockCycle { vl: vl as u8 });
         }
     }
-    Ok(cdgs
+    Ok(lanes
         .iter()
-        .enumerate()
-        .rev()
-        .find(|(_, c)| c.num_edges() > 0)
-        .map(|(i, _)| i as u8 + 1)
-        .unwrap_or(1))
+        .rposition(|adj| adj.iter().any(|outs| !outs.is_empty()))
+        .map_or(1, |i| i as u8 + 1))
+}
+
+/// Kahn's algorithm: whether repeatedly removing in-degree-0 channels
+/// empties the graph.
+fn kahn_acyclic(adj: &[Vec<u32>]) -> bool {
+    let mut indeg = vec![0u32; adj.len()];
+    for &d in adj.iter().flatten() {
+        indeg[d as usize] += 1;
+    }
+    let mut ready: Vec<usize> = (0..adj.len()).filter(|&c| indeg[c] == 0).collect();
+    let mut removed = 0;
+    while let Some(c) = ready.pop() {
+        removed += 1;
+        for &d in &adj[c] {
+            indeg[d as usize] -= 1;
+            if indeg[d as usize] == 0 {
+                ready.push(d as usize);
+            }
+        }
+    }
+    removed == adj.len()
 }
 
 #[cfg(test)]
@@ -125,10 +150,20 @@ mod tests {
         r.set(SwitchId(0), 2, ab);
         r.set(SwitchId(1), 2, term(1));
         assert!(verify_paths(&t, &r).is_ok(), "paths are loop-free");
-        assert!(
-            verify_deadlock_free(&t, &r).is_err(),
+        assert_eq!(
+            verify_deadlock_free(&t, &r),
+            Err(RouteError::DeadlockCycle { vl: 0 }),
             "cyclic credit dependency must be detected"
         );
+    }
+
+    #[test]
+    fn kahn_detects_added_cycle() {
+        let mut adj = vec![Vec::new(); 5];
+        adj[0].push(1);
+        assert!(kahn_acyclic(&adj));
+        adj[1].push(0);
+        assert!(!kahn_acyclic(&adj));
     }
 
     #[test]

@@ -1,16 +1,13 @@
 //! Integration tests pinning the paper's headline claims on the
 //! full-scale (672-node) system. These are the quantitative anchors of
-//! EXPERIMENTS.md; they run in seconds in release mode but are `ignore`d
-//! under plain `cargo test` debug runs where routing the full system is
-//! slow. Run with `cargo test --release -- --ignored` or via the bench
-//! harnesses.
+//! EXPERIMENTS.md, and they run on every plain `cargo test`: the full
+//! system routes in a few seconds even in a debug build.
 //!
-//! Each full-scale claim also has a `_quick` variant that runs on every
-//! plain `cargo test`: a 168-node dual-plane slice (24 full 7-node HyperX
-//! switches — dense enough to reproduce every effect) routed in well under
-//! a second even in debug mode. The quick bands were calibrated
-//! empirically and sit inside the full-scale bands wherever the claim is
-//! scale-independent.
+//! Each full-scale claim also has a `_quick` variant on a 168-node
+//! dual-plane slice (24 full 7-node HyperX switches — dense enough to
+//! reproduce every effect) routed in well under a second. The quick bands
+//! were calibrated empirically and sit inside the full-scale bands
+//! wherever the claim is scale-independent.
 
 use std::sync::OnceLock;
 use t2hx::core::{Combo, T2hx};
@@ -48,7 +45,6 @@ fn linear_fabric(combo: Combo, n: usize) -> Fabric<'static> {
 }
 
 #[test]
-#[ignore = "full-scale: run with --release -- --ignored"]
 fn claim_bisection_bandwidths() {
     // Section 2.3: HyperX 57.1% bisection; Fat-Tree more than full.
     let s = sys();
@@ -59,7 +55,6 @@ fn claim_bisection_bandwidths() {
 }
 
 #[test]
-#[ignore = "full-scale: run with --release -- --ignored"]
 fn claim_vl_budgets() {
     // Section 4.4.3: DFSSSP needs 3 VLs on the 12x8 HyperX; PARX 5-8.
     // Our reproduction: within those hardware budgets (exact counts depend
@@ -75,7 +70,6 @@ fn claim_vl_budgets() {
 }
 
 #[test]
-#[ignore = "full-scale: run with --release -- --ignored"]
 fn claim_figure1_bandwidth_ordering() {
     // Figure 1: FT 2.26 GiB/s > PARX 1.39 > minimal HyperX 0.84, with PARX
     // recovering ~+66% over minimal routing.
@@ -101,7 +95,6 @@ fn claim_figure1_bandwidth_ordering() {
 }
 
 #[test]
-#[ignore = "full-scale: run with --release -- --ignored"]
 fn claim_parx_barrier_band() {
     // Figure 5b: PARX slows Barrier 2.8x-6.9x (gain -0.65..-0.85).
     let s = sys();
@@ -114,7 +107,6 @@ fn claim_parx_barrier_band() {
 }
 
 #[test]
-#[ignore = "full-scale: run with --release -- --ignored"]
 fn claim_ebb_parx_recovers_dense_case() {
     // Figure 5c: at 14 nodes (two full switches), PARX almost doubles the
     // effective bisection bandwidth vs DFSSSP (~1.9x).
@@ -138,7 +130,6 @@ fn claim_ebb_parx_recovers_dense_case() {
 }
 
 #[test]
-#[ignore = "full-scale: run with --release -- --ignored"]
 fn claim_capacity_totals_in_band() {
     // Figure 7: 980-1355 completed runs over the five combos.
     use t2hx::cap::{paper_mix, CapacityConfig};
