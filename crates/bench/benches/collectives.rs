@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hxmpi::{estimate, Fabric, Placement, Pml, RoundProgram, ScheduleBuilder};
-use hxroute::engines::{Dfsssp, RoutingEngine};
+use hxroute::engines::{Dfsssp, Parx, RoutingEngine};
 use hxroute::Routes;
 use hxsim::{NetParams, Simulator};
 use hxtopo::hyperx::HyperXConfig;
@@ -17,12 +17,16 @@ fn setup_full() -> (Topology, Routes) {
 }
 
 fn fabric<'a>(topo: &'a Topology, routes: &'a Routes, n: usize) -> Fabric<'a> {
+    pml_fabric(topo, routes, n, Pml::Ob1)
+}
+
+fn pml_fabric<'a>(topo: &'a Topology, routes: &'a Routes, n: usize, pml: Pml) -> Fabric<'a> {
     let nodes: Vec<NodeId> = topo.nodes().collect();
     Fabric::new(
         topo,
         routes,
         Placement::linear(&nodes, n),
-        Pml::Ob1,
+        pml,
         NetParams::qdr(),
     )
     .expect("routable fabric")
@@ -34,10 +38,6 @@ fn round_model(c: &mut Criterion) {
     g.sample_size(10);
     for n in [56usize, 672] {
         let f = fabric(&topo, &routes, n);
-        // Warm the path cache so the benchmark measures the steady state.
-        let mut warm = RoundProgram::new(n);
-        warm.alltoall(1 << 20);
-        estimate(&f, &warm);
         g.bench_with_input(BenchmarkId::new("alltoall_4MiB", n), &f, |b, f| {
             b.iter(|| {
                 let mut rp = RoundProgram::new(n);
@@ -53,6 +53,21 @@ fn round_model(c: &mut Criterion) {
             })
         });
     }
+    // bfo-parx reads the sequence number, so every ring step is resolved
+    // and priced afresh: this case keeps the per-message path measured.
+    let parx = Parx::default().route(&topo).unwrap();
+    let f = pml_fabric(&topo, &parx, 672, Pml::parx());
+    g.bench_with_input(
+        BenchmarkId::new("allreduce_ring_bfo_parx", 672),
+        &f,
+        |b, f| {
+            b.iter(|| {
+                let mut rp = RoundProgram::new(672);
+                rp.allreduce_ring(64 << 20);
+                estimate(f, &rp)
+            })
+        },
+    );
     g.finish();
 }
 

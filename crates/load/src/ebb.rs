@@ -46,6 +46,7 @@ pub fn effective_bisection_bandwidth(
     assert!(n >= 2);
     let half = n / 2;
     let caps = directed_capacities(fabric.topo);
+    let db = fabric.pathdb();
     (0..samples)
         .into_par_iter()
         .map_init(
@@ -72,7 +73,7 @@ pub fn effective_bisection_bandwidth(
                             bytes,
                             s as u64,
                         );
-                        fabric.node_path_into(sn, dn, lid, &mut sc.paths[2 * p + k]);
+                        fabric.node_path_in(&db, sn, dn, lid, &mut sc.paths[2 * p + k]);
                     }
                 }
                 let rates = sc

@@ -35,7 +35,7 @@ impl RankProfile {
         let mut bytes = vec![0u64; n * n];
         for phase in &prog.phases {
             if let Phase::Exchange(msgs) = phase {
-                for &(src, dst, b) in msgs {
+                for &(src, dst, b) in msgs.iter() {
                     if src != dst {
                         bytes[src * n + dst] += (b as f64 * factor) as u64;
                     }

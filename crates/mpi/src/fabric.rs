@@ -107,8 +107,21 @@ impl<'a> Fabric<'a> {
     /// [`Fabric::node_path`] into a caller-provided buffer (cleared first),
     /// recycling the allocation across sampler loops.
     pub fn node_path_into(&self, src: NodeId, dst: NodeId, lid_idx: u32, out: &mut Vec<DirLink>) {
+        self.node_path_in(&self.pathdb(), src, dst, lid_idx, out);
+    }
+
+    /// [`Fabric::node_path_into`] against a snapshot of the path store the
+    /// caller already holds (from [`Fabric::pathdb`]), so a loop over many
+    /// messages takes the lock and clones the handle once.
+    pub fn node_path_in(
+        &self,
+        db: &PathDb,
+        src: NodeId,
+        dst: NodeId,
+        lid_idx: u32,
+        out: &mut Vec<DirLink>,
+    ) {
         let lid = self.routes.lid_map.lid(dst, lid_idx);
-        let db = self.pathdb();
         if !db.node_path_into(src, lid, out) {
             panic!(
                 "unroutable {src}->{dst} lid{lid_idx} (epoch {})",

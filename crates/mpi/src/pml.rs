@@ -58,6 +58,14 @@ impl Pml {
         !matches!(self, Pml::Ob1 | Pml::FlowHash)
     }
 
+    /// Whether [`Pml::select_lid_index`] ignores the sequence number, so two
+    /// identical exchanges route identically wherever they sit in a
+    /// program. The round model re-adds a repeated ring step's cost only
+    /// under such a PML (see `rounds`).
+    pub fn ignores_seq(&self) -> bool {
+        matches!(self, Pml::Ob1)
+    }
+
     /// Selects the destination LID index for a message.
     ///
     /// `seq` is the sender's message sequence number (drives the round-robin

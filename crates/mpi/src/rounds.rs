@@ -15,9 +15,33 @@
 //! subgroup (`*_among`) variants used by the proxy applications'
 //! sub-communicators. [`estimate`] evaluates a program over a routed
 //! [`Fabric`] in milliseconds of CPU time even at 672 ranks.
+//!
+//! # Shared exchanges
+//!
+//! An exchange holds its messages as an `Arc<[Msg]>`. The ring generators
+//! (`allreduce_ring_among`, `allgather_ring_among`,
+//! `reduce_scatter_ring_among`) repeat one identical exchange per step, so
+//! they build it once and push a clone of the `Arc` per step: a 672-rank
+//! ring allreduce stores 672 messages, not 1342 x 672. Message and phase
+//! counts are unchanged — every step is still its own phase.
+//!
+//! # Sequence independence
+//!
+//! The estimator prices an exchange that is [`Arc::ptr_eq`] to the previous
+//! exchange by re-adding the previous exchange's cost (and, with
+//! accounting on, its per-cable bytes) instead of resolving its messages
+//! again. That is exact only when the step's cost depends on nothing but
+//! its messages: the round state (cable loads, send counts) is reset per
+//! exchange, but the per-sender sequence number is not, and a PML that
+//! reads it may route step `s + 1` differently from step `s`. The reuse is
+//! therefore gated on [`crate::Pml::ignores_seq`], true only for a PML
+//! whose LID choice is constant over the sequence number (ob1).
 
 use crate::fabric::Fabric;
+use hxroute::DirLink;
 use hxsim::flow::directed_capacities;
+use hxsim::NetParams;
+use std::sync::Arc;
 
 /// One message: `(source rank, destination rank, bytes)`.
 pub type Msg = (usize, usize, u64);
@@ -25,8 +49,9 @@ pub type Msg = (usize, usize, u64);
 /// A phase of a round-synchronous program.
 #[derive(Debug, Clone)]
 pub enum Phase {
-    /// Simultaneous messages; the phase ends when all have arrived.
-    Exchange(Vec<Msg>),
+    /// Simultaneous messages; the phase ends when all have arrived. Ring
+    /// steps share one allocation (see the module docs).
+    Exchange(Arc<[Msg]>),
     /// Per-rank local compute (all ranks, same duration).
     Compute(f64),
 }
@@ -63,9 +88,22 @@ impl RoundProgram {
 
     /// Appends an exchange phase.
     pub fn exchange(&mut self, msgs: Vec<Msg>) {
+        self.exchange_shared(&msgs.into());
+    }
+
+    /// Appends an exchange phase that shares `msgs`' allocation; repeated
+    /// calls with one `Arc` mark the steps as identical exchanges.
+    fn exchange_shared(&mut self, msgs: &Arc<[Msg]>) {
         if !msgs.is_empty() {
-            self.phases.push(Phase::Exchange(msgs));
+            self.phases.push(Phase::Exchange(Arc::clone(msgs)));
         }
+    }
+
+    /// The exchange every ring step repeats: each member of `g` sends
+    /// `bytes` to its successor.
+    fn ring_step(g: &[usize], bytes: u64) -> Arc<[Msg]> {
+        let m = g.len();
+        (0..m).map(|i| (g[i], g[(i + 1) % m], bytes)).collect()
     }
 
     /// Appends a compute phase.
@@ -328,8 +366,9 @@ impl RoundProgram {
             return;
         }
         let chunk = bytes.div_ceil(m as u64).max(1);
+        let step = Self::ring_step(g, chunk);
         for s in 0..2 * (m - 1) {
-            self.exchange((0..m).map(|i| (g[i], g[(i + 1) % m], chunk)).collect());
+            self.exchange_shared(&step);
             if s < m - 1 {
                 self.compute(chunk as f64 * crate::coll::REDUCE_SEC_PER_BYTE);
             }
@@ -360,8 +399,9 @@ impl RoundProgram {
         if m < 2 {
             return;
         }
+        let step = Self::ring_step(g, bytes);
         for _ in 0..m - 1 {
-            self.exchange((0..m).map(|i| (g[i], g[(i + 1) % m], bytes)).collect());
+            self.exchange_shared(&step);
         }
     }
 
@@ -372,12 +412,9 @@ impl RoundProgram {
         if m < 2 {
             return;
         }
+        let step = Self::ring_step(g, bytes_per_block);
         for _ in 0..m - 1 {
-            self.exchange(
-                (0..m)
-                    .map(|i| (g[i], g[(i + 1) % m], bytes_per_block))
-                    .collect(),
-            );
+            self.exchange_shared(&step);
             self.compute(bytes_per_block as f64 * crate::coll::REDUCE_SEC_PER_BYTE);
         }
     }
@@ -525,23 +562,97 @@ pub fn estimate(fabric: &Fabric<'_>, prog: &RoundProgram) -> f64 {
     estimate_inner(fabric, prog, None).0
 }
 
+/// The state of the exchange being priced: per-cable load, the cables it
+/// touched, per-rank send counts and the longest wire latency. The
+/// estimators keep one per program and reset it after every exchange.
+struct RoundState {
+    caps: Vec<f64>,
+    load: Vec<f64>,
+    touched: Vec<usize>,
+    sends: Vec<u32>,
+    max_wire: f64,
+}
+
+impl RoundState {
+    fn new(fabric: &Fabric<'_>, n: usize) -> RoundState {
+        let caps = directed_capacities(fabric.topo);
+        RoundState {
+            load: vec![0.0; caps.len()],
+            caps,
+            touched: Vec::new(),
+            sends: vec![0; n],
+            max_wire: 0.0,
+        }
+    }
+
+    /// Puts one message of `bytes` on every cable of `path`.
+    fn carry(&mut self, p: &NetParams, path: &[DirLink], bytes: u64) {
+        let wire = p.wire_latency(path.len().saturating_sub(1), path.len());
+        self.max_wire = self.max_wire.max(wire);
+        for dl in path {
+            let i = dl.index();
+            if self.load[i] == 0.0 {
+                self.touched.push(i);
+            }
+            self.load[i] += bytes as f64;
+        }
+    }
+
+    /// Prices the exchange `msgs` and resets the state. `per_send` is the
+    /// sender-side cost of one message; with `step` given, each touched
+    /// cable's bytes are appended to it.
+    fn finish(
+        &mut self,
+        p: &NetParams,
+        per_send: f64,
+        msgs: &[Msg],
+        mut step: Option<&mut Vec<(usize, f64)>>,
+    ) -> f64 {
+        // Sender-side serialization: the busiest sender posts its messages
+        // back to back.
+        let max_sends = msgs
+            .iter()
+            .map(|&(s, _, _)| self.sends[s])
+            .max()
+            .unwrap_or(0) as f64;
+        let latency = max_sends * per_send + self.max_wire + p.o_recv;
+        let mut bw = 0.0f64;
+        for &i in &self.touched {
+            bw = bw.max(self.load[i] / self.caps[i]);
+            if let Some(step) = step.as_deref_mut() {
+                step.push((i, self.load[i]));
+            }
+            self.load[i] = 0.0;
+        }
+        self.touched.clear();
+        for &(s, _, _) in msgs {
+            self.sends[s] = 0;
+        }
+        self.max_wire = 0.0;
+        latency + bw
+    }
+}
+
 fn estimate_inner(
     fabric: &Fabric<'_>,
     prog: &RoundProgram,
     mut accounting: Option<&mut Vec<f64>>,
 ) -> (f64, f64) {
     let mut est_sp = hxobs::Span::root(hxobs::track::MPI, 0, "collective_rounds", "mpi");
-    est_sp.set_epoch(if est_sp.is_live() {
-        fabric.pathdb().epoch()
-    } else {
-        0
-    });
-    let caps = directed_capacities(fabric.topo);
-    let p = fabric.params;
-    let extra = fabric.pml_overhead();
-    let mut load = vec![0.0f64; caps.len()];
-    let mut sends = vec![0u32; prog.n];
+    // One snapshot for the whole program: a newer epoch installed
+    // mid-program applies from the next program on.
+    let db = fabric.pathdb();
+    est_sp.set_epoch(db.epoch());
+    let p = &fabric.params;
+    let per_send = p.o_send + fabric.pml_overhead();
+    let reuse = fabric.pml.ignores_seq();
+    let mut st = RoundState::new(fabric, prog.n);
     let mut seq = vec![0u64; prog.n];
+    let mut hops = Vec::new();
+    // The last priced exchange's per-cable bytes (kept only with
+    // accounting on) and cost.
+    let mut step: Vec<(usize, f64)> = Vec::new();
+    let mut prev: Option<(&Arc<[Msg]>, f64)> = None;
     let mut total = 0.0f64;
     let mut compute = 0.0f64;
 
@@ -552,51 +663,43 @@ fn estimate_inner(
                 compute += s;
             }
             Phase::Exchange(msgs) => {
-                let mut max_wire = 0.0f64;
-                let mut touched: Vec<usize> = Vec::with_capacity(msgs.len() * 5);
-                for &(src, dst, bytes) in msgs {
-                    sends[src] += 1;
-                    let sn = fabric.placement.node(src);
-                    let dn = fabric.placement.node(dst);
-                    if sn == dn {
-                        continue;
-                    }
-                    let lid_idx = fabric.pml.select_lid_index(
-                        fabric.topo,
-                        fabric.routes,
-                        sn,
-                        dn,
-                        bytes,
-                        seq[src],
-                    );
-                    seq[src] += 1;
-                    let path = fabric.node_path(sn, dn, lid_idx);
-                    let wire = p.wire_latency(path.len().saturating_sub(1), path.len());
-                    max_wire = max_wire.max(wire);
-                    for dl in path.iter() {
-                        let i = dl.index();
-                        if load[i] == 0.0 {
-                            touched.push(i);
+                let cost = match prev {
+                    // A repeated ring step under a sequence-blind PML
+                    // routes exactly as the step before it.
+                    Some((last, cost)) if reuse && Arc::ptr_eq(last, msgs) => cost,
+                    _ => {
+                        for &(src, dst, bytes) in msgs.iter() {
+                            st.sends[src] += 1;
+                            let sn = fabric.placement.node(src);
+                            let dn = fabric.placement.node(dst);
+                            if sn == dn {
+                                continue;
+                            }
+                            let lid_idx = fabric.pml.select_lid_index(
+                                fabric.topo,
+                                fabric.routes,
+                                sn,
+                                dn,
+                                bytes,
+                                seq[src],
+                            );
+                            seq[src] += 1;
+                            fabric.node_path_in(&db, sn, dn, lid_idx, &mut hops);
+                            st.carry(p, &hops, bytes);
                         }
-                        load[i] += bytes as f64;
-                        if let Some(acc) = accounting.as_deref_mut() {
-                            acc[i] += bytes as f64;
-                        }
+                        step.clear();
+                        st.finish(p, per_send, msgs, accounting.is_some().then_some(&mut step))
+                    }
+                };
+                // Byte counts are integers below 2^53, so adding a step's
+                // per-cable sums is exact whatever the grouping.
+                if let Some(acc) = accounting.as_deref_mut() {
+                    for &(i, b) in &step {
+                        acc[i] += b;
                     }
                 }
-                // Sender-side serialization: the busiest sender posts its
-                // messages back to back.
-                let max_sends = msgs.iter().map(|&(s, _, _)| sends[s]).max().unwrap_or(0) as f64;
-                let latency = max_sends * (p.o_send + extra) + max_wire + p.o_recv;
-                let mut bw = 0.0f64;
-                for &i in &touched {
-                    bw = bw.max(load[i] / caps[i]);
-                    load[i] = 0.0;
-                }
-                for &(s, _, _) in msgs {
-                    sends[s] = 0;
-                }
-                total += latency + bw;
+                prev = Some((msgs, cost));
+                total += cost;
             }
         }
     }
@@ -637,20 +740,18 @@ fn estimate_inner(
 /// adaptivity lives in the switches.
 pub fn estimate_adaptive(fabric: &Fabric<'_>, prog: &RoundProgram, k: u32) -> f64 {
     assert!(k >= 1 && k <= fabric.routes.lid_map.lids_per_node());
-    let caps = directed_capacities(fabric.topo);
-    let p = fabric.params;
-    let mut load = vec![0.0f64; caps.len()];
-    let mut sends = vec![0u32; prog.n];
+    let db = fabric.pathdb();
+    let p = &fabric.params;
+    let mut st = RoundState::new(fabric, prog.n);
+    let mut cands: Vec<Vec<DirLink>> = vec![Vec::new(); k as usize];
     let mut total = 0.0f64;
 
     for phase in &prog.phases {
         match phase {
             Phase::Compute(s) => total += s,
             Phase::Exchange(msgs) => {
-                let mut max_wire = 0.0f64;
-                let mut touched: Vec<usize> = Vec::new();
-                for &(src, dst, bytes) in msgs {
-                    sends[src] += 1;
+                for &(src, dst, bytes) in msgs.iter() {
+                    st.sends[src] += 1;
                     let sn = fabric.placement.node(src);
                     let dn = fabric.placement.node(dst);
                     if sn == dn {
@@ -658,12 +759,12 @@ pub fn estimate_adaptive(fabric: &Fabric<'_>, prog: &RoundProgram, k: u32) -> f6
                     }
                     // Evaluate each candidate path's post-assignment
                     // bottleneck; take the least loaded.
-                    let mut best: Option<(f64, u32)> = None;
-                    for x in 0..k {
-                        let path = fabric.node_path(sn, dn, x);
+                    let mut best: Option<(f64, usize)> = None;
+                    for (x, path) in cands.iter_mut().enumerate() {
+                        fabric.node_path_in(&db, sn, dn, x as u32, path);
                         let bn = path
                             .iter()
-                            .map(|dl| (load[dl.index()] + bytes as f64) / caps[dl.index()])
+                            .map(|dl| (st.load[dl.index()] + bytes as f64) / st.caps[dl.index()])
                             .fold(0.0f64, f64::max);
                         // Penalize longer paths slightly (UGAL's 2x-minimal
                         // rule of thumb folds into the bottleneck metric via
@@ -673,28 +774,9 @@ pub fn estimate_adaptive(fabric: &Fabric<'_>, prog: &RoundProgram, k: u32) -> f6
                         }
                     }
                     let (_, x) = best.expect("k >= 1");
-                    let path = fabric.node_path(sn, dn, x);
-                    let wire = p.wire_latency(path.len().saturating_sub(1), path.len());
-                    max_wire = max_wire.max(wire);
-                    for dl in path.iter() {
-                        let i = dl.index();
-                        if load[i] == 0.0 {
-                            touched.push(i);
-                        }
-                        load[i] += bytes as f64;
-                    }
+                    st.carry(p, &cands[x], bytes);
                 }
-                let max_sends = msgs.iter().map(|&(s, _, _)| sends[s]).max().unwrap_or(0) as f64;
-                let latency = max_sends * p.o_send + max_wire + p.o_recv;
-                let mut bw = 0.0f64;
-                for &i in &touched {
-                    bw = bw.max(load[i] / caps[i]);
-                    load[i] = 0.0;
-                }
-                for &(s, _, _) in msgs {
-                    sends[s] = 0;
-                }
-                total += latency + bw;
+                total += st.finish(p, p.o_send, msgs, None);
             }
         }
     }
@@ -810,7 +892,7 @@ mod tests {
         rp.bcast_among(&g, 5, 1024);
         for phase in &rp.phases {
             if let Phase::Exchange(msgs) = phase {
-                for &(s, d, _) in msgs {
+                for &(s, d, _) in msgs.iter() {
                     assert!(g.contains(&s) && g.contains(&d));
                 }
             }
@@ -883,7 +965,7 @@ mod tests {
         assert_eq!(total, 15 * 100); // C(6,2) pairs
         for phase in &rp.phases {
             if let Phase::Exchange(msgs) = phase {
-                for &(s, d, b) in msgs {
+                for &(s, d, b) in msgs.iter() {
                     assert!(s < d);
                     assert_eq!(b, 100);
                 }

@@ -28,17 +28,24 @@ pub struct UpDown {
 }
 
 impl UpDown {
-    fn pick_root(&self, topo: &Topology) -> SwitchId {
-        self.root.unwrap_or_else(|| {
-            topo.switches()
+    fn pick_root(&self, topo: &Topology) -> Result<SwitchId, RouteError> {
+        match self.root {
+            Some(r) if r.idx() < topo.num_switches() => Ok(r),
+            Some(_) => Err(RouteError::UnsupportedTopology(
+                "updown: the configured root is not a switch of this topology",
+            )),
+            None => topo
+                .switches()
                 .max_by_key(|&s| {
                     (
                         topo.active_switch_neighbors(s).count(),
                         usize::MAX - s.idx(),
                     )
                 })
-                .expect("topology has no switches")
-        })
+                .ok_or(RouteError::UnsupportedTopology(
+                    "updown: the topology has no switches",
+                )),
+        }
     }
 }
 
@@ -48,7 +55,7 @@ impl RoutingEngine for UpDown {
     }
 
     fn route(&self, topo: &Topology) -> Result<Routes, RouteError> {
-        let root = self.pick_root(topo);
+        let root = self.pick_root(topo)?;
         let depth = bfs_dist(topo, root);
         let n = topo.num_switches();
         // Total order: closer to the root (then lower id) = "upper" end.
@@ -138,6 +145,23 @@ mod tests {
     use crate::verify::{verify_deadlock_free, verify_paths};
     use hxtopo::fattree::FatTreeConfig;
     use hxtopo::hyperx::HyperXConfig;
+
+    #[test]
+    fn switchless_topology_or_foreign_root_is_a_typed_error() {
+        let empty = hxtopo::TopologyBuilder::new("empty", 0).build();
+        assert!(matches!(
+            UpDown::default().route(&empty),
+            Err(RouteError::UnsupportedTopology(_))
+        ));
+        let t = HyperXConfig::new(vec![2, 2], 1).build();
+        let far = UpDown {
+            root: Some(SwitchId(4)),
+        };
+        assert!(matches!(
+            far.route(&t),
+            Err(RouteError::UnsupportedTopology(_))
+        ));
+    }
 
     #[test]
     fn updown_routes_hyperx_one_vl() {

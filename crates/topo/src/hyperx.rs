@@ -129,9 +129,12 @@ impl HyperXShape {
                 self.shape[0], self.shape[1]
             ));
         }
-        let c = self.coord(s);
-        let left = c[0] < self.shape[0] / 2;
-        let top = c[1] < self.shape[1] / 2;
+        // The first two coordinates of `coord`, without its allocation:
+        // bfo-parx asks twice per message.
+        let (sx, sy) = (self.shape[0] as usize, self.shape[1] as usize);
+        let (x, y) = (s.idx() % sx, s.idx() / sx % sy);
+        let left = x < sx / 2;
+        let top = y < sy / 2;
         Ok(match (left, top) {
             (true, true) => Quadrant::Q0,
             (true, false) => Quadrant::Q1,
