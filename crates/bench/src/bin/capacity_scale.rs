@@ -7,7 +7,7 @@
 //! departures, which placement policy keeps the machine full without
 //! letting jobs grind each other down? Each `(policy, seed)` cell runs a
 //! seeded stream — exponential inter-arrivals, lognormal service times,
-//! FIFO start order — through the hxcap [`hxcore::ScaleStepper`] and
+//! FIFO start order — through [`hxcore::run_capacity_scale`] and
 //! reports:
 //!
 //! * **utilization** — busy node-seconds over offered node-seconds,

@@ -1,7 +1,7 @@
 //! The `T2HX_*` knob table: the one place the process environment is read.
 //!
-//! Library crates take explicit inputs; every harness binary, `run_all`,
-//! `hxperf` and `obs_validate` take their knobs from [`config`], which
+//! Library crates take explicit inputs; every harness binary, `run_all`
+//! and `obs_validate` take their knobs from [`config`], which
 //! parses the environment once per process against [`KNOBS`]. An unknown
 //! `T2HX_*` name, or a value that does not parse, exits with code 2 and a
 //! message naming the knob and its valid choices — a misspelling never
@@ -155,11 +155,6 @@ pub const KNOBS: &[Knob] = &[
         accepts: Accepts::Seed,
         set: |c, v| seed(v).map(|x| c.cap_seed = Some(x)),
     },
-    Knob {
-        name: "T2HX_PERF_SAMPLES",
-        accepts: Accepts::Count,
-        set: |c, v| count(v).map(|x| c.perf_samples = Some(x)),
-    },
 ];
 
 fn switch(v: &str) -> Option<bool> {
@@ -219,15 +214,12 @@ pub struct RunConfig {
     pub cap_days: Option<f64>,
     /// `T2HX_CAP_SEED`: base seed of the `capacity_scale` job streams.
     pub cap_seed: Option<u64>,
-    /// `T2HX_PERF_SAMPLES`: timed samples per hxperf kernel.
-    pub perf_samples: Option<usize>,
 }
 
 impl RunConfig {
-    /// Where `run_all` writes harness outputs and quick-mode `hxperf` its
-    /// trajectory point: `T2HX_RESULTS_DIR`, else `results/quick` in quick
-    /// mode and `results` otherwise — so a smoke run never clobbers the
-    /// committed full-mode numbers.
+    /// Where `run_all` writes harness outputs: `T2HX_RESULTS_DIR`, else
+    /// `results/quick` in quick mode and `results` otherwise — so a smoke
+    /// run never clobbers the committed full-mode numbers.
     pub fn results_dir(&self) -> PathBuf {
         match &self.results_dir {
             Some(d) => d.clone(),
@@ -387,6 +379,7 @@ mod tests {
             "T2HX_OBS_FLIGHT",
             "T2HX_OBS_FLIGHT_CAP",
             "T2HX_PERF_THRESHOLD",
+            "T2HX_PERF_SAMPLES",
             "T2HX_BENCH_OUT",
         ] {
             assert!(parse([(gone, "1")]).is_err(), "{gone}");

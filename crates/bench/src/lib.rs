@@ -1,17 +1,16 @@
-//! # hxbench — reproduction harnesses, Criterion benchmarks and hxperf
+//! # hxbench — reproduction harnesses and Criterion benchmarks
 //!
-//! One binary per table/figure of the paper, plus study harnesses and the
-//! [`perf`] benchmark-trajectory driver. The authoritative list is
-//! [`HARNESSES`] (what `run_all` executes, what `run_all --list` prints,
-//! and what README.md's harness table must mirror — pinned by
-//! `tests/registry_sync.rs`). See DESIGN.md §4 for the figure index and
-//! DESIGN.md §10 for hxperf.
+//! One binary per table/figure of the paper, plus study harnesses. The
+//! authoritative list is [`HARNESSES`] (what `run_all` executes, what
+//! `run_all --list` prints, and what README.md's harness table must
+//! mirror — pinned by `tests/registry_sync.rs`). See DESIGN.md §4 for the
+//! figure index. End-to-end performance is measured by the separate
+//! `t2hx_bench` package (DESIGN.md §10).
 //!
 //! Every `T2HX_*` environment knob is parsed once, in [`knobs`]; the
 //! helpers below read the parsed [`knobs::config`].
 
 pub mod knobs;
-pub mod perf;
 
 use hxcore::T2hx;
 use knobs::RunConfig;
@@ -26,8 +25,7 @@ pub struct Harness {
     pub about: &'static str,
 }
 
-/// Every harness `run_all` drives, in execution order. `hxperf` runs last
-/// so its trajectory point reflects the same build as the figures.
+/// Every harness `run_all` drives, in execution order.
 pub const HARNESSES: &[Harness] = &[
     Harness {
         name: "fig01_mpigraph",
@@ -112,10 +110,6 @@ pub const HARNESSES: &[Harness] = &[
     Harness {
         name: "capacity_scale",
         about: "day-scale allocation stream: placement-policy tournament",
-    },
-    Harness {
-        name: "hxperf",
-        about: "benchmark-trajectory point + perf-regression gate",
     },
 ];
 

@@ -10,7 +10,7 @@
 //! the [`NetworkAware`](crate::NetworkAware) policy and the
 //! [`interference`](mod@crate::interference) metrics read. The day-scale
 //! arrival/departure schedule lives one layer up, in
-//! `hxcore::capacity::ScaleStepper`; this type is the pure, deterministic
+//! `hxcore::run_capacity_scale`; this type is the pure, deterministic
 //! core it drives.
 
 use crate::place::PlaceError;

@@ -814,9 +814,8 @@ pub struct StepReport {
 }
 
 /// A live campaign system exposing one fault-churn round-trip at a time —
-/// the single-step hook behind `hxperf`'s `campaign_step` (K = 1) and
-/// `rail_failover` (K > 1) kernels, and any driver that wants to
-/// interleave churn with its own logic.
+/// the single-step hook for any driver that wants to interleave churn
+/// with its own logic (the campaign pin tests step it directly).
 ///
 /// Construction (via [`with_stepper`]) sweeps every plane, builds the rail
 /// fabrics sharing the managers' path stores, and launches the configured

@@ -5,11 +5,11 @@
 //!
 //! * [`run_capacity_combo`] reproduces the paper's three-hour Figure-7
 //!   mix under one routing/placement combo.
-//! * [`ScaleStepper`] / [`run_capacity_scale`] drive the hxcap
-//!   [`Allocator`] with a seeded Poisson job stream (exponential
-//!   inter-arrivals, lognormal service times) over simulated *days*,
-//!   placing under one [`PolicyKind`] across every plane of a
-//!   [`System`]. The stepper integrates node-seconds of utilization,
+//! * [`run_capacity_scale`] drives the hxcap [`Allocator`] with a
+//!   seeded Poisson job stream (exponential inter-arrivals, lognormal
+//!   service times) over simulated *days*, placing under one
+//!   [`PolicyKind`] across every plane of a [`System`]. The private
+//!   stepper behind it integrates node-seconds of utilization,
 //!   records queue waits and fragmentation into hxobs sketches on the
 //!   `CAP` track, checkpoints solver-backed interference, and folds every
 //!   placement into an FNV fingerprint so a `(policy, seed)` run is
@@ -175,10 +175,8 @@ struct Departure {
 
 /// The day-scale allocation stream: one [`Allocator`] per plane of a
 /// [`System`], one FIFO queue in front of them all, advanced event by
-/// event. Exposed (rather than hidden inside [`run_capacity_scale`]) so
-/// the hxperf `capacity_step` kernel can time a single
-/// arrival-or-departure transition.
-pub struct ScaleStepper<'a> {
+/// event by [`run_capacity_scale`].
+struct ScaleStepper<'a> {
     cfg: ScaleConfig,
     policy: PolicyKind,
     seed: u64,
@@ -207,12 +205,7 @@ pub struct ScaleStepper<'a> {
 impl<'a> ScaleStepper<'a> {
     /// Builds the stream over every plane of `sys`, placing under
     /// `policy`, with all randomness derived from `seed`.
-    pub fn new(
-        sys: &'a System,
-        policy: PolicyKind,
-        cfg: ScaleConfig,
-        seed: u64,
-    ) -> ScaleStepper<'a> {
+    fn new(sys: &'a System, policy: PolicyKind, cfg: ScaleConfig, seed: u64) -> ScaleStepper<'a> {
         let allocs: Vec<Allocator<'a>> = sys
             .planes()
             .iter()
@@ -257,13 +250,8 @@ impl<'a> ScaleStepper<'a> {
         }
     }
 
-    /// Jobs currently running across all planes.
-    pub fn live_jobs(&self) -> usize {
-        self.allocs.iter().map(|a| a.live_jobs()).sum()
-    }
-
     /// Whether every event — arrivals, queue, departures — is exhausted.
-    pub fn done(&self) -> bool {
+    fn done(&self) -> bool {
         self.next_arrival_s > self.horizon_s && self.queue.is_empty() && self.departures.is_empty()
     }
 
@@ -372,9 +360,8 @@ impl<'a> ScaleStepper<'a> {
     }
 
     /// Processes the single next event (one arrival or one departure).
-    /// Returns `false` once the stream is exhausted. This is the unit the
-    /// hxperf `capacity_step` kernel times.
-    pub fn step(&mut self) -> bool {
+    /// Returns `false` once the stream is exhausted.
+    fn step(&mut self) -> bool {
         let next_dep = self.next_departure();
         let arrival_due = self.next_arrival_s <= self.horizon_s;
         match (arrival_due, next_dep) {
@@ -436,14 +423,8 @@ impl<'a> ScaleStepper<'a> {
     }
 
     /// Runs the stream to exhaustion and seals the report.
-    pub fn run(mut self) -> ScaleReport {
+    fn run(mut self) -> ScaleReport {
         while self.step() {}
-        self.finish()
-    }
-
-    /// Seals the report at the current state (normally called with the
-    /// stream exhausted; the hxperf kernel calls it mid-stream).
-    pub fn finish(mut self) -> ScaleReport {
         let total_nodes: usize = self.allocs.iter().map(|a| a.free_bitmap().len()).sum();
         let offered = total_nodes as f64 * self.now_s;
         let utilization = if offered > 0.0 {

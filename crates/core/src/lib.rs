@@ -57,9 +57,7 @@ pub mod system;
 pub use campaign::{
     run_campaign, with_stepper, CampaignConfig, CampaignReport, CampaignStepper, StepReport,
 };
-pub use capacity::{
-    run_capacity_combo, run_capacity_scale, ScaleConfig, ScaleReport, ScaleStepper,
-};
+pub use capacity::{run_capacity_combo, run_capacity_scale, ScaleConfig, ScaleReport};
 pub use combos::Combo;
 pub use experiment::{Runner, Samples};
 pub use service::{Answer, FabricService, Query, QueryError, ServiceReader};

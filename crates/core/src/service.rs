@@ -31,7 +31,7 @@ use hxroute::{FabricSnapshot, RouteError, SubnetManager};
 use hxtopo::{LinkId, NodeId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A read-side request against one pinned epoch. Hashable: the variant and
 /// its arguments are the cache key (the epoch half of the `(epoch, query)`
@@ -282,7 +282,10 @@ pub struct FabricService {
     epoch: AtomicU64,
     /// The published snapshot. Ordering contract: `publish` installs the
     /// new `Arc` *before* storing its epoch, so any reader that observes
-    /// the new epoch finds a snapshot at least that new here.
+    /// the new epoch finds a snapshot at least that new here. Every
+    /// critical section is one `Arc` store or clone, so a holder that
+    /// panicked cannot have left a torn value: a poisoned lock is taken
+    /// over rather than propagated.
     current: Mutex<Arc<FabricSnapshot>>,
     published: AtomicU64,
     readers: AtomicU32,
@@ -316,7 +319,7 @@ impl FabricService {
     /// the published epoch.
     pub fn publish(&self, snap: FabricSnapshot) -> u64 {
         let epoch = snap.epoch();
-        *self.current.lock().expect("service mutex poisoned") = Arc::new(snap);
+        *self.current.lock().unwrap_or_else(PoisonError::into_inner) = Arc::new(snap);
         self.epoch.store(epoch, Ordering::Release);
         self.published.fetch_add(1, Ordering::Relaxed);
         hxobs::gauge("hxd.epoch", epoch as f64);
@@ -352,7 +355,11 @@ impl FabricService {
     /// serving thread.
     pub fn reader(&self) -> ServiceReader<'_> {
         let id = self.readers.fetch_add(1, Ordering::Relaxed);
-        let snap = self.current.lock().expect("service mutex poisoned").clone();
+        let snap = self
+            .current
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         ServiceReader {
             svc: self,
             snap,
@@ -392,7 +399,7 @@ impl ServiceReader<'_> {
                 .svc
                 .current
                 .lock()
-                .expect("service mutex poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .clone();
             self.cache.clear();
         }
@@ -624,6 +631,31 @@ mod tests {
         assert_eq!(a3.epoch(), 2);
         assert_eq!(svc.cache_stats().0, 1, "no stale hit across epochs");
         assert_eq!(svc.cache_stats().1, 2);
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_serves_new_epochs() {
+        let mut sm = swept();
+        let svc = FabricService::from_manager(&sm).unwrap();
+        let mut r = svc.reader();
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = svc.current.lock().unwrap();
+                panic!("panics while holding the snapshot lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(svc.current.is_poisoned());
+        let isl = sm
+            .topo()
+            .links()
+            .find(|(_, l)| l.class != LinkClass::Terminal)
+            .unwrap()
+            .0;
+        sm.fail_link(isl).unwrap();
+        assert_eq!(svc.publish_from(&sm).unwrap(), 2);
+        assert_eq!(r.pin().epoch(), 2);
+        assert_eq!(svc.reader().pin().epoch(), 2);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!
 //! Cost when disabled: [`Span::root`] is one relaxed atomic load and a
 //! stack struct with no allocation, no clock read and no sink lookup;
-//! every other method on a dead span is a branch. The `hxperf`
-//! `obs_disabled` kernel pins this.
+//! every other method on a dead span is a branch. The Criterion group
+//! `obs_disabled` (`crates/bench/benches/obs.rs`) pins this.
 
 use crate::flight::{self, FlightEvent, Kind};
 use crate::json::Json;

@@ -119,7 +119,7 @@ impl RoutingEngine for Parx {
         }
         let rest: Vec<NodeId> = topo.nodes().filter(|n| !is_listed[n.idx()]).collect();
 
-        for (phase_listed, dests) in [(true, &listed), (false, &rest)] {
+        for (phase_norm, dests) in [(norm.as_ref(), &listed), (None, &rest)] {
             for &nd in dests {
                 let (dsw, dlink) = topo.node_switch(nd);
                 for x in 0u32..4 {
@@ -147,8 +147,7 @@ impl RoutingEngine for Parx {
                     }
 
                     // Edge-weight update before the next round.
-                    if phase_listed {
-                        let norm = norm.as_ref().expect("listed phase implies demand");
+                    if let Some(norm) = phase_norm {
                         for (nx, w) in norm.senders_to(nd) {
                             if nx == nd {
                                 continue;

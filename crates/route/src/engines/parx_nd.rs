@@ -174,7 +174,7 @@ impl RoutingEngine for ParxNd {
         }
         let rest: Vec<NodeId> = topo.nodes().filter(|n| !is_listed[n.idx()]).collect();
 
-        for (phase_listed, dests) in [(true, &listed), (false, &rest)] {
+        for (phase_norm, dests) in [(norm.as_ref(), &listed), (None, &rest)] {
             for &nd in dests {
                 let (dsw, dlink) = topo.node_switch(nd);
                 for x in 0..rules {
@@ -196,8 +196,7 @@ impl RoutingEngine for ParxNd {
                             }
                         }
                     }
-                    if phase_listed {
-                        let norm = norm.as_ref().expect("listed implies demand");
+                    if let Some(norm) = phase_norm {
                         for (nx, w) in norm.senders_to(nd) {
                             let (ssw, _) = topo.node_switch(nx);
                             if nx == nd || ssw == dsw {
