@@ -31,7 +31,7 @@ use hxcore::{FabricService, Query, QueryError};
 use hxroute::engines::Dfsssp;
 use hxroute::SubnetManager;
 use hxtopo::hyperx::HyperXConfig;
-use hxtopo::{FaultPlan, LinkClass, LinkId, Topology};
+use hxtopo::{fnv1a, FaultPlan, LinkClass, LinkId, Topology, FNV_OFFSET};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -264,13 +264,8 @@ fn main() {
     replay_sm.sweep().expect("replay sweep");
     let (fails, recovers) = churn_once(&mut replay_sm, &victims);
     let replay_svc = FabricService::from_manager(&replay_sm).expect("replay snapshot");
-    let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |v: u64| {
-        for b in v.to_le_bytes() {
-            fp ^= b as u64;
-            fp = fp.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut fp = FNV_OFFSET;
+    let mut fold = |v: u64| fp = fnv1a(fp, &v.to_le_bytes());
     let mut replayed = 0u64;
     {
         let mut root = hxobs::Span::root(hxobs::track::HXD, readers as u32, "serve", "hxd");

@@ -3,10 +3,12 @@
 //! paper" command list names exactly the registry (plus `run_all`
 //! itself). `run_all --list` prints straight from the registry, so this
 //! keeps all three views in lockstep. README.md's environment table is
-//! pinned the same way to the knob table.
+//! pinned the same way to the knob table, and its engine table to the
+//! routing-engine registry.
 
 use hxbench::knobs::KNOBS;
 use hxbench::HARNESSES;
+use hxroute::{engine_by_name, ENGINE_NAMES};
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -93,4 +95,32 @@ fn readme_env_table_matches_knob_table() {
         listed, table,
         "README.md's env table must mirror hxbench::knobs::KNOBS (same names, same order)"
     );
+}
+
+#[test]
+fn readme_engine_table_matches_engine_registry() {
+    let readme = std::fs::read_to_string(repo_root().join("README.md")).expect("README.md");
+    let section = readme
+        .split("## Routing engines")
+        .nth(1)
+        .expect("a 'Routing engines' section")
+        .split("\n## ")
+        .next()
+        .unwrap();
+    let listed: Vec<&str> = section
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `")?.split('`').next())
+        .collect();
+    for name in &listed {
+        assert!(
+            engine_by_name(name).is_some(),
+            "README.md lists engine {name:?}, which engine_by_name does not resolve"
+        );
+    }
+    for name in ENGINE_NAMES.iter().chain(&["ftree"]) {
+        assert!(
+            listed.contains(name),
+            "README.md's engine table is missing {name:?}"
+        );
+    }
 }

@@ -41,7 +41,7 @@ use hxobs::{Span, SpanCtx};
 use hxroute::engines::RoutingEngine;
 use hxroute::{DirLink, PlaneSet, RouteError, SubnetManager};
 use hxsim::{FluidNet, NetParams, PathResolver, SolverKind};
-use hxtopo::{LinkClass, LinkId, NodeId, Topology};
+use hxtopo::{fnv1a, LinkClass, LinkId, NodeId, Topology, FNV_OFFSET};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -184,13 +184,8 @@ impl CampaignReport {
     /// engine and the per-plane vectors, so each layout matches the
     /// fingerprints earlier records of its harness carry.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = FNV_OFFSET;
+        let mut eat = |bytes: &[u8]| h = fnv1a(h, bytes);
         if self.planes == 1 {
             eat(self.engines[0].as_bytes());
             for v in [

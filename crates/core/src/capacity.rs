@@ -22,7 +22,7 @@ use hxcap::{
 };
 use hxmpi::Placement;
 use hxsim::flow::directed_capacities;
-use hxtopo::NodeId;
+use hxtopo::{fnv1a, NodeId, FNV_OFFSET};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
@@ -56,18 +56,6 @@ pub fn run_capacity_combo(
         cfg,
     )
 }
-
-/// FNV-1a fold, the repo-wide fingerprint primitive.
-fn fnv(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Knobs of the day-scale allocation stream. All times are simulated
 /// seconds; nothing here consults the wall clock.
@@ -327,13 +315,13 @@ impl<'a> ScaleStepper<'a> {
             id,
         });
         // Fold the placement into the run fingerprint.
-        self.fp = fnv(self.fp, &id.0.to_le_bytes());
-        self.fp = fnv(self.fp, &(plane as u64).to_le_bytes());
-        self.fp = fnv(self.fp, &(job.ranks as u64).to_le_bytes());
-        self.fp = fnv(self.fp, &self.now_s.to_bits().to_le_bytes());
+        self.fp = fnv1a(self.fp, &id.0.to_le_bytes());
+        self.fp = fnv1a(self.fp, &(plane as u64).to_le_bytes());
+        self.fp = fnv1a(self.fp, &(job.ranks as u64).to_le_bytes());
+        self.fp = fnv1a(self.fp, &self.now_s.to_bits().to_le_bytes());
         if let Some(live) = self.allocs[plane].job(id) {
             for n in &live.nodes {
-                self.fp = fnv(self.fp, &(n.0 as u64).to_le_bytes());
+                self.fp = fnv1a(self.fp, &(n.0 as u64).to_le_bytes());
             }
         }
         self.placements += 1;
@@ -432,7 +420,7 @@ impl<'a> ScaleStepper<'a> {
         } else {
             0.0
         };
-        self.fp = fnv(self.fp, &utilization.to_bits().to_le_bytes());
+        self.fp = fnv1a(self.fp, &utilization.to_bits().to_le_bytes());
         hxobs::gauge("cap.utilization", utilization);
         hxobs::count("cap.jobs_finished", self.jobs_finished);
         ScaleReport {

@@ -28,7 +28,7 @@
 //! a panic.
 
 use hxroute::{FabricSnapshot, RouteError, SubnetManager};
-use hxtopo::{LinkId, NodeId};
+use hxtopo::{fnv1a, LinkId, NodeId, FNV_OFFSET};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -154,13 +154,8 @@ impl Answer {
     /// replay fingerprints. Epoch included: the same query answered on a
     /// different epoch is a different answer.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = FNV_OFFSET;
+        let mut eat = |v: u64| h = fnv1a(h, &v.to_le_bytes());
         match self {
             Answer::Resolve {
                 epoch,

@@ -1,12 +1,16 @@
 //! Point-to-point messaging layers (PMLs).
 //!
 //! The paper modifies Open MPI's `bfo` PML to pick the virtual destination
-//! LID per message: quadrant of source and destination (recovered from the
-//! LID ranges) plus the 512-byte size threshold select the Table-1 column;
-//! when two choices exist one is picked at random (Section 3.2.4). `bfo` is
+//! LID per message: quadrant of source and destination plus the 512-byte
+//! size threshold select the Table-1 column; when two choices exist one is
+//! picked at random (Section 3.2.4). The paper's PML recovers quadrants from
+//! the LID ranges (footnote 9); `bfo-parx` here reads them from the
+//! switch coordinates of the HyperX, so it needs the 2-D quadrant layout:
+//! PARX on a 2-D even-extent HyperX, four LIDs per node. `bfo` is
 //! "less tuned" than the default `ob1`, costing extra software overhead per
 //! message — the root cause of the paper's Barrier regression (Figure 5b).
 
+use crate::rail::flow_hash;
 use hxroute::table1::{select_lid, SizeClass};
 use hxroute::Routes;
 use hxtopo::hyperx::HyperXShape;
@@ -87,14 +91,7 @@ impl Pml {
                 // FNV-1a over the flow identity; `seq` is folded in so
                 // repeated flows between one pair still sample all layers
                 // across a campaign, like FatPaths' per-flowlet rehash.
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for v in [src.0 as u64, dst.0 as u64, seq] {
-                    for b in v.to_le_bytes() {
-                        h ^= b as u64;
-                        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                    }
-                }
-                (h % per_node as u64) as u32
+                (flow_hash(src.idx(), dst.idx(), seq) % per_node as u64) as u32
             }
             Pml::BfoParx { threshold } => {
                 let hx: &HyperXShape = topo

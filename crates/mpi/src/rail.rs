@@ -18,6 +18,7 @@
 
 use crate::fabric::Fabric;
 use hxsim::{PathResolver, ResolvedPath};
+use hxtopo::{fnv1a, FNV_OFFSET};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Which NIC rail (fabric plane) a message leaves on.
@@ -52,15 +53,10 @@ impl RailPolicy {
 }
 
 /// FNV-1a over the flow identity — cheap, stable across runs.
-fn flow_hash(src: usize, dst: usize, seq: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in [src as u64, dst as u64, seq] {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+pub(crate) fn flow_hash(src: usize, dst: usize, seq: u64) -> u64 {
+    [src as u64, dst as u64, seq]
+        .iter()
+        .fold(FNV_OFFSET, |h, v| fnv1a(h, &v.to_le_bytes()))
 }
 
 /// K per-plane fabrics behind one resolver, with per-rail health and load

@@ -20,11 +20,14 @@
 //! Deadlock freedom comes from the shared lowest-acyclic-VL assignment
 //! over *all* layers' paths, exactly like DFSSSP/PARX.
 
-use super::{assign_vls, install_tree, walk_lft, IncrementalRepair, Multipath, RoutingEngine};
-use crate::dijkstra::{dijkstra_to_dest, EdgeWeights};
+use super::{
+    assign_vls, install_masked_tree, load_paths, walk_lft, IncrementalRepair, Multipath,
+    RoutingEngine,
+};
+use crate::dijkstra::EdgeWeights;
 use crate::lft::{RouteError, Routes};
 use crate::lid::{LidMap, LidPolicy};
-use hxtopo::{LinkClass, NodeId, Topology};
+use hxtopo::{fnv1a, LinkClass, Topology, FNV_OFFSET};
 
 /// FatPaths layered almost-minimal multipath. Works on any topology
 /// (the paper targets low-diameter networks; HyperX qualifies).
@@ -55,14 +58,8 @@ impl Default for FatPaths {
 
 /// FNV-1a over a few words — the layer-mask selector.
 fn fnv(vals: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in vals {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    vals.iter()
+        .fold(FNV_OFFSET, |h, v| fnv1a(h, &v.to_le_bytes()))
 }
 
 impl FatPaths {
@@ -131,36 +128,21 @@ impl Multipath for FatPaths {
         }
         let mask = self.layer_mask(topo, layer);
         let mut weights = EdgeWeights::new(topo);
-        let nodes: Vec<NodeId> = topo.nodes().collect();
-        for &nd in &nodes {
+        for nd in topo.nodes() {
             let lid = routes.lid_map.lid(nd, layer as u32);
-            let (dsw, dlink) = topo.node_switch(nd);
-            let tree = dijkstra_to_dest(topo, dsw, &weights, Some(&mask));
-            install_tree(routes, &tree, lid, dlink);
             // Footnote-7 fallback: switches this layer's removal cut off
             // keep their full-lattice minimal entry.
-            if topo.switches().any(|s| s != dsw && !tree.reachable(s)) {
-                let full = dijkstra_to_dest(topo, dsw, &weights, None);
-                for s in topo.switches() {
-                    if s != dsw && !tree.reachable(s) {
-                        if let Some(link) = full.out[s.idx()] {
-                            routes.set(s, lid, link);
-                        }
-                    }
-                }
-            }
+            install_masked_tree(topo, routes, &weights, nd, lid, &mask);
             // Intra-layer balancing, SSSP-style: later trees avoid the
             // cables earlier trees loaded.
-            for &src in &nodes {
-                if src == nd {
-                    continue;
-                }
-                let (ssw, _) = topo.node_switch(src);
-                if ssw == dsw {
-                    continue;
-                }
-                walk_lft(topo, routes, ssw, lid, |dl| weights.add(dl, 1))?;
-            }
+            load_paths(
+                topo,
+                routes,
+                &mut weights,
+                nd,
+                lid,
+                topo.nodes().map(|n| (n, 1)),
+            )?;
         }
         Ok(())
     }

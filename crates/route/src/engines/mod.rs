@@ -5,11 +5,10 @@
 //! | [`Ftree`] | OpenSM `ftree` — the Fat-Tree baseline (combo 1) |
 //! | [`Sssp`] | OpenSM SSSP (Hoefler'09) — faulty-Fat-Tree combo 2 |
 //! | [`Dfsssp`] | deadlock-free SSSP (Domke'11) — HyperX combos 3 & 4 |
-//! | [`Parx`] | the paper's contribution — HyperX combo 5 |
+//! | [`Parx`] | the paper's contribution — HyperX combo 5; any even-extent HyperX dimension |
 //! | [`UpDown`] | Up*/Down* — classic deadlock-free reference |
 //! | [`MinHop`] | unbalanced hop-minimal baseline for ablations |
 //! | [`Lash`] | LASH — cited deadlock-free alternative (unbalanced + VLs) |
-//! | [`ParxNd`] | extension: PARX generalized to n-dimensional HyperX |
 //! | [`FtHyperX`] | fault-tolerant HyperX routing (Camarero/Cano, arXiv 2404.04315) |
 //! | [`FatPaths`] | FatPaths layered multipath (Besta et al.), one layer per LID offset |
 //!
@@ -27,7 +26,6 @@ mod ftree;
 mod lash;
 mod minhop;
 mod parx;
-mod parx_nd;
 mod sssp;
 mod updown;
 
@@ -38,13 +36,12 @@ pub use ftree::Ftree;
 pub use lash::Lash;
 pub use minhop::MinHop;
 pub use parx::Parx;
-pub use parx_nd::{select_lid_nd, HalfRule, ParxNd};
 pub use sssp::Sssp;
 pub use updown::UpDown;
 
 use crate::cdg::{chain_of, Cdg};
 use crate::demand::Demand;
-use crate::dijkstra::{DestTree, EdgeWeights};
+use crate::dijkstra::{dijkstra_to_dest, DestTree, EdgeWeights};
 use crate::lft::{DirLink, RouteError, Routes};
 use crate::lid::Lid;
 use hxtopo::{Endpoint, LinkId, NodeId, SwitchId, Topology};
@@ -164,12 +161,10 @@ pub const ENGINE_NAMES: &[&str] = &[
 ];
 
 /// Resolves an engine by its report label (case-insensitive). Covers every
-/// engine in [`ENGINE_NAMES`] plus the topology-specific `ftree` and
-/// `parx-nd`.
+/// engine in [`ENGINE_NAMES`] plus the topology-specific `ftree`.
 pub fn engine_by_name(name: &str) -> Option<Box<dyn RoutingEngine>> {
     Some(match name.to_ascii_lowercase().as_str() {
         "parx" => Box::new(Parx::default()),
-        "parx-nd" => Box::new(ParxNd::default()),
         "dfsssp" => Box::new(Dfsssp::default()),
         "ft-hyperx" | "fthyperx" => Box::new(FtHyperX::default()),
         "fatpaths" => Box::new(FatPaths::default()),
@@ -197,6 +192,53 @@ pub(crate) fn install_tree(
         }
     }
     routes.set(tree.dst, lid, dst_terminal);
+}
+
+/// Installs `lid`'s destination tree over the cables `mask` keeps. Switches
+/// the removal cuts off fall back to the unrestricted graph (paper footnote
+/// 7), so a masked tree never strands a switch the fabric can still route.
+pub(crate) fn install_masked_tree(
+    topo: &Topology,
+    routes: &mut Routes,
+    weights: &EdgeWeights,
+    dst: NodeId,
+    lid: Lid,
+    mask: &[bool],
+) {
+    let (dsw, dlink) = topo.node_switch(dst);
+    let tree = dijkstra_to_dest(topo, dsw, weights, Some(mask));
+    install_tree(routes, &tree, lid, dlink);
+    if topo.switches().any(|s| s != dsw && !tree.reachable(s)) {
+        let full = dijkstra_to_dest(topo, dsw, weights, None);
+        for s in topo.switches() {
+            if s != dsw && !tree.reachable(s) {
+                if let Some(link) = full.out[s.idx()] {
+                    routes.set(s, lid, link);
+                }
+            }
+        }
+    }
+}
+
+/// Adds each sender's weight to every cable on its installed path towards
+/// `lid`, so later trees avoid the loaded cables (Algorithm 1's edge-weight
+/// update). Senders on the destination's own switch load no cable.
+pub(crate) fn load_paths(
+    topo: &Topology,
+    routes: &Routes,
+    weights: &mut EdgeWeights,
+    dst: NodeId,
+    lid: Lid,
+    senders: impl IntoIterator<Item = (NodeId, u64)>,
+) -> Result<(), RouteError> {
+    let (dsw, _) = topo.node_switch(dst);
+    for (src, w) in senders {
+        let (ssw, _) = topo.node_switch(src);
+        if src != dst && ssw != dsw {
+            walk_lft(topo, routes, ssw, lid, |dl| weights.add(dl, w))?;
+        }
+    }
+    Ok(())
 }
 
 /// Walks the installed LFTs from a switch towards a LID, yielding the
@@ -242,7 +284,7 @@ pub(crate) fn fill_weighted_minimal(
     let dests: Vec<(Lid, NodeId)> = routes.lid_map.lids().collect();
     for (lid, dst) in dests {
         let (dsw, dlink) = topo.node_switch(dst);
-        let tree = crate::dijkstra::dijkstra_to_dest(topo, dsw, &weights, None);
+        let tree = dijkstra_to_dest(topo, dsw, &weights, None);
         install_tree(routes, &tree, lid, dlink);
         if update_per_path > 0 {
             for src in topo.nodes() {
@@ -353,8 +395,9 @@ mod tests {
 
     #[test]
     fn zero_lane_budget_is_a_typed_error() {
-        let t = HyperXConfig::new(vec![3, 3], 1).build();
-        let engines: [Box<dyn RoutingEngine>; 4] = [
+        // Even extents, so PARX routes it too.
+        let t = HyperXConfig::new(vec![4, 4], 1).build();
+        let engines: [Box<dyn RoutingEngine>; 5] = [
             Box::new(Dfsssp { lmc: 0, max_vls: 0 }),
             Box::new(Lash { max_vls: 0 }),
             Box::new(FatPaths {
@@ -362,6 +405,10 @@ mod tests {
                 ..FatPaths::default()
             }),
             Box::new(FtHyperX { max_vls: 0 }),
+            Box::new(Parx {
+                max_vls: 0,
+                ..Parx::default()
+            }),
         ];
         for e in engines {
             assert!(
@@ -376,6 +423,12 @@ mod tests {
                 e.name()
             );
         }
+    }
+
+    #[test]
+    fn retired_names_do_not_resolve() {
+        // The n-D generalization is PARX itself, not a second engine.
+        assert!(engine_by_name("parx-nd").is_none());
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! * [`engines`] — `ftree`, `Up*/Down*`, `SSSP`, `DFSSSP`, `MinHop` and the
 //!   paper's novel `PARX` (Algorithm 1),
 //! * [`table1`] — the paper's Table 1 (LID selection by quadrant pair and
-//!   message size) and rules R1–R4,
+//!   message size) and rules R1–R4 as [`table1::HalfRule`], generalized to
+//!   any HyperX dimension,
 //! * [`demand`] — communication-demand profiles PARX ingests,
 //! * [`pathdb`] — the epoch-versioned, CSR-compressed path store every
 //!   consumer (simulator, MPI layer, verification) resolves paths from,

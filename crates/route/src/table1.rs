@@ -76,48 +76,48 @@ pub fn select_lid(src: Quadrant, dst: Quadrant, size: SizeClass, discriminator: 
     choices[(discriminator % choices.len() as u64) as usize]
 }
 
-/// The link-removal half associated with each LID index (rules R1–R4 of
-/// Section 3.2.1).
+/// The link-removal rule behind LID index `x` (rules R1–R4 of Section
+/// 3.2.1, generalized to any even-extent L-dimensional HyperX): routing
+/// towards the LID ignores every cable whose endpoints both lie in one half
+/// of one dimension. On a 2-D HyperX LID0–LID3 remove the left, right, top
+/// and bottom half, the paper's R1–R4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RemovedHalf {
-    /// R1: LID0 removes all links within the left half (`x < S1/2`).
-    Left,
-    /// R2: LID1 removes all links within the right half.
-    Right,
-    /// R3: LID2 removes all links within the top half (`y < S2/2`).
-    Top,
-    /// R4: LID3 removes all links within the bottom half.
-    Bottom,
+pub struct HalfRule {
+    /// Dimension index.
+    pub dim: usize,
+    /// `false` = lower half (`coord < extent/2`), `true` = upper half.
+    pub upper: bool,
 }
 
-/// Rule applied when routing towards LID index `x`. `None` for indices
-/// outside the LMC=2 space — rules R1–R4 only cover four LIDs, and a
-/// non-LMC-2 deployment must not abort the sweep that asks.
-pub fn rule_for_lid(x: u8) -> Option<RemovedHalf> {
-    match x {
-        0 => Some(RemovedHalf::Left),
-        1 => Some(RemovedHalf::Right),
-        2 => Some(RemovedHalf::Top),
-        3 => Some(RemovedHalf::Bottom),
-        _ => None,
+impl HalfRule {
+    /// Rule encoded by LID index `x = 2*dim + upper` on a `dims`-dimensional
+    /// HyperX. `None` past the `2*dims` rules: a larger LID space must not
+    /// abort the sweep that asks.
+    pub fn of_lid(x: u8, dims: usize) -> Option<HalfRule> {
+        let dim = (x / 2) as usize;
+        (dim < dims).then_some(HalfRule {
+            dim,
+            upper: x % 2 == 1,
+        })
     }
-}
 
-/// Is a quadrant inside a half? (`Q0` left-top, `Q1` left-bottom, `Q2`
-/// right-bottom, `Q3` right-top.)
-pub fn quadrant_in_half(q: Quadrant, h: RemovedHalf) -> bool {
-    match h {
-        RemovedHalf::Left => matches!(q, Quadrant::Q0 | Quadrant::Q1),
-        RemovedHalf::Right => matches!(q, Quadrant::Q2 | Quadrant::Q3),
-        RemovedHalf::Top => matches!(q, Quadrant::Q0 | Quadrant::Q3),
-        RemovedHalf::Bottom => matches!(q, Quadrant::Q1 | Quadrant::Q2),
+    /// Whether a switch coordinate lies inside the removed half.
+    pub fn contains(&self, coord: &[u32], shape: &[u32]) -> bool {
+        let half = shape[self.dim] / 2;
+        if self.upper {
+            coord[self.dim] >= half
+        } else {
+            coord[self.dim] < half
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hxtopo::hyperx::HyperXConfig;
     use hxtopo::hyperx::Quadrant::*;
+    use hxtopo::SwitchId;
 
     #[test]
     fn size_classification() {
@@ -165,6 +165,20 @@ mod tests {
         assert_eq!(lid_choices(Q3, Q3, SizeClass::Large), &[1, 2]);
     }
 
+    /// Whether LID `x`'s rule removes the half holding quadrant `q`, read
+    /// off the 2x2 HyperX, whose four switches are one per quadrant.
+    fn removes(x: u8, q: Quadrant) -> bool {
+        let hx = HyperXConfig::new(vec![2, 2], 1).build().meta;
+        let hx = hx.as_hyperx().unwrap();
+        let s = (0..4)
+            .map(SwitchId)
+            .find(|&s| hx.quadrant(s) == Ok(q))
+            .unwrap();
+        HalfRule::of_lid(x, 2)
+            .unwrap()
+            .contains(&hx.coord(s), &hx.shape)
+    }
+
     #[test]
     fn small_choices_never_remove_src_or_dst_half() {
         // Criterion (1): small messages travel minimal paths. A sufficient
@@ -174,10 +188,8 @@ mod tests {
         for s in Quadrant::all() {
             for d in Quadrant::all() {
                 for &x in lid_choices(s, d, SizeClass::Small) {
-                    let h = rule_for_lid(x).unwrap();
-                    let both_inside = quadrant_in_half(s, h) && quadrant_in_half(d, h);
                     assert!(
-                        !both_inside,
+                        !(removes(x, s) && removes(x, d)),
                         "small {s:?}->{d:?} via LID{x} removes its own half"
                     );
                 }
@@ -191,9 +203,8 @@ mod tests {
         // rule removes that quadrant's half, forcing the detour of Fig. 3b.
         for q in Quadrant::all() {
             for &x in lid_choices(q, q, SizeClass::Large) {
-                let h = rule_for_lid(x).unwrap();
                 assert!(
-                    quadrant_in_half(q, h),
+                    removes(x, q),
                     "large {q:?}->{q:?} via LID{x} does not evict the quadrant"
                 );
             }
@@ -229,18 +240,24 @@ mod tests {
 
     #[test]
     fn rules_cover_all_halves() {
-        assert_eq!(rule_for_lid(0), Some(RemovedHalf::Left));
-        assert_eq!(rule_for_lid(1), Some(RemovedHalf::Right));
-        assert_eq!(rule_for_lid(2), Some(RemovedHalf::Top));
-        assert_eq!(rule_for_lid(3), Some(RemovedHalf::Bottom));
+        // R1–R4: LID0 left, LID1 right, LID2 top, LID3 bottom.
+        let halves = [[Q0, Q1], [Q2, Q3], [Q0, Q3], [Q1, Q2]];
+        for (x, half) in halves.iter().enumerate() {
+            for q in Quadrant::all() {
+                assert_eq!(removes(x as u8, q), half.contains(&q), "LID{x} {q:?}");
+            }
+        }
     }
 
     #[test]
     fn out_of_range_lid_has_no_rule() {
-        // Non-LMC-2 LID spaces (indices >= 4) carry no removal rule; the
-        // query must answer None rather than aborting the sweep.
-        for x in 4..=u8::MAX {
-            assert_eq!(rule_for_lid(x), None);
+        // Indices past the 2L rules carry no removal rule; the query must
+        // answer None rather than aborting the sweep.
+        for dims in 1..=3usize {
+            for x in 0..=u8::MAX {
+                let rule = HalfRule::of_lid(x, dims);
+                assert_eq!(rule.is_some(), (x as usize) < 2 * dims, "LID{x}, L={dims}");
+            }
         }
     }
 }

@@ -63,6 +63,18 @@ pub use hyperx::{HyperXConfig, HyperXShape};
 pub use ids::{LinkId, NodeId, SwitchId};
 pub use props::TopologyProps;
 
+/// FNV-1a offset basis: the starting state of every [`fnv1a`] fold.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into an FNV-1a state — the repo-wide fingerprint and
+/// flow-hash primitive. Start from [`FNV_OFFSET`].
+#[inline]
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Topology-kind specific metadata attached to a [`Topology`].
 #[derive(Debug, Clone)]
 pub enum TopoMeta {

@@ -7,7 +7,7 @@
 
 use t2hx::mpi::{Fabric, Placement, Pml};
 use t2hx::route::engines::{Parx, RoutingEngine};
-use t2hx::route::table1::{lid_choices, SizeClass};
+use t2hx::route::table1::{lid_choices, HalfRule, SizeClass};
 use t2hx::route::Demand;
 use t2hx::sim::NetParams;
 use t2hx::topo::hyperx::HyperXConfig;
@@ -35,10 +35,12 @@ fn main() {
     let oblivious = Parx::default().route(&topo).unwrap();
     for x in 0..4u32 {
         let p = oblivious.path_to(&topo, a, b, x).unwrap();
-        let rule = t2hx::route::table1::rule_for_lid(x as u8).expect("LMC=2 index");
+        let rule = HalfRule::of_lid(x as u8, hx.dims()).expect("2-D PARX has four rules");
+        let half = ["lower", "upper"][usize::from(rule.upper)];
         println!(
-            "  path to LID{x}: {} ISL hops (rule removes the {rule:?} half)",
+            "  path to LID{x}: {} ISL hops (rule removes the {half} half of dimension {})",
             p.isl_hops(),
+            rule.dim,
         );
     }
 

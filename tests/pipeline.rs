@@ -1,6 +1,6 @@
 //! Integration tests for the extended pipeline: profile recording →
-//! demand-aware PARX re-routing, the adaptive-routing model, the n-D PARX
-//! generalization, and the cost/dark-fiber analyses.
+//! demand-aware PARX re-routing, the adaptive-routing model, PARX on a 3-D
+//! HyperX, and the cost/dark-fiber analyses.
 
 use t2hx::core::{Combo, T2hx};
 use t2hx::load::profile::RankProfile;
@@ -8,11 +8,13 @@ use t2hx::load::proxy::Swfft;
 use t2hx::load::workload::Workload;
 use t2hx::mpi::rounds::{estimate_adaptive, estimate_detailed};
 use t2hx::mpi::RoundProgram;
-use t2hx::route::engines::{ParxNd, RoutingEngine};
+use t2hx::route::engines::{Parx, RoutingEngine};
+use t2hx::route::table1::HalfRule;
 use t2hx::route::{verify_deadlock_free, verify_paths};
 use t2hx::sim::stats::LinkUsage;
 use t2hx::topo::cost::{BillOfMaterials, CostModel};
 use t2hx::topo::hyperx::HyperXConfig;
+use t2hx::topo::Endpoint;
 
 #[test]
 fn profile_reroute_pipeline_keeps_correctness() {
@@ -66,12 +68,34 @@ fn adaptive_never_loses_to_static_on_congested_patterns() {
 }
 
 #[test]
-fn parx_nd_matches_parx_spirit_in_3d() {
+fn parx_3d_lids_avoid_their_removed_half() {
+    // Section 3.2.1's quadrant scheme "is generalizable to higher
+    // dimensions": on a fault-free 3-D HyperX, every path towards LID `x`
+    // stays off the cables inside rule `x`'s half.
     let topo = HyperXConfig::new(vec![4, 4, 2], 1).build();
-    let routes = ParxNd::default().route(&topo).unwrap();
+    let hx = topo.meta.as_hyperx().unwrap();
+    let routes = Parx::default().route(&topo).unwrap();
     verify_paths(&topo, &routes).unwrap();
     let vls = verify_deadlock_free(&topo, &routes).unwrap();
     assert!(vls <= 8);
+    for x in 0..6u8 {
+        let rule = HalfRule::of_lid(x, hx.dims()).unwrap();
+        let inside = |e: Endpoint| {
+            e.switch()
+                .is_some_and(|s| rule.contains(&hx.coord(s), &hx.shape))
+        };
+        for src in topo.nodes() {
+            for dst in topo.nodes().filter(|&d| d != src) {
+                let p = routes.path_to(&topo, src, dst, x as u32).unwrap();
+                for dl in &p.hops {
+                    assert!(
+                        !(inside(dl.tail(&topo)) && inside(dl.head(&topo))),
+                        "{src}->{dst} via LID{x} crosses {rule:?}'s half"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
