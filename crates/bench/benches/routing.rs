@@ -87,9 +87,9 @@ fn fail_in_place(c: &mut Criterion) {
 }
 
 /// The inverse of `fail_in_place`: restoring a downed AOC on the paper's
-/// HyperX plane via a full resweep (`repair_link`) versus the incremental
-/// recover patch (`recover_link`), which repairs only the destination
-/// trees the restored cable can improve.
+/// HyperX plane via `recover_link` as a full resweep (`incremental` off)
+/// versus the incremental recover patch, which repairs only the
+/// destination trees the restored cable can improve.
 fn recover_link(c: &mut Criterion) {
     let mut g = c.benchmark_group("route/recover_link");
     g.sample_size(5);

@@ -33,15 +33,13 @@ use hxbench::knobs;
 use hxcap::{PolicyKind, POLICY_KINDS};
 use hxcore::{run_capacity_scale, ScaleConfig, ScaleReport, System};
 use hxroute::engines::Dfsssp;
-use hxsim::NetParams;
 use hxtopo::hyperx::HyperXConfig;
 use hxtopo::FaultPlan;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// The streamed plane: the paper's degraded 12x8 T=7 HyperX in full mode,
-/// a 6x4 T=2 miniature under `T2HX_QUICK=1` — same shapes as hxd — on the
-/// configured congestion solver.
+/// a 6x4 T=2 miniature under `T2HX_QUICK=1` — same shapes as hxd.
 fn plane_system(knobs: &knobs::RunConfig, rails: usize) -> (System, &'static str) {
     let (topo, label) = if knobs.quick {
         (HyperXConfig::new(vec![6, 4], 2).build(), "hx-6x4-t2")
@@ -51,7 +49,7 @@ fn plane_system(knobs: &knobs::RunConfig, rails: usize) -> (System, &'static str
         (topo, "hx-12x8-t7+15aoc")
     };
     let topo = Arc::new(topo);
-    let mut b = System::builder().params(NetParams::qdr().with_solver(knobs.solver));
+    let mut b = System::builder();
     for r in 0..rails {
         b = b.plane(
             format!("cap:p{r}"),

@@ -10,7 +10,7 @@
 //! incrementally, and the mean wall-clock reroute cost.
 //!
 //! Campaigns are byte-deterministic per seed — the fingerprint column is
-//! identical across `T2HX_SOLVER=exact|incremental`.
+//! identical across both congestion backends (pinned by `campaign_pin`).
 //!
 //! `T2HX_QUICK=1` shrinks the planes (168 nodes) and the campaign length
 //! for CI smoke runs. `T2HX_ENGINE` swaps the HyperX row's routing engine
@@ -35,7 +35,6 @@ fn scale() -> (usize, CampaignConfig) {
         flows: if quick { 12 } else { 48 },
         bytes: 4 << 20,
         max_down: if quick { 4 } else { 12 },
-        solver: knobs::config().solver,
         ..CampaignConfig::default()
     };
     (if quick { 168 } else { 672 }, cfg)
@@ -79,13 +78,12 @@ fn main() {
     let _obs = hxbench::obs_scope("fault_campaign");
     let (total, cfg) = scale();
     println!(
-        "# Fault-churn campaign: {} nodes, {} flows, mtbf {:.0} ms, mttr {:.0} ms, {:.0} ms ({} solver, seed {:#x})\n",
+        "# Fault-churn campaign: {} nodes, {} flows, mtbf {:.0} ms, mttr {:.0} ms, {:.0} ms (seed {:#x})\n",
         total,
         cfg.flows,
         cfg.mtbf * 1e3,
         cfg.mttr * 1e3,
         cfg.duration * 1e3,
-        cfg.solver.label(),
         cfg.seed,
     );
     println!(

@@ -3,13 +3,13 @@
 //! spreads flows across the rails, and when a cable dies the flows riding
 //! it *fail over* to a surviving plane instead of waiting out the in-place
 //! patch. Each churn event is plane-tagged, patches exactly one plane's
-//! subnet manager, and installs the fresh store into that plane's
-//! `PlaneSet` shard — sibling shards' epochs never move.
+//! subnet manager, and installs the fresh store into that plane's rail —
+//! sibling rails' epochs never move.
 //!
 //! One row per rail policy (rr / hash / load) on the same seeded event
 //! stream, so the policies are directly comparable. Campaigns stay
 //! byte-deterministic per seed — the fingerprint column is identical
-//! across `T2HX_SOLVER=exact|incremental`.
+//! across both congestion backends (pinned by `campaign_pin`).
 //!
 //! Knobs: `T2HX_PLANES` overrides the plane count (default 4, quick 2);
 //! `T2HX_ENGINE` swaps the per-plane routing engine (default DFSSSP);
@@ -41,7 +41,6 @@ fn scale() -> (hxtopo::Topology, CampaignConfig) {
         flows: if quick { 12 } else { 48 },
         bytes: 4 << 20,
         max_down: if quick { 4 } else { 12 },
-        solver: knobs.solver,
         planes: knobs.planes.unwrap_or(if quick { 2 } else { 4 }),
         force_failover: std::env::args().any(|a| a == "--force-failover"),
         ..CampaignConfig::default()
@@ -87,7 +86,7 @@ fn main() {
     let (topo, cfg) = scale();
     println!(
         "# Multi-plane campaign: {} planes x {} nodes = {} endpoints, {} flows, \
-         mtbf {:.0} ms, mttr {:.0} ms, {:.0} ms ({} solver, seed {:#x}{})\n",
+         mtbf {:.0} ms, mttr {:.0} ms, {:.0} ms (seed {:#x}{})\n",
         cfg.planes,
         topo.num_nodes(),
         cfg.planes * topo.num_nodes(),
@@ -95,7 +94,6 @@ fn main() {
         cfg.mtbf * 1e3,
         cfg.mttr * 1e3,
         cfg.duration * 1e3,
-        cfg.solver.label(),
         cfg.seed,
         if cfg.force_failover {
             ", forced failover"

@@ -194,16 +194,7 @@ fn validate_trace(path: &PathBuf, harness: &str) -> HashMap<u64, SpanEv> {
                 Some("recover") => {
                     recover_chain |= !children_of(id, "recover_link").is_empty();
                 }
-                _ => {
-                    // CampaignStepper steps carry both halves under one span.
-                    let complete = children_of(id, "fail_link")
-                        .iter()
-                        .any(|&f| !children_of(f, "pathdb_patch").is_empty())
-                        && !children_of(id, "repath").is_empty()
-                        && !children_of(id, "resolve").is_empty();
-                    fail_chain |= complete;
-                    recover_chain |= !children_of(id, "recover_link").is_empty();
-                }
+                other => fail(&format!("campaign step span {id} has kind {other:?}")),
             }
         }
         if !fail_chain {

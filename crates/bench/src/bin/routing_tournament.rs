@@ -45,7 +45,6 @@ fn scale() -> (Topology, Vec<f64>, CampaignConfig) {
         flows: if quick { 12 } else { 48 },
         bytes: 4 << 20,
         max_down: if quick { 4 } else { 12 },
-        solver: hxbench::knobs::config().solver,
         ..CampaignConfig::default()
     };
     (topo, mtbfs, cfg)
@@ -74,14 +73,13 @@ fn main() {
     let field = entrants();
     println!(
         "# Routing tournament: {} nodes, {} flows, {:.0} ms campaign, mttr {:.0} ms, \
-         {} engines x {} fault rates ({} solver, seed {:#x})\n",
+         {} engines x {} fault rates (seed {:#x})\n",
         topo.num_nodes(),
         base.flows,
         base.duration * 1e3,
         base.mttr * 1e3,
         field.len(),
         mtbfs.len(),
-        base.solver.label(),
         base.seed,
     );
     println!(

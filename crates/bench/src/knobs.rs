@@ -15,7 +15,6 @@ use hxcap::{PolicyKind, POLICY_NAMES};
 use hxmpi::RailPolicy;
 use hxroute::engines::RoutingEngine;
 use hxroute::{engine_by_name, ENGINE_NAMES};
-use hxsim::SolverKind;
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -89,11 +88,6 @@ pub const KNOBS: &[Knob] = &[
         name: "T2HX_SAMPLES",
         accepts: Accepts::Count,
         set: |c, v| count(v).map(|x| c.samples = Some(x)),
-    },
-    Knob {
-        name: "T2HX_SOLVER",
-        accepts: Accepts::OneOf(&["exact", "incremental"]),
-        set: |c, v| SolverKind::parse(v).map(|x| c.solver = x),
     },
     Knob {
         name: "T2HX_ENGINE",
@@ -192,8 +186,6 @@ pub struct RunConfig {
     obs_dir: Option<PathBuf>,
     /// `T2HX_SAMPLES`: eBB random-bisection sample count.
     pub samples: Option<usize>,
-    /// `T2HX_SOLVER`: congestion backend (default incremental).
-    pub solver: SolverKind,
     /// `T2HX_ENGINE`: routing engine, by canonical registry name.
     pub engine: Option<&'static str>,
     /// `T2HX_PLANES`: plane (NIC rail) count of multi-plane systems.
@@ -353,8 +345,8 @@ mod tests {
             assert!(msg.contains(knob.name), "{msg}");
             assert!(msg.contains(&knob.accepts.to_string()), "{msg}");
         }
-        let msg = one("T2HX_SOLVER", "exakt").unwrap_err().to_string();
-        assert!(msg.contains("exact, incremental"), "{msg}");
+        let msg = one("T2HX_RAIL", "rrr").unwrap_err().to_string();
+        assert!(msg.contains("rr, hash, load"), "{msg}");
     }
 
     #[test]
@@ -374,13 +366,14 @@ mod tests {
     fn unknown_names_are_rejected_and_foreign_names_ignored() {
         let err = parse([("T2HX_SOVLER", "exact")]).unwrap_err();
         assert_eq!(err, KnobError::Unknown("T2HX_SOVLER".into()));
-        assert!(err.to_string().contains("T2HX_SOLVER"));
+        assert!(err.to_string().contains("T2HX_SAMPLES"));
         for gone in [
             "T2HX_OBS_FLIGHT",
             "T2HX_OBS_FLIGHT_CAP",
             "T2HX_PERF_THRESHOLD",
             "T2HX_PERF_SAMPLES",
             "T2HX_BENCH_OUT",
+            "T2HX_SOLVER",
         ] {
             assert!(parse([(gone, "1")]).is_err(), "{gone}");
         }
@@ -391,7 +384,6 @@ mod tests {
     fn defaults_and_directory_rule() {
         let cfg = parse(Vec::<(String, String)>::new()).unwrap();
         assert!(!cfg.quick && !cfg.obs);
-        assert_eq!(cfg.solver, SolverKind::Incremental);
         assert_eq!(cfg.results_dir(), PathBuf::from("results"));
         assert_eq!(cfg.obs_dir(), PathBuf::from("results/obs"));
         let quick = one("T2HX_QUICK", "1").unwrap();

@@ -13,7 +13,6 @@
 pub mod knobs;
 
 use hxcore::T2hx;
-use knobs::RunConfig;
 
 /// One runnable harness binary: its name (also the cargo `--bin` name)
 /// and a one-line description of what it reproduces.
@@ -121,8 +120,8 @@ pub fn quick() -> bool {
 /// Observability scope for a harness binary: when `T2HX_OBS=1`, installs
 /// the global [`hxobs`] sink and flight ring on creation and exports
 /// `<obs_dir>/<name>.metrics.jsonl` + `<obs_dir>/<name>.trace.json` on
-/// drop, where `<obs_dir>` is [`RunConfig::obs_dir`]. The flight ring is
-/// dumped to `<obs_dir>/flightdump.json` alongside them. When
+/// drop, where `<obs_dir>` is [`knobs::RunConfig::obs_dir`]. The flight
+/// ring is dumped to `<obs_dir>/flightdump.json` alongside them. When
 /// observability is off this is a no-op.
 ///
 /// First line of every harness `main` — it also parses the knobs, so a
@@ -161,11 +160,10 @@ pub fn ebb_samples() -> usize {
     cfg.samples.unwrap_or(if cfg.quick { 50 } else { 1000 })
 }
 
-/// Builds the full 672-node dual-plane system with the paper's faults, on
-/// the configured congestion solver.
+/// Builds the full 672-node dual-plane system with the paper's faults.
 pub fn build_full() -> T2hx {
     let t0 = std::time::Instant::now();
-    let sys = build_t2hx(672, knobs::config());
+    let sys = T2hx::build(672, true).expect("system routes");
     eprintln!(
         "# built dual-plane system in {:.1?}: FT {} switches / HX {} switches; \
          DFSSSP {} VLs, PARX {} VLs",
@@ -176,12 +174,6 @@ pub fn build_full() -> T2hx {
         sys.hx_parx().num_vls,
     );
     sys
-}
-
-fn build_t2hx(nodes: usize, cfg: &RunConfig) -> T2hx {
-    T2hx::build(nodes, true)
-        .expect("system routes")
-        .with_solver(cfg.solver)
 }
 
 /// The capability node series for seven-based benchmarks, shrunk in quick
@@ -209,20 +201,5 @@ pub fn thin_sizes(sizes: Vec<u64>) -> Vec<u64> {
         sizes.into_iter().step_by(4).collect()
     } else {
         sizes
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use hxsim::SolverKind;
-
-    #[test]
-    fn configured_solver_reaches_the_system() {
-        // The library default is incremental, so exact proves the plumbing.
-        let cfg = super::knobs::parse([("T2HX_SOLVER", "exact")]).unwrap();
-        assert_eq!(
-            super::build_t2hx(168, &cfg).params().solver,
-            SolverKind::Exact
-        );
     }
 }

@@ -16,8 +16,8 @@
 //! * every event runs through [`SubnetManager::fail_link`] /
 //!   [`SubnetManager::recover_link`] (incremental patch where possible) on
 //!   exactly one plane, and the patched store is installed into that
-//!   plane's [`PlaneSet`] shard and fabric rail via
-//!   [`Fabric::install_pathdb`] — sibling shards' epochs never move,
+//!   plane's fabric rail via [`Fabric::install_pathdb`] — sibling rails'
+//!   epochs never move,
 //! * flows ride the [`FluidNet`] of the rail a [`RailPolicy`] picked at
 //!   launch. When a cable dies, the flows whose paths crossed it *fail
 //!   over* to a surviving plane (rail failover; a no-op at K = 1), and
@@ -39,7 +39,7 @@
 use hxmpi::{Fabric, MultiFabric, Placement, Pml, RailPolicy};
 use hxobs::{Span, SpanCtx};
 use hxroute::engines::RoutingEngine;
-use hxroute::{DirLink, PlaneSet, RouteError, SubnetManager};
+use hxroute::{DirLink, RouteError, SubnetManager};
 use hxsim::{FluidNet, NetParams, PathResolver, SolverKind};
 use hxtopo::{fnv1a, LinkClass, LinkId, NodeId, Topology, FNV_OFFSET};
 use rand::Rng;
@@ -153,8 +153,8 @@ pub struct CampaignReport {
     pub failovers: u64,
     /// Per-plane flows completed under churn.
     pub plane_completions: Vec<u64>,
-    /// Per-plane shard epochs when the campaign ended (from the live
-    /// [`PlaneSet`], not the managers).
+    /// Per-plane path-store epochs when the campaign ended (from the live
+    /// rails, not the managers).
     pub final_epochs: Vec<u64>,
     /// Largest number of concurrently-downed cables (system-wide).
     pub max_links_down: usize,
@@ -166,6 +166,37 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
+    /// The all-zero report a `cfg.planes`-plane campaign on `engines`
+    /// starts from.
+    fn start(cfg: &CampaignConfig, engines: Vec<String>) -> CampaignReport {
+        let k = cfg.planes;
+        CampaignReport {
+            planes: k,
+            rail: cfg.rail.label(),
+            engines,
+            solver: cfg.solver.label(),
+            healthy_throughput: 0.0,
+            faulted_throughput: 0.0,
+            healthy_latency: 0.0,
+            faulted_latency: 0.0,
+            healthy_tail: None,
+            faulted_tail: None,
+            healthy_completions: 0,
+            faulted_completions: 0,
+            failures: vec![0; k],
+            recoveries: vec![0; k],
+            skipped: 0,
+            incremental_events: 0,
+            trees_patched: 0,
+            failovers: 0,
+            plane_completions: vec![0; k],
+            final_epochs: Vec::new(),
+            max_links_down: 0,
+            links_down_at_end: 0,
+            reroute_ns: 0,
+        }
+    }
+
     /// Fractional throughput lost to churn (0 = unharmed, 1 = dead; rail
     /// failover should keep this near 0 for K >= 2).
     pub fn throughput_drop(&self) -> f64 {
@@ -273,12 +304,11 @@ fn exp_sample(rng: &mut ChaCha8Rng, mean: f64) -> f64 {
     -mean * (1.0 - rng.gen::<f64>()).ln()
 }
 
-/// The live K-plane system: one manager and one fluid net per plane, the
-/// sharded store handle, and the rail-selecting fabric bundle.
+/// The live K-plane system: one manager and one fluid net per plane, and
+/// the rail-selecting fabric bundle that holds each plane's live store.
 struct Live<'a> {
     sms: Vec<SubnetManager>,
     mf: &'a MultiFabric<'a>,
-    set: PlaneSet,
     nets: Vec<FluidNet>,
     /// Per-plane flow contexts, indexed by that plane's net flow id.
     ctx: Vec<Vec<Option<FlowCtx>>>,
@@ -305,6 +335,11 @@ impl Live<'_> {
         sp
     }
 
+    /// The epoch of the store plane `p`'s rail currently routes on.
+    fn epoch(&self, p: usize) -> u64 {
+        self.mf.rail(p).pathdb().epoch()
+    }
+
     /// Rebuilds fresh fluid nets, restarts rail selection and launches the
     /// configured closed-loop flows — each workload phase (healthy
     /// baseline, churn replay) starts from the same initial population on
@@ -317,7 +352,7 @@ impl Live<'_> {
                 if let Some(t) = self.tag(p) {
                     net.set_plane(t);
                 }
-                net.set_obs_epoch(self.set.epoch(p));
+                net.set_obs_epoch(self.epoch(p));
                 net
             })
             .collect();
@@ -356,7 +391,7 @@ impl Live<'_> {
     }
 
     /// Live epoch propagation: installs plane `p`'s freshly-patched store
-    /// into its shard and rail, then re-paths that plane's in-flight flows
+    /// into its rail, then re-paths that plane's in-flight flows
     /// through it. With observability on, the work emits `repath` and
     /// `resolve` spans under `parent` (the campaign `step`), completing the
     /// causal chain `step → fail_link → pathdb_patch → repath → resolve`.
@@ -370,11 +405,9 @@ impl Live<'_> {
             return;
         };
         let epoch = db.epoch();
-        self.set.install(p, db.clone());
         self.mf.rail(p).install_pathdb(db);
         self.nets[p].set_obs_epoch(epoch);
         if let Some(o) = hxobs::sink() {
-            use hxobs::Recorder;
             o.gauge_set("pathdb.epoch", epoch as f64);
         }
         let mut sp = self.span(p, Some(parent), "repath");
@@ -459,9 +492,11 @@ impl Live<'_> {
     }
 
     /// Fails `victim` on plane `p`, fails affected flows over and
-    /// propagates the patched shard. Returns whether the cable went down;
+    /// propagates the patched store. Returns whether the cable went down;
     /// a disconnecting kill is rolled back inside `fail_link` and counted
-    /// as a skip.
+    /// as a skip. The rollback re-sweeps to a new epoch, which is
+    /// propagated too, so the rail never routes on a store the manager no
+    /// longer holds.
     fn apply_failure(&mut self, p: usize, victim: LinkId, report: &mut CampaignReport) -> bool {
         let t0 = std::time::Instant::now();
         let mut step_sp = self.span(p, None, "step");
@@ -482,6 +517,7 @@ impl Live<'_> {
             Err(_) => {
                 report.skipped += 1;
                 step_sp.arg("rolled_back", hxobs::Json::from(true));
+                self.propagate(p, step);
                 false
             }
         };
@@ -490,7 +526,8 @@ impl Live<'_> {
         down
     }
 
-    /// Recovers a downed cable on plane `p` and propagates its shard.
+    /// Recovers a downed cable on plane `p` and propagates its store, also
+    /// after a rolled-back recovery (see [`Live::apply_failure`]).
     fn apply_recovery(&mut self, p: usize, l: LinkId, report: &mut CampaignReport) {
         let t0 = std::time::Instant::now();
         let mut step_sp = self.span(p, None, "step");
@@ -514,6 +551,7 @@ impl Live<'_> {
                 // campaign alive instead of crashing it.
                 report.skipped += 1;
                 step_sp.arg("recover_failed", hxobs::Json::from(e.to_string()));
+                self.propagate(p, step);
             }
         }
         report.reroute_ns += t0.elapsed().as_nanos();
@@ -732,11 +770,9 @@ fn with_live<R>(
         })
         .collect();
     let mf = MultiFabric::new(rails, cfg.rail);
-    let set = PlaneSet::new(states.iter().map(|s| s.2.clone()).collect());
     Ok(f(Live {
         sms,
         mf: &mf,
-        set,
         nets: Vec::new(),
         ctx: Vec::new(),
         cfg,
@@ -755,155 +791,19 @@ pub fn run_campaign(
 ) -> Result<CampaignReport, RouteError> {
     with_live(topo, engine_for, cfg, |mut live| {
         let k = cfg.planes;
-        let mut report = CampaignReport {
-            planes: k,
-            rail: cfg.rail.label(),
-            engines: (0..k)
-                .map(|p| live.mf.rail(p).routes.engine.to_string())
-                .collect(),
-            solver: cfg.solver.label(),
-            healthy_throughput: 0.0,
-            faulted_throughput: 0.0,
-            healthy_latency: 0.0,
-            faulted_latency: 0.0,
-            healthy_tail: None,
-            faulted_tail: None,
-            healthy_completions: 0,
-            faulted_completions: 0,
-            failures: vec![0; k],
-            recoveries: vec![0; k],
-            skipped: 0,
-            incremental_events: 0,
-            trees_patched: 0,
-            failovers: 0,
-            plane_completions: vec![0; k],
-            final_epochs: Vec::new(),
-            max_links_down: 0,
-            links_down_at_end: 0,
-            reroute_ns: 0,
-        };
+        let engines = (0..k)
+            .map(|p| live.mf.rail(p).routes.engine.to_string())
+            .collect();
+        let mut report = CampaignReport::start(cfg, engines);
         live.run(&mut report, false);
         live.run(&mut report, true);
-        report.final_epochs = live.set.epochs();
+        report.final_epochs = (0..k).map(|p| live.epoch(p)).collect();
         if let Some(o) = hxobs::sink() {
-            use hxobs::Recorder;
             o.counter_add("campaign.failures", report.failures.iter().sum());
             o.counter_add("campaign.recoveries", report.recoveries.iter().sum());
             o.histogram_record("campaign.reroute_ns", report.reroute_ns as f64);
         }
         report
-    })
-}
-
-/// Outcome of one [`CampaignStepper::step`].
-#[derive(Debug, Clone, Copy)]
-pub struct StepReport {
-    /// The plane the step degraded and healed.
-    pub plane: usize,
-    /// The cable the step killed and restored.
-    pub victim: LinkId,
-    /// In-flight flows the step re-resolved onto surviving planes.
-    pub failovers: u64,
-    /// The plane's shard epoch after the step.
-    pub epoch: u64,
-}
-
-/// A live campaign system exposing one fault-churn round-trip at a time —
-/// the single-step hook for any driver that wants to interleave churn
-/// with its own logic (the campaign pin tests step it directly).
-///
-/// Construction (via [`with_stepper`]) sweeps every plane, builds the rail
-/// fabrics sharing the managers' path stores, and launches the configured
-/// closed-loop flows. Each [`step`](CampaignStepper::step) then performs
-/// exactly one full churn round-trip on the next plane (round-robin): kill
-/// a random active non-terminal cable, fail affected flows over to
-/// surviving rails, propagate the patched epoch and re-path every
-/// in-flight flow, restore the same cable, and propagate again. The
-/// fabric ends every step healthy, so steps can repeat indefinitely;
-/// victims are drawn from the same seeded fault stream the campaign
-/// scheduler uses.
-pub struct CampaignStepper<'a> {
-    live: Live<'a>,
-    fault_rng: ChaCha8Rng,
-    round: usize,
-}
-
-impl CampaignStepper<'_> {
-    /// Applies one fail → failover → propagate → recover → propagate
-    /// round-trip. Victims whose removal would disconnect the fabric are
-    /// redrawn (`fail_link` rolls back on error), as are victims the
-    /// engine fails to re-route on recovery, so a step always completes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the stepped plane has no active non-terminal cable.
-    pub fn step(&mut self) -> StepReport {
-        let live = &mut self.live;
-        let p = self.round % live.sms.len();
-        self.round += 1;
-        loop {
-            let victim = live
-                .draw_victim(p, &mut self.fault_rng)
-                .expect("a plane without live cables cannot churn");
-            let mut step_sp = live.span(p, None, "step");
-            step_sp.arg("link", hxobs::Json::from(victim.0 as u64));
-            let step = step_sp.ctx();
-            if live.sms[p].fail_link_spanned(victim, step).is_err() {
-                step_sp.arg("rolled_back", hxobs::Json::from(true));
-                step_sp.end();
-                continue; // disconnecting kill: rolled back, redraw
-            }
-            let failovers = live.failover(p, victim, step);
-            live.propagate(p, step);
-            let recovered = live.sms[p].recover_link_spanned(victim, step);
-            // A failed recovery rolled back inside recover_link: propagate
-            // the still-consistent state and redraw rather than crash the
-            // resident loop.
-            live.propagate(p, step);
-            if let Err(e) = recovered {
-                step_sp.arg("recover_failed", hxobs::Json::from(e.to_string()));
-                step_sp.end();
-                continue;
-            }
-            let epoch = live.set.epoch(p);
-            step_sp.set_epoch(epoch);
-            step_sp.end();
-            return StepReport {
-                plane: p,
-                victim,
-                failovers,
-                epoch,
-            };
-        }
-    }
-
-    /// In-flight closed-loop flows across all planes.
-    pub fn active_flows(&self) -> usize {
-        self.live.nets.iter().map(|n| n.active_flows()).sum()
-    }
-
-    /// Per-plane shard epochs (from the live [`PlaneSet`]).
-    pub fn epochs(&self) -> Vec<u64> {
-        self.live.set.epochs()
-    }
-}
-
-/// Builds a live campaign system on `topo` and hands a [`CampaignStepper`]
-/// to `f` — the borrow-friendly shape for the fabric's internal lifetimes.
-/// The workload and fault streams are seeded exactly like [`run_campaign`].
-pub fn with_stepper<R>(
-    topo: &Topology,
-    engine_for: impl Fn(usize) -> Box<dyn RoutingEngine>,
-    cfg: &CampaignConfig,
-    f: impl FnOnce(&mut CampaignStepper<'_>) -> R,
-) -> Result<R, RouteError> {
-    with_live(topo, engine_for, cfg, |mut live| {
-        live.reset(&mut ChaCha8Rng::seed_from_u64(cfg.seed ^ WORK_STREAM));
-        f(&mut CampaignStepper {
-            live,
-            fault_rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ FAULT_STREAM),
-            round: 0,
-        })
     })
 }
 
@@ -984,24 +884,28 @@ mod tests {
     }
 
     #[test]
-    fn stepper_steps_heal_and_bump_epochs() {
-        let cfg = quick_cfg(SolverKind::Incremental);
-        let reports = with_stepper(&topo(), sssp, &cfg, |s| {
-            assert_eq!(s.active_flows(), cfg.flows);
-            [s.step(), s.step(), s.step()]
+    fn rolled_back_failure_still_propagates() {
+        // Two switches joined by one cable: killing it disconnects the
+        // fabric, so `fail_link` rolls back and re-sweeps to a new epoch,
+        // which the rail must route on too.
+        let topo = HyperXConfig::new(vec![2], 1).build();
+        let bridge = topo
+            .links()
+            .find(|(_, l)| l.class != LinkClass::Terminal)
+            .map(|(id, _)| id)
+            .unwrap();
+        let cfg = quick_cfg(SolverKind::Exact);
+        with_live(&topo, sssp, &cfg, |mut live| {
+            live.reset(&mut ChaCha8Rng::seed_from_u64(cfg.seed ^ WORK_STREAM));
+            let mut report = CampaignReport::start(&cfg, Vec::new());
+            assert!(!live.apply_failure(0, bridge, &mut report));
+            assert_eq!(report.skipped, 1);
+            let manager = live.sms[0].pathdb().unwrap().clone();
+            let rail = live.mf.rail(0).pathdb();
+            assert_eq!(rail.epoch(), live.sms[0].epoch());
+            assert!(rail.content_eq(&manager));
         })
         .unwrap();
-        let mut last_epoch = 0;
-        for r in reports {
-            // fail + recover each bump the epoch at least once.
-            assert!(r.epoch >= last_epoch + 2, "{r:?}");
-            assert_eq!(r.plane, 0);
-            last_epoch = r.epoch;
-        }
-        // Same seed, fresh stepper: the victim sequence replays.
-        let again = with_stepper(&topo(), sssp, &cfg, |s| s.step()).unwrap();
-        let first = with_stepper(&topo(), sssp, &cfg, |s| s.step()).unwrap();
-        assert_eq!(again.victim, first.victim);
     }
 
     #[test]
@@ -1022,13 +926,20 @@ mod tests {
 
     #[test]
     fn demand_trigger_fires_on_every_plane() {
-        // A successful trigger is a second sweep, so every shard starts one
+        // A successful trigger is a second sweep, so every plane starts one
         // epoch later; a fallback leaves the epoch at the first sweep's.
+        // With no fault in the window the final epochs are the initial ones.
         let topo = topo();
         let mut cfg = multi_cfg(2, RailPolicy::RoundRobin);
         cfg.demand = Some(demand(topo.num_nodes()));
         let epochs = |engine_for: fn(usize) -> Box<dyn RoutingEngine>| {
-            with_stepper(&topo, engine_for, &cfg, |s| s.epochs()).unwrap()
+            let quiet = CampaignConfig {
+                mtbf: 1e9,
+                ..cfg.clone()
+            };
+            let r = run_campaign(&topo, engine_for, &quiet).unwrap();
+            assert_eq!(r.events(), 0);
+            r.final_epochs
         };
         assert_eq!(epochs(parx), [2, 2]);
         assert_eq!(epochs(sssp), [1, 1]);
@@ -1092,7 +1003,7 @@ mod tests {
             r.faulted_throughput <= r.healthy_throughput * 1.001,
             "churn increased throughput? {r:?}"
         );
-        // Only churned planes' shards moved past the initial epoch 1.
+        // Only churned planes' stores moved past the initial epoch 1.
         for (p, &e) in r.final_epochs.iter().enumerate() {
             assert!(
                 e >= 1 + r.failures[p] + r.recoveries[p],
@@ -1124,29 +1035,6 @@ mod tests {
         let d = run_campaign(&topo, mixed, &cfg).unwrap();
         let a = run_campaign(&topo, mixed, &multi_cfg(2, RailPolicy::RoundRobin)).unwrap();
         assert_ne!(a.fingerprint(), d.fingerprint());
-    }
-
-    #[test]
-    fn stepper_heals_and_round_robins_planes() {
-        let mut cfg = multi_cfg(3, RailPolicy::FlowHash);
-        cfg.force_failover = true;
-        let reports = with_stepper(&topo(), mixed, &cfg, |s| {
-            assert_eq!(s.active_flows(), cfg.flows);
-            [s.step(), s.step(), s.step()]
-        })
-        .unwrap();
-        assert_eq!(
-            reports.iter().map(|r| r.plane).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-        for r in &reports {
-            // fail + recover each bump the stepped plane's epoch.
-            assert!(r.epoch >= 3, "{r:?}");
-        }
-        assert!(
-            reports.iter().any(|r| r.failovers > 0),
-            "forced failover must migrate at least one flow: {reports:?}"
-        );
     }
 
     #[test]

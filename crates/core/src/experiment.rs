@@ -98,7 +98,6 @@ impl Runner {
             }
         }
         if let Some(o) = &obs {
-            use hxobs::Recorder;
             o.counter_add("core.runs", 1);
             o.counter_add("core.reps", self.reps as u64);
             o.counter_add(

@@ -17,7 +17,7 @@
 //! * [`campaign`] — deterministic fault-churn campaigns on a K-plane fabric
 //!   (K = 1 is the single-plane case): seeded MTBF/MTTR cable
 //!   failure/recovery streams driven against a live workload, with
-//!   incremental re-routing, per-shard live epoch propagation, and NIC rail
+//!   incremental re-routing, per-rail live epoch propagation, and NIC rail
 //!   failover of in-flight flows onto surviving planes,
 //! * [`service`] — the resident `hxd` read side: epoch-versioned
 //!   [`FabricSnapshot`](hxroute::FabricSnapshot) publication with
@@ -54,9 +54,7 @@ pub mod report;
 pub mod service;
 pub mod system;
 
-pub use campaign::{
-    run_campaign, with_stepper, CampaignConfig, CampaignReport, CampaignStepper, StepReport,
-};
+pub use campaign::{run_campaign, CampaignConfig, CampaignReport};
 pub use capacity::{run_capacity_combo, run_capacity_scale, ScaleConfig, ScaleReport};
 pub use combos::Combo;
 pub use experiment::{Runner, Samples};

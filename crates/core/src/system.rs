@@ -16,8 +16,8 @@
 use crate::combos::{Combo, Scheme};
 use hxmpi::{Fabric, MultiFabric, Placement, Pml, RailPolicy};
 use hxroute::engines::{Dfsssp, Ftree, Parx, RoutingEngine, Sssp};
-use hxroute::{Demand, PathDb, PlaneSet, RouteError, Routes};
-use hxsim::{NetParams, SolverKind};
+use hxroute::{Demand, PathDb, RouteError, Routes};
+use hxsim::NetParams;
 use hxtopo::fattree::{FatTreeConfig, Stage};
 use hxtopo::hyperx::HyperXConfig;
 use hxtopo::{FaultPlan, NodeId, Topology};
@@ -70,7 +70,6 @@ impl Plane {
 pub struct SystemBuilder {
     specs: Vec<(String, Arc<Topology>, Box<dyn RoutingEngine>)>,
     epoch: u64,
-    params: NetParams,
 }
 
 impl Default for SystemBuilder {
@@ -80,21 +79,12 @@ impl Default for SystemBuilder {
 }
 
 impl SystemBuilder {
-    /// An empty builder with QDR timing and the incremental congestion
-    /// solver (override with [`SystemBuilder::params`]; both solvers are
-    /// bit-identical).
+    /// An empty builder.
     pub fn new() -> SystemBuilder {
         SystemBuilder {
             specs: Vec::new(),
             epoch: 1,
-            params: NetParams::qdr(),
         }
-    }
-
-    /// Overrides the timing parameters.
-    pub fn params(mut self, params: NetParams) -> SystemBuilder {
-        self.params = params;
-        self
     }
 
     /// Epoch stamped on every plane's initial path store (default 1).
@@ -136,10 +126,7 @@ impl SystemBuilder {
                 db,
             });
         }
-        Ok(System {
-            planes,
-            params: self.params,
-        })
+        Ok(System { planes })
     }
 }
 
@@ -161,7 +148,6 @@ fn route_plane(
     let db = PathDb::build(topo, &routes, epoch, 0)?;
     let db_secs = db0.elapsed().as_secs_f64();
     if let Some(o) = &obs {
-        use hxobs::Recorder;
         o.counter_add("route.engine_runs", 1);
         o.histogram_record(
             &format!("route.engine_seconds.{}", engine.name()),
@@ -200,7 +186,6 @@ fn route_plane(
 /// each node carrying one NIC per plane.
 pub struct System {
     planes: Vec<Plane>,
-    params: NetParams,
 }
 
 impl System {
@@ -239,9 +224,11 @@ impl System {
     }
 
     /// Timing parameters shared by every fabric assembled from this
-    /// system.
+    /// system: QDR timing on the incremental congestion solver (both
+    /// solvers are bit-identical; tests pick the exact oracle through
+    /// [`NetParams::with_solver`]).
     pub fn params(&self) -> NetParams {
-        self.params
+        NetParams::qdr()
     }
 
     /// One routing plane.
@@ -252,13 +239,6 @@ impl System {
     /// All planes, in order.
     pub fn planes(&self) -> &[Plane] {
         &self.planes
-    }
-
-    /// A sharded [`PlaneSet`] handle over every plane's current path
-    /// store; shards installed into the returned set do not write back
-    /// into the system.
-    pub fn plane_set(&self) -> PlaneSet {
-        PlaneSet::new(self.planes.iter().map(|p| p.db.clone()).collect())
     }
 
     /// Re-routes one plane with a (possibly different) engine, rebuilding
@@ -285,7 +265,7 @@ impl System {
             &plane.routes,
             placement,
             pml,
-            self.params,
+            self.params(),
             plane.db.clone(),
         )
     }
@@ -411,14 +391,6 @@ impl T2hx {
     /// Timing parameters.
     pub fn params(&self) -> NetParams {
         self.sys.params()
-    }
-
-    /// Switches every fabric assembled from the system to the `solver`
-    /// congestion backend (the default is incremental; rates are
-    /// bit-identical either way).
-    pub fn with_solver(mut self, solver: SolverKind) -> T2hx {
-        self.sys.params = self.sys.params.with_solver(solver);
-        self
     }
 
     /// Number of compute nodes.
@@ -575,11 +547,10 @@ mod tests {
             sys.plane(0).topo_arc(),
             sys.plane(2).topo_arc()
         ));
-        let set = sys.plane_set();
-        assert_eq!(set.num_planes(), 3);
-        assert_eq!(set.epochs(), vec![1, 1, 1]);
+        let epochs: Vec<u64> = sys.planes().iter().map(|p| p.pathdb().epoch()).collect();
+        assert_eq!(epochs, vec![1, 1, 1]);
         // Planes 1 and 2 route identically, plane 0 differs somewhere.
-        assert!(set.shard(1).content_eq(&set.shard(2)));
+        assert!(sys.plane(1).pathdb().content_eq(sys.plane(2).pathdb()));
     }
 
     #[test]

@@ -67,51 +67,6 @@ pub mod track {
     pub const CAP: u32 = 1004;
 }
 
-/// Sink for metric updates and trace events. The default methods all
-/// no-op, so `struct Noop; impl Recorder for Noop {}` is the zero-cost
-/// disabled sink; [`ObsRecorder`] is the real one.
-pub trait Recorder: Send + Sync {
-    /// Adds `delta` to counter `name`.
-    fn counter_add(&self, _name: &str, _delta: u64) {}
-    /// Sets gauge `name`.
-    fn gauge_set(&self, _name: &str, _value: f64) {}
-    /// Records one histogram sample under `name`.
-    fn histogram_record(&self, _name: &str, _value: f64) {}
-    /// Records a complete span on track `(pid, tid)`; times in µs.
-    #[allow(clippy::too_many_arguments)]
-    fn span(
-        &self,
-        _pid: u32,
-        _tid: u32,
-        _name: &str,
-        _cat: &'static str,
-        _ts_us: f64,
-        _dur_us: f64,
-        _args: Vec<(String, Json)>,
-    ) {
-    }
-    /// Records an instant event on track `(pid, tid)`.
-    fn instant(
-        &self,
-        _pid: u32,
-        _tid: u32,
-        _name: &str,
-        _cat: &'static str,
-        _ts_us: f64,
-        _args: Vec<(String, Json)>,
-    ) {
-    }
-    /// Records one tail-latency sample under `name` for path-store `epoch`.
-    fn sketch_record(&self, _name: &str, _epoch: u64, _value: f64) {}
-    /// Records one plane-scoped tail-latency sample (multi-rail fabrics).
-    fn sketch_record_plane(&self, _name: &str, _epoch: u64, _plane: u32, _value: f64) {}
-}
-
-/// The do-nothing sink; what disabled call sites conceptually talk to.
-pub struct Noop;
-
-impl Recorder for Noop {}
-
 /// Live sink: a metrics [`Registry`], a Chrome-trace [`Tracer`] and a
 /// per-epoch tail-latency [`SketchRegistry`].
 #[derive(Default)]
@@ -135,6 +90,59 @@ impl ObsRecorder {
         self.tracer.now_us()
     }
 
+    /// Adds `delta` to counter `name`.
+    pub fn counter_add(&self, name: &str, delta: u64) {
+        self.registry.counter(name).add(delta);
+    }
+
+    /// Sets gauge `name`.
+    pub fn gauge_set(&self, name: &str, value: f64) {
+        self.registry.gauge(name).set(value);
+    }
+
+    /// Records one histogram sample under `name`.
+    pub fn histogram_record(&self, name: &str, value: f64) {
+        self.registry.histogram(name).record(value);
+    }
+
+    /// Records a complete span on track `(pid, tid)`; times in µs.
+    #[allow(clippy::too_many_arguments)]
+    pub fn span(
+        &self,
+        pid: u32,
+        tid: u32,
+        name: &str,
+        cat: &'static str,
+        ts_us: f64,
+        dur_us: f64,
+        args: Vec<(String, Json)>,
+    ) {
+        self.tracer.span(pid, tid, name, cat, ts_us, dur_us, args);
+    }
+
+    /// Records an instant event on track `(pid, tid)`.
+    pub fn instant(
+        &self,
+        pid: u32,
+        tid: u32,
+        name: &str,
+        cat: &'static str,
+        ts_us: f64,
+        args: Vec<(String, Json)>,
+    ) {
+        self.tracer.instant(pid, tid, name, cat, ts_us, args);
+    }
+
+    /// Records one tail-latency sample under `name` for path-store `epoch`.
+    pub fn sketch_record(&self, name: &str, epoch: u64, value: f64) {
+        self.sketches.record(name, epoch, value);
+    }
+
+    /// Records one plane-scoped tail-latency sample (multi-rail fabrics).
+    pub fn sketch_record_plane(&self, name: &str, epoch: u64, plane: u32, value: f64) {
+        self.sketches.record_plane(name, epoch, plane, value);
+    }
+
     /// Writes `<name>.metrics.jsonl` and `<name>.trace.json` under `dir`
     /// (created if absent). Sketch lines (`{"type":"sketch",...}`) are
     /// appended to the metrics JSONL — one object per line either way.
@@ -148,53 +156,6 @@ impl ObsRecorder {
         std::fs::write(&metrics_path, jsonl)?;
         std::fs::write(&trace_path, self.tracer.to_chrome_json())?;
         Ok((metrics_path, trace_path))
-    }
-}
-
-impl Recorder for ObsRecorder {
-    fn counter_add(&self, name: &str, delta: u64) {
-        self.registry.counter(name).add(delta);
-    }
-
-    fn gauge_set(&self, name: &str, value: f64) {
-        self.registry.gauge(name).set(value);
-    }
-
-    fn histogram_record(&self, name: &str, value: f64) {
-        self.registry.histogram(name).record(value);
-    }
-
-    fn span(
-        &self,
-        pid: u32,
-        tid: u32,
-        name: &str,
-        cat: &'static str,
-        ts_us: f64,
-        dur_us: f64,
-        args: Vec<(String, Json)>,
-    ) {
-        self.tracer.span(pid, tid, name, cat, ts_us, dur_us, args);
-    }
-
-    fn instant(
-        &self,
-        pid: u32,
-        tid: u32,
-        name: &str,
-        cat: &'static str,
-        ts_us: f64,
-        args: Vec<(String, Json)>,
-    ) {
-        self.tracer.instant(pid, tid, name, cat, ts_us, args);
-    }
-
-    fn sketch_record(&self, name: &str, epoch: u64, value: f64) {
-        self.sketches.record(name, epoch, value);
-    }
-
-    fn sketch_record_plane(&self, name: &str, epoch: u64, plane: u32, value: f64) {
-        self.sketches.record_plane(name, epoch, plane, value);
     }
 }
 
@@ -373,16 +334,6 @@ pub fn sketch_record_plane(name: &str, epoch: u64, plane: u32, value: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn noop_recorder_accepts_everything() {
-        let n = Noop;
-        n.counter_add("x", 1);
-        n.gauge_set("x", 1.0);
-        n.histogram_record("x", 1.0);
-        n.span(0, 0, "s", "c", 0.0, 1.0, vec![]);
-        n.instant(0, 0, "i", "c", 0.0, vec![]);
-    }
 
     #[test]
     fn obs_recorder_routes_to_registry_and_tracer() {

@@ -235,7 +235,6 @@ impl Span {
 
     fn emit(&mut self, end_us: f64) {
         let Some(sink) = self.sink.take() else { return };
-        use crate::Recorder;
         let dur = (end_us - self.start_us).max(0.0);
         let mut args = std::mem::take(&mut self.args);
         args.push(("span".to_string(), Json::from(self.ctx.id)));

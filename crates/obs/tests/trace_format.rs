@@ -2,7 +2,7 @@
 //! a Chrome trace-event JSON object that Perfetto can load, and the metrics
 //! export must be one well-formed JSON object per line.
 
-use hxobs::{Json, ObsRecorder, Recorder};
+use hxobs::{Json, ObsRecorder};
 use std::path::PathBuf;
 
 fn scratch_dir(tag: &str) -> PathBuf {

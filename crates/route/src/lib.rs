@@ -18,8 +18,6 @@
 //! * [`demand`] — communication-demand profiles PARX ingests,
 //! * [`pathdb`] — the epoch-versioned, CSR-compressed path store every
 //!   consumer (simulator, MPI layer, verification) resolves paths from,
-//! * [`plane`] — per-plane shard handle over `Arc<PathDb>` stores for
-//!   K-plane fabrics with independent live epochs,
 //! * [`verify`] — loop-freedom, reachability and deadlock-freedom checks.
 //!
 //! # Example
@@ -57,7 +55,6 @@ pub mod lft;
 pub mod lid;
 pub mod opensm;
 pub mod pathdb;
-pub mod plane;
 pub mod table1;
 pub mod verify;
 
@@ -71,6 +68,5 @@ pub use lft::{DirLink, Path, RouteError, Routes};
 pub use lid::{Lid, LidMap, LidPolicy};
 pub use opensm::{FabricSnapshot, SubnetManager, SweepReport, WhatIfReport};
 pub use pathdb::PathDb;
-pub use plane::PlaneSet;
 pub use table1::{lid_choices, select_lid, SizeClass, DEFAULT_THRESHOLD};
 pub use verify::{verify_deadlock_free, verify_paths, PathStats};

@@ -148,7 +148,6 @@ impl SubnetManager {
         let vls = routes.num_vls;
         let patched_trees = routes.lid_map.lids().count();
         if let Some(o) = &obs {
-            use hxobs::Recorder;
             let engine = self.engine.name();
             o.tracer.name_process(hxobs::track::OPENSM, "opensm");
             o.span(
@@ -208,14 +207,64 @@ impl SubnetManager {
         l: LinkId,
         parent: SpanCtx,
     ) -> Result<SweepReport, RouteError> {
+        self.cable_event(l, false, parent)
+    }
+
+    /// Recover-in-place: the incremental inverse of
+    /// [`SubnetManager::fail_link`]. Reactivates a cable and re-runs the
+    /// destination-rooted repair only for the LID trees the restored cable
+    /// could improve — the trees whose hop distance from the cable's two
+    /// endpoint switches differs by two or more (restoring an edge `(u, v)`
+    /// shortens a shortest-path tree iff `|d(u) - d(v)| >= 2`), plus any
+    /// tree an endpoint cannot currently reach at all. Unselected trees keep
+    /// their (valid) routes byte-for-byte, so the patched store stays
+    /// bit-identical to a from-scratch extraction of the live forwarding
+    /// state. Falls back to a full engine sweep when incremental state is
+    /// missing, the cable is a terminal (node membership change), or the
+    /// patch fails; with [`SubnetManager::incremental`] off it always
+    /// re-sweeps, restoring the engine's exact balancing.
+    pub fn recover_link(&mut self, l: LinkId) -> Result<SweepReport, RouteError> {
+        self.recover_link_spanned(l, SpanCtx::none())
+    }
+
+    /// [`SubnetManager::recover_link`] with explicit causal attribution —
+    /// the `recover_link` span and its `pathdb_patch` child parent under
+    /// `parent`, mirroring [`SubnetManager::fail_link_spanned`].
+    pub fn recover_link_spanned(
+        &mut self,
+        l: LinkId,
+        parent: SpanCtx,
+    ) -> Result<SweepReport, RouteError> {
+        self.cable_event(l, true, parent)
+    }
+
+    /// The one repair ladder behind every cable event. Takes cable `l`
+    /// down (`recover` false) or brings it back up (`recover` true), then
+    /// tries, in order, the engine's own incremental rule, the generic
+    /// load-aware patch of the candidate trees (the trees that crossed the
+    /// dead cable, or the trees the restored one could improve) and a full
+    /// resweep. When the resweep fails the cable is toggled back and the
+    /// previous fabric re-swept, so an event never leaves the manager
+    /// worse than before it.
+    fn cable_event(
+        &mut self,
+        l: LinkId,
+        recover: bool,
+        parent: SpanCtx,
+    ) -> Result<SweepReport, RouteError> {
+        let (name, counter, op) = if recover {
+            ("recover_link", "route.link_recoveries", "recover")
+        } else {
+            ("fail_link", "route.link_failures", "reroute")
+        };
         // Lifecycle contract: churn against an unswept manager is a caller
         // bug in a batch run but a benign race in a resident daemon (a query
         // or event arriving mid-bring-up) — degrade to a retryable error
         // with the fabric view untouched instead of panicking.
         if self.routes.is_none() || self.pathdb.is_none() {
-            return Err(RouteError::NotSwept("fail_link"));
+            return Err(RouteError::NotSwept(name));
         }
-        let mut sp = Span::under(parent, hxobs::track::OPENSM, 0, "fail_link", "route");
+        let mut sp = Span::under(parent, hxobs::track::OPENSM, 0, name, "route");
         sp.arg("link", hxobs::Json::from(l.0 as u64));
         sp.arg("engine", hxobs::Json::from(self.engine.name()));
         if let Some(p) = self.plane {
@@ -223,56 +272,70 @@ impl SubnetManager {
         }
         let ctx = sp.ctx();
         if let Some(o) = hxobs::sink() {
-            use hxobs::Recorder;
             o.tracer.name_process(hxobs::track::OPENSM, "opensm");
-            o.counter_add("route.link_failures", 1);
+            o.counter_add(counter, 1);
             o.instant(
                 hxobs::track::OPENSM,
                 0,
-                "fail_link",
+                name,
                 "route",
                 o.now_us(),
                 vec![("link".to_string(), hxobs::Json::from(l.0 as u64))],
             );
         }
+        let done = |mut sp: Span, repair: &str, r: SweepReport| {
+            sp.arg("repair", hxobs::Json::from(repair));
+            sp.set_epoch(r.epoch);
+            sp.end();
+            r
+        };
         // Terminal cables detach a node outright; that is a membership
-        // change, not a reroute — leave it to the full-sweep path.
-        let try_incremental = self.incremental && self.topo.link(l).class != LinkClass::Terminal;
-        self.topo.deactivate(l);
+        // change, not a reroute — leave it to the full-sweep path. The
+        // recovery of a cable that is already up re-sweeps too.
+        let try_incremental = self.incremental
+            && self.topo.link(l).class != LinkClass::Terminal
+            && !(recover && self.topo.is_active(l));
+        self.set_cable(l, recover);
         if try_incremental {
             // Engines owning an incremental-repair rule get first shot; the
             // generic load-aware patch is the fallback, a full resweep the
             // last resort. The capability probe lives inside `engine_patch`
             // itself: an engine without the rule returns
             // [`RouteError::NoEngineRepair`] and falls through here.
-            if let Ok(r) = self.engine_patch(l, false, ctx) {
-                sp.arg("repair", hxobs::Json::from("engine"));
-                sp.set_epoch(r.epoch);
-                sp.end();
-                return Ok(r);
+            if let Ok(r) = self.engine_patch(l, recover, ctx) {
+                return Ok(done(sp, "engine", r));
             }
-            if let Ok(r) = self.reroute_incremental(l, ctx) {
-                sp.arg("repair", hxobs::Json::from("generic"));
-                sp.set_epoch(r.epoch);
-                sp.end();
-                return Ok(r);
+            let candidates = if recover {
+                self.recover_candidates(l)
+            } else {
+                self.pathdb
+                    .as_ref()
+                    .ok_or(RouteError::NoPathDb)
+                    .map(|db| db.affected_by(l))
+            };
+            if let Ok(r) = candidates.and_then(|c| self.patch_trees(c, op, ctx)) {
+                return Ok(done(sp, "generic", r));
             }
-            // Patch failed (disconnection or VL breakage): fall through to
-            // the full resweep with state untouched.
+            // Patch failed (disconnection or VL layering breakage): fall
+            // through to the full resweep with state untouched.
         }
         match self.sweep() {
-            Ok(r) => {
-                sp.arg("repair", hxobs::Json::from("resweep"));
-                sp.set_epoch(r.epoch);
-                sp.end();
-                Ok(r)
-            }
+            Ok(r) => Ok(done(sp, "resweep", r)),
             Err(e) => {
-                self.topo.activate(l);
-                // Restore a consistent routing state.
+                // Restore the previous consistent routing state.
+                self.set_cable(l, !recover);
                 self.sweep()?;
                 Err(e)
             }
+        }
+    }
+
+    /// Brings cable `l` up or takes it down in the managed fabric view.
+    fn set_cable(&mut self, l: LinkId, up: bool) {
+        if up {
+            self.topo.activate(l);
+        } else {
+            self.topo.deactivate(l);
         }
     }
 
@@ -320,21 +383,6 @@ impl SubnetManager {
         };
         patch_sp.arg("trees", hxobs::Json::from(touched.len()));
         self.commit_patch(new_routes, touched, op, patch_sp, t0)
-    }
-
-    /// Repairs only the destination trees whose paths traverse the (already
-    /// deactivated) cable `l`, patching the PathDb and bumping the epoch.
-    fn reroute_incremental(
-        &mut self,
-        l: LinkId,
-        parent: SpanCtx,
-    ) -> Result<SweepReport, RouteError> {
-        let affected = self
-            .pathdb
-            .as_ref()
-            .ok_or(RouteError::NoPathDb)?
-            .affected_by(l);
-        self.patch_trees(affected, "reroute", parent)
     }
 
     /// Re-runs the destination-rooted repair for the given LID trees against
@@ -409,7 +457,6 @@ impl SubnetManager {
             None => hxobs::sketch_record("reroute.latency_us", self.epoch, secs * 1e6),
         }
         if let Some(o) = hxobs::sink() {
-            use hxobs::Recorder;
             o.tracer.name_process(hxobs::track::OPENSM, "opensm");
             o.counter_add(
                 if op == "recover" {
@@ -435,95 +482,6 @@ impl SubnetManager {
         })
     }
 
-    /// Recover-in-place: the incremental inverse of
-    /// [`SubnetManager::fail_link`]. Reactivates a cable and re-runs the
-    /// destination-rooted repair only for the LID trees the restored cable
-    /// could improve — the trees whose hop distance from the cable's two
-    /// endpoint switches differs by two or more (restoring an edge `(u, v)`
-    /// shortens a shortest-path tree iff `|d(u) - d(v)| >= 2`), plus any
-    /// tree an endpoint cannot currently reach at all. Unselected trees keep
-    /// their (valid) routes byte-for-byte, so the patched store stays
-    /// bit-identical to a from-scratch extraction of the live forwarding
-    /// state. Falls back to a full engine sweep when incremental state is
-    /// missing, the cable is a terminal (node membership change), or the
-    /// patch fails.
-    pub fn recover_link(&mut self, l: LinkId) -> Result<SweepReport, RouteError> {
-        self.recover_link_spanned(l, SpanCtx::none())
-    }
-
-    /// [`SubnetManager::recover_link`] with explicit causal attribution —
-    /// the `recover_link` span and its `pathdb_patch` child parent under
-    /// `parent`, mirroring [`SubnetManager::fail_link_spanned`].
-    pub fn recover_link_spanned(
-        &mut self,
-        l: LinkId,
-        parent: SpanCtx,
-    ) -> Result<SweepReport, RouteError> {
-        // Same lifecycle contract as `fail_link_spanned`: retryable error,
-        // fabric view untouched, no panic.
-        if self.routes.is_none() || self.pathdb.is_none() {
-            return Err(RouteError::NotSwept("recover_link"));
-        }
-        let mut sp = Span::under(parent, hxobs::track::OPENSM, 0, "recover_link", "route");
-        sp.arg("link", hxobs::Json::from(l.0 as u64));
-        sp.arg("engine", hxobs::Json::from(self.engine.name()));
-        if let Some(p) = self.plane {
-            sp.set_plane(p);
-        }
-        let ctx = sp.ctx();
-        if let Some(o) = hxobs::sink() {
-            use hxobs::Recorder;
-            o.tracer.name_process(hxobs::track::OPENSM, "opensm");
-            o.counter_add("route.link_recoveries", 1);
-            o.instant(
-                hxobs::track::OPENSM,
-                0,
-                "recover_link",
-                "route",
-                o.now_us(),
-                vec![("link".to_string(), hxobs::Json::from(l.0 as u64))],
-            );
-        }
-        let try_incremental = self.incremental
-            && self.topo.link(l).class != LinkClass::Terminal
-            && !self.topo.is_active(l);
-        self.topo.activate(l);
-        if try_incremental {
-            if let Ok(r) = self.engine_patch(l, true, ctx) {
-                sp.arg("repair", hxobs::Json::from("engine"));
-                sp.set_epoch(r.epoch);
-                sp.end();
-                return Ok(r);
-            }
-            if let Ok(r) = self
-                .recover_candidates(l)
-                .and_then(|candidates| self.patch_trees(candidates, "recover", ctx))
-            {
-                sp.arg("repair", hxobs::Json::from("generic"));
-                sp.set_epoch(r.epoch);
-                sp.end();
-                return Ok(r);
-            }
-            // Patch failed (VL layering breakage under verify): fall through
-            // to the full resweep with state untouched.
-        }
-        match self.sweep() {
-            Ok(r) => {
-                sp.arg("repair", hxobs::Json::from("resweep"));
-                sp.set_epoch(r.epoch);
-                sp.end();
-                Ok(r)
-            }
-            Err(e) => {
-                // Keep the previous consistent state: a recovery must never
-                // leave the manager worse than before it.
-                self.topo.deactivate(l);
-                self.sweep()?;
-                Err(e)
-            }
-        }
-    }
-
     /// Destination LID trees the (just reactivated) cable `l` could improve,
     /// measured on the live forwarding state: LFT hop distances of the
     /// cable's endpoint switches differing by >= 2, or an endpoint that
@@ -535,7 +493,7 @@ impl SubnetManager {
             .ok_or(RouteError::NotSwept("recover_candidates"))?;
         let link = self.topo.link(l);
         let (Some(u), Some(v)) = (link.a.switch(), link.b.switch()) else {
-            // Terminal cables are gated out by the caller.
+            // Terminal cables are gated out by `cable_event`.
             return Ok(Vec::new());
         };
         let isl_hops = |sw: SwitchId, lid: Lid| -> Option<u32> {
@@ -559,14 +517,6 @@ impl SubnetManager {
             .collect())
     }
 
-    /// Repairs a cable with a full re-sweep, restoring the engine's exact
-    /// balancing. [`SubnetManager::recover_link`] is the incremental variant
-    /// for churny campaigns where sweep latency matters.
-    pub fn repair_link(&mut self, l: LinkId) -> Result<SweepReport, RouteError> {
-        self.topo.activate(l);
-        self.sweep()
-    }
-
     /// The SAR/PARX trigger: re-route with a communication profile before a
     /// job starts. The engine decides what a demand-aware sweep means via
     /// [`RoutingEngine::with_demand`]; engines without a demand-aware
@@ -577,7 +527,6 @@ impl SubnetManager {
             return Err(RouteError::NoDemandVariant(self.engine.name()));
         };
         if let Some(o) = hxobs::sink() {
-            use hxobs::Recorder;
             o.counter_add("route.demand_reroutes", 1);
             o.instant(
                 hxobs::track::OPENSM,
@@ -814,8 +763,11 @@ mod tests {
         assert!(!sm.topo().is_active(isl));
         // All pairs still reachable around the dead cable.
         assert_eq!(r.paths.pairs, 32 * 31);
-        let r = sm.repair_link(isl).unwrap();
+        // A full resweep restores the engine's exact balancing.
+        sm.incremental = false;
+        let r = sm.recover_link(isl).unwrap();
         assert_eq!(r.epoch, 3);
+        assert!(!r.incremental);
         assert!(sm.topo().is_active(isl));
     }
 

@@ -10,7 +10,6 @@
 
 use crate::fluid::{FlowId, FluidNet};
 use crate::params::NetParams;
-use hxobs::Recorder;
 use hxroute::DirLink;
 use hxtopo::Topology;
 use std::cmp::Reverse;

@@ -40,16 +40,7 @@ pub enum SolverKind {
 }
 
 impl SolverKind {
-    /// Parses `"exact"` / `"incremental"` (case-insensitive).
-    pub fn parse(s: &str) -> Option<SolverKind> {
-        match s.to_ascii_lowercase().as_str() {
-            "exact" => Some(SolverKind::Exact),
-            "incremental" => Some(SolverKind::Incremental),
-            _ => None,
-        }
-    }
-
-    /// Stable lower-case label (matches what [`SolverKind::parse`] accepts).
+    /// Stable lower-case label.
     pub fn label(&self) -> &'static str {
         match self {
             SolverKind::Exact => "exact",
@@ -361,7 +352,6 @@ fn fill_component(
 /// the pre-refactor `max_min_rates` so dashboards carry over).
 fn observe_resolve(stats: &SolveStats) {
     if let Some(o) = hxobs::sink() {
-        use hxobs::Recorder;
         o.counter_add("flow.solves", 1);
         o.counter_add("flow.filling_rounds", stats.rounds);
         o.histogram_record("flow.rounds_per_solve", stats.rounds as f64);
@@ -706,12 +696,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_parse_roundtrip() {
-        for kind in [SolverKind::Exact, SolverKind::Incremental] {
-            assert_eq!(SolverKind::parse(kind.label()), Some(kind));
-        }
-        assert_eq!(SolverKind::parse("EXACT"), Some(SolverKind::Exact));
-        assert_eq!(SolverKind::parse("nope"), None);
+    fn kind_labels_and_default() {
+        assert_eq!(SolverKind::Exact.label(), "exact");
+        assert_eq!(SolverKind::Incremental.label(), "incremental");
         assert_eq!(SolverKind::default(), SolverKind::Incremental);
     }
 

@@ -21,11 +21,14 @@ fn main() {
     })
     .expect("system routes");
     println!(
-        "assembled {} planes x {} nodes in {:.1?}; shard epochs {:?}",
+        "assembled {} planes x {} nodes in {:.1?}; plane epochs {:?}",
         sys.num_planes(),
         sys.num_nodes(),
         t0.elapsed(),
-        sys.plane_set().epochs(),
+        sys.planes()
+            .iter()
+            .map(|p| p.pathdb().epoch())
+            .collect::<Vec<_>>(),
     );
     let nodes: Vec<NodeId> = sys.plane(0).topo().nodes().collect();
     let placement = Placement::linear(&nodes, sys.num_nodes());

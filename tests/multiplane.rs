@@ -97,11 +97,9 @@ fn four_plane_t7_system_assembles_and_routes() {
     assert_eq!(sys.num_planes(), 4);
     assert_eq!(sys.num_nodes(), 672);
     assert_eq!(sys.num_planes() * sys.num_nodes(), 2688);
-    let set = sys.plane_set();
-    assert_eq!(set.num_planes(), 4);
     for p in 0..4 {
         assert_eq!(sys.plane(p).topo().num_switches(), 96);
-        assert_eq!(set.epoch(p), 1);
+        assert_eq!(sys.plane(p).pathdb().epoch(), 1);
     }
     // Every rail resolves the same rank pair through its own plane.
     let nodes: Vec<NodeId> = sys.plane(0).topo().nodes().collect();
