@@ -26,13 +26,22 @@
 //! compute, which `crates/route/tests/engines_repair.rs` pins over
 //! random churn sequences.
 //!
+//! The rule reads only the destination *switch*, so every LID hosted on
+//! one switch gets the same tree. [`RoutingEngine::route`] builds each
+//! switch's tree once and installs it for all of the switch's LIDs; the
+//! repair calls keep a per-call table of the trees they computed,
+//! indexed by switch and dropped on return, so one event computes a tree
+//! at most once however many terminals share its switch.
+//!
 //! ## Incremental repair
 //!
 //! * [`IncrementalRepair::on_fail`]: a tree changes iff some switch's
 //!   installed entry used the dead cable (removing a non-chosen
 //!   candidate never moves the argmin, and distances are realized by
 //!   installed paths, so they only change for trees that used it).
-//!   Those trees are recomputed; everything else is untouched.
+//!   Those trees are recomputed; everything else is untouched. An LFT
+//!   entry names a cable incident to its switch, so the test reads the
+//!   entries of the cable's two endpoint switches only.
 //! * [`IncrementalRepair::on_recover`]: restoring `(u, v)` changes a
 //!   tree iff the endpoints' installed hop counts differ by ≥ 2 (a
 //!   distance actually improves), an endpoint lost the destination
@@ -47,7 +56,7 @@ use crate::lft::{RouteError, Routes};
 use crate::lid::{Lid, LidMap, LidPolicy};
 use hxtopo::hyperx::HyperXShape;
 use hxtopo::props::bfs_dist;
-use hxtopo::{LinkId, NodeId, SwitchId, Topology};
+use hxtopo::{LinkId, SwitchId, Topology};
 
 /// Fault-tolerant HyperX routing (Camarero/Cano). LMC 0, sequential
 /// LIDs; deadlock freedom via the DFSSSP-style lowest-acyclic-VL
@@ -127,20 +136,30 @@ impl FtHyperX {
         }
     }
 
-    /// Recomputes one destination tree and appends the entry rewrites
-    /// that differ from the installed state. Errs when a node-hosting
+    /// The tree toward `dsw` from the per-call `trees` table (indexed by
+    /// switch), computing it on first use. Every LID of one switch shares
+    /// the tree, so an event computes it at most once.
+    fn tree_for<'a>(
+        trees: &'a mut [Option<DestTree>],
+        hx: &HyperXShape,
+        topo: &Topology,
+        dsw: SwitchId,
+    ) -> &'a DestTree {
+        trees[dsw.idx()].get_or_insert_with(|| Self::local_tree(hx, topo, dsw))
+    }
+
+    /// Diffs one destination LID's recomputed `tree` against the installed
+    /// state and appends the entry rewrites. Errs when a node-hosting
     /// switch lost the destination (unroutable — the manager rolls the
     /// event back). Returns whether anything changed.
     fn patch_tree(
         topo: &Topology,
-        hx: &HyperXShape,
+        tree: &DestTree,
         routes: &Routes,
         lid: Lid,
-        dst: NodeId,
+        dlink: LinkId,
         delta: &mut LftDelta,
     ) -> Result<bool, RouteError> {
-        let (dsw, dlink) = topo.node_switch(dst);
-        let tree = Self::local_tree(hx, topo, dsw);
         for s in topo.switches() {
             if !tree.reachable(s) && topo.attached_nodes(s).next().is_some() {
                 return Err(RouteError::NoRoute { switch: s, lid });
@@ -150,7 +169,7 @@ impl FtHyperX {
         for s in topo.switches() {
             // Mirror install_tree exactly: the destination switch
             // forwards to the terminal, everything else along the tree.
-            let new = if s == dsw {
+            let new = if s == tree.dst {
                 Some(dlink)
             } else {
                 tree.out[s.idx()]
@@ -216,11 +235,21 @@ impl RoutingEngine for FtHyperX {
         let hx = Self::shape(topo)?;
         let lid_map = LidMap::new(topo, 0, LidPolicy::Sequential);
         let mut routes = Routes::new(topo, lid_map, "ft-hyperx");
-        let dests: Vec<(Lid, NodeId)> = routes.lid_map.lids().collect();
-        for (lid, dst) in dests {
+        // The tree depends on the destination switch only: build it once
+        // and install it for every LID that switch hosts.
+        let mut by_switch: Vec<Vec<(Lid, LinkId)>> = vec![Vec::new(); topo.num_switches()];
+        for (lid, dst) in routes.lid_map.lids() {
             let (dsw, dlink) = topo.node_switch(dst);
+            by_switch[dsw.idx()].push((lid, dlink));
+        }
+        for (dsw, lids) in topo.switches().zip(&by_switch) {
+            if lids.is_empty() {
+                continue;
+            }
             let tree = Self::local_tree(hx, topo, dsw);
-            install_tree(&mut routes, &tree, lid, dlink);
+            for &(lid, dlink) in lids {
+                install_tree(&mut routes, &tree, lid, dlink);
+            }
         }
         assign_vls(topo, &mut routes, self.max_vls)?;
         Ok(routes)
@@ -238,16 +267,25 @@ impl RoutingEngine for FtHyperX {
 impl IncrementalRepair for FtHyperX {
     fn on_fail(&self, topo: &Topology, routes: &Routes, l: LinkId) -> Result<LftDelta, RouteError> {
         let hx = Self::shape(topo)?;
+        // An LFT entry names a cable incident to its switch, so only the
+        // dead cable's endpoint switches can hold it.
+        let link = topo.link(l);
+        let ends = [link.a.switch(), link.b.switch()];
+        let mut trees: Vec<Option<DestTree>> = vec![None; topo.num_switches()];
         let mut delta = LftDelta::default();
-        let dests: Vec<(Lid, NodeId)> = routes.lid_map.lids().collect();
-        for (lid, dst) in dests {
+        for (lid, dst) in routes.lid_map.lids() {
             // History-free rule: a tree changes iff an installed entry
             // used the dead cable (see module docs for the argument).
-            let uses = topo.switches().any(|s| routes.get(s, lid) == Some(l));
+            let uses = ends
+                .iter()
+                .flatten()
+                .any(|&s| routes.get(s, lid) == Some(l));
             if !uses {
                 continue;
             }
-            Self::patch_tree(topo, hx, routes, lid, dst, &mut delta)?;
+            let (dsw, dlink) = topo.node_switch(dst);
+            let tree = Self::tree_for(&mut trees, hx, topo, dsw);
+            Self::patch_tree(topo, tree, routes, lid, dlink, &mut delta)?;
         }
         Ok(delta)
     }
@@ -265,10 +303,11 @@ impl IncrementalRepair for FtHyperX {
                 "terminal recovery is a membership change",
             ));
         };
+        let mut trees: Vec<Option<DestTree>> = vec![None; topo.num_switches()];
         let mut delta = LftDelta::default();
-        let dests: Vec<(Lid, NodeId)> = routes.lid_map.lids().collect();
-        for (lid, dst) in dests {
-            let cd = hx.coord(topo.node_switch(dst).0);
+        for (lid, dst) in routes.lid_map.lids() {
+            let (dsw, dlink) = topo.node_switch(dst);
+            let cd = hx.coord(dsw);
             let touched = match (
                 Self::walked_hops(topo, routes, u, lid),
                 Self::walked_hops(topo, routes, v, lid),
@@ -284,7 +323,8 @@ impl IncrementalRepair for FtHyperX {
                 _ => true,
             };
             if touched {
-                Self::patch_tree(topo, hx, routes, lid, dst, &mut delta)?;
+                let tree = Self::tree_for(&mut trees, hx, topo, dsw);
+                Self::patch_tree(topo, tree, routes, lid, dlink, &mut delta)?;
             }
         }
         Ok(delta)
@@ -296,8 +336,9 @@ mod tests {
     use super::*;
     use crate::pathdb::PathDb;
     use crate::verify::{verify_deadlock_free, verify_paths};
+    use hxtopo::faults::{FaultCount, FaultPlan};
     use hxtopo::hyperx::HyperXConfig;
-    use hxtopo::LinkClass;
+    use hxtopo::{fnv1a, LinkClass, FNV_OFFSET};
 
     fn hx44() -> Topology {
         HyperXConfig::new(vec![4, 4], 2).build()
@@ -383,5 +424,39 @@ mod tests {
         delta.apply(&mut patched);
         let fresh = engine.route(&t).unwrap();
         assert!(patched.lft_eq(&fresh));
+    }
+
+    /// FNV-1a over every LFT entry, every SL byte and `num_vls`.
+    fn fold(t: &Topology, r: &Routes) -> u64 {
+        let mut h = FNV_OFFSET;
+        for s in t.switches() {
+            for lid in 0..r.lid_space() as Lid {
+                let out = r.get(s, lid).map_or(u32::MAX, |l| l.0);
+                h = fnv1a(fnv1a(h, &out.to_le_bytes()), &[r.sl(s, lid)]);
+            }
+        }
+        fnv1a(h, &[r.num_vls])
+    }
+
+    #[test]
+    fn sweeps_are_pinned() {
+        // Taken from the engine that built one tree per destination LID;
+        // building one per destination switch must reproduce them.
+        let spec = |s: &str| HyperXConfig::parse_spec(s).unwrap().build();
+        let mut faulty = spec("4x4x4:t4");
+        FaultPlan {
+            count: FaultCount::Absolute(6),
+            class: None,
+            seed: 7,
+        }
+        .apply(&mut faulty);
+        for (name, t, pin) in [
+            ("4x4:t2", spec("4x4:t2"), 0x000c9c84282fc798),
+            ("4x4x4:t4 - 6 faults", faulty, 0xdfa90b76f2cf17cd),
+            ("6x4:t3", spec("6x4:t3"), 0xff7cb34b89bbc9e0),
+        ] {
+            let r = FtHyperX::default().route(&t).unwrap();
+            assert_eq!(fold(&t, &r), pin, "{name}");
+        }
     }
 }

@@ -108,6 +108,29 @@ impl LftDelta {
             }
         }
     }
+
+    /// Applies every entry rewrite and returns the delta that restores
+    /// the entries it replaced (in reverse order, so an entry rewritten
+    /// twice gets its original value back).
+    pub fn apply_undoable(&self, routes: &mut Routes) -> LftDelta {
+        let entries = self
+            .entries
+            .iter()
+            .rev()
+            .map(|&(s, lid, _)| (s, lid, routes.get(s, lid)))
+            .collect();
+        self.apply(routes);
+        LftDelta {
+            entries,
+            touched: Vec::new(),
+        }
+    }
+
+    /// Records the rewrites [`install_tree`] makes for `lid`'s `tree`.
+    pub(crate) fn install_tree(&mut self, tree: &DestTree, lid: Lid, dst_terminal: LinkId) {
+        let entries = tree_entries(tree, dst_terminal).map(|(s, link)| (s, lid, Some(link)));
+        self.entries.extend(entries);
+    }
 }
 
 /// Engine-owned incremental repair: the engine patches its *own* routing
@@ -177,21 +200,24 @@ pub fn engine_by_name(name: &str) -> Option<Box<dyn RoutingEngine>> {
     })
 }
 
-/// Installs one destination tree into the LFTs: every reachable switch
-/// forwards `lid` along the tree; the destination switch forwards to the
+/// The entries one destination tree installs: every reachable switch
+/// forwards along the tree, then the destination switch forwards to the
 /// terminal cable.
-pub(crate) fn install_tree(
-    routes: &mut Routes,
+fn tree_entries(
     tree: &DestTree,
-    lid: Lid,
-    dst_terminal: hxtopo::LinkId,
-) {
-    for (s, out) in tree.out.iter().enumerate() {
-        if let Some(link) = out {
-            routes.set(SwitchId::from_idx(s), lid, *link);
-        }
+    dst_terminal: LinkId,
+) -> impl Iterator<Item = (SwitchId, LinkId)> + '_ {
+    let along = tree.out.iter().enumerate();
+    let along = along.filter_map(|(s, out)| out.map(|link| (SwitchId::from_idx(s), link)));
+    along.chain(std::iter::once((tree.dst, dst_terminal)))
+}
+
+/// Installs one destination tree into the LFTs for `lid`
+/// ([`tree_entries`]).
+pub(crate) fn install_tree(routes: &mut Routes, tree: &DestTree, lid: Lid, dst_terminal: LinkId) {
+    for (s, link) in tree_entries(tree, dst_terminal) {
+        routes.set(s, lid, link);
     }
-    routes.set(tree.dst, lid, dst_terminal);
 }
 
 /// Installs `lid`'s destination tree over the cables `mask` keeps. Switches

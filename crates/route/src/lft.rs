@@ -147,6 +147,15 @@ pub enum RouteError {
     /// engine does not implement the `IncrementalRepair` capability; the
     /// dispatcher falls back to the generic load-aware patch.
     NoEngineRepair(&'static str),
+    /// A path-store patch was handed forwarding state with a different
+    /// LID-space size than the store it patches (a LID re-assignment is a
+    /// full sweep, not a patch).
+    LidLayoutChanged {
+        /// LID-space size of the store being patched.
+        expected: usize,
+        /// LID-space size of the handed forwarding state.
+        found: usize,
+    },
 }
 
 impl std::fmt::Display for RouteError {
@@ -182,6 +191,9 @@ impl std::fmt::Display for RouteError {
             RouteError::NoPathDb => write!(f, "no path store for the current epoch"),
             RouteError::NoEngineRepair(engine) => {
                 write!(f, "engine {engine} owns no incremental-repair rule")
+            }
+            RouteError::LidLayoutChanged { expected, found } => {
+                write!(f, "LID space changed from {expected} to {found} LIDs")
             }
         }
     }

@@ -10,7 +10,7 @@
 
 use crate::demand::Demand;
 use crate::dijkstra::dijkstra_to_dest;
-use crate::engines::{install_tree, walk_lft, RoutingEngine};
+use crate::engines::{walk_lft, LftDelta, RoutingEngine};
 use crate::lft::{RouteError, Routes};
 use crate::lid::Lid;
 use crate::pathdb::PathDb;
@@ -363,7 +363,7 @@ impl SubnetManager {
         let op = if recover { "recover" } else { "reroute" };
         let t0 = std::time::Instant::now();
         let mut patch_sp = self.begin_patch_span(op, "engine", parent);
-        let (new_routes, touched) = {
+        let delta = {
             let routes = self
                 .routes
                 .as_ref()
@@ -372,17 +372,17 @@ impl SubnetManager {
                 .engine
                 .incremental()
                 .ok_or(RouteError::NoEngineRepair(self.engine.name()))?;
+            let delta_sp = patch_sp.child("engine_delta", "route");
             let delta = if recover {
                 ir.on_recover(&self.topo, routes, l)?
             } else {
                 ir.on_fail(&self.topo, routes, l)?
             };
-            let mut new_routes = routes.clone();
-            delta.apply(&mut new_routes);
-            (new_routes, delta.touched)
+            delta_sp.end();
+            delta
         };
-        patch_sp.arg("trees", hxobs::Json::from(touched.len()));
-        self.commit_patch(new_routes, touched, op, patch_sp, t0)
+        patch_sp.arg("trees", hxobs::Json::from(delta.touched.len()));
+        self.commit_patch(delta, op, patch_sp, t0)
     }
 
     /// Re-runs the destination-rooted repair for the given LID trees against
@@ -406,8 +406,10 @@ impl SubnetManager {
             .routes
             .as_ref()
             .ok_or(RouteError::NotSwept("patch_trees"))?;
-        let new_routes = repair_trees(&self.topo, routes, &db, &affected)?;
-        self.commit_patch(new_routes, affected, op, patch_sp, t0)
+        let repair_sp = patch_sp.child("generic_repair", "route");
+        let delta = repair_trees(&self.topo, routes, &db, affected)?;
+        repair_sp.end();
+        self.commit_patch(delta, op, patch_sp, t0)
     }
 
     /// Opens the `pathdb_patch` span shared by both repair mechanisms.
@@ -427,26 +429,35 @@ impl SubnetManager {
         sp
     }
 
-    /// Validates a repaired routing state and commits it: patches the
-    /// PathDb for the `affected` trees, re-checks deadlock freedom, bumps
-    /// the epoch, and emits the repair telemetry. State is untouched on
-    /// error so the caller can fall back to a full resweep.
+    /// Applies a repair's LFT delta to the live routing state in place and
+    /// commits it: patches the PathDb for the delta's trees, re-checks
+    /// deadlock freedom, bumps the epoch, and emits the repair telemetry.
+    /// On error the replaced entries are restored and the state is
+    /// untouched, so the caller can fall back to a full resweep.
     fn commit_patch(
         &mut self,
-        new_routes: Routes,
-        affected: Vec<Lid>,
+        delta: LftDelta,
         op: &str,
         mut patch_sp: Span,
         t0: std::time::Instant,
     ) -> Result<SweepReport, RouteError> {
-        let db = self.pathdb.clone().ok_or(RouteError::NoPathDb)?;
-        let new_db = db.patched(&self.topo, &new_routes, &affected)?;
-        // Repaired trees keep their old service levels; re-check the CDGs
-        // and let the caller fall back to a full sweep if layering broke.
-        if self.verify {
-            verify_deadlock_free(&self.topo, &new_routes)?;
-        }
+        let mut routes = self
+            .routes
+            .take()
+            .ok_or(RouteError::NotSwept("commit_patch"))?;
+        let undo = delta.apply_undoable(&mut routes);
+        let affected = delta.touched;
+        let new_db = match self.patched_store(&routes, &affected, &patch_sp) {
+            Ok(db) => db,
+            Err(e) => {
+                undo.apply(&mut routes);
+                self.routes = Some(routes);
+                return Err(e);
+            }
+        };
+        let stats_sp = patch_sp.child("path_stats", "route");
         let paths = new_db.stats();
+        stats_sp.end();
         self.epoch += 1;
         debug_assert_eq!(new_db.epoch(), self.epoch);
         let secs = t0.elapsed().as_secs_f64();
@@ -470,8 +481,8 @@ impl SubnetManager {
             o.histogram_record("route.incremental_seconds", secs);
             o.gauge_set("pathdb.epoch", self.epoch as f64);
         }
-        let vls = new_routes.num_vls;
-        self.routes = Some(new_routes);
+        let vls = routes.num_vls;
+        self.routes = Some(routes);
         self.pathdb = Some(Arc::new(new_db));
         Ok(SweepReport {
             paths,
@@ -480,6 +491,26 @@ impl SubnetManager {
             patched_trees: affected.len(),
             incremental: true,
         })
+    }
+
+    /// The path store of the repaired `routes`, after the deadlock-freedom
+    /// re-check when [`SubnetManager::verify`] is set.
+    fn patched_store(
+        &self,
+        routes: &Routes,
+        affected: &[Lid],
+        patch_sp: &Span,
+    ) -> Result<PathDb, RouteError> {
+        let db = self.pathdb.as_ref().ok_or(RouteError::NoPathDb)?;
+        let columns_sp = patch_sp.child("pathdb_columns", "route");
+        let new_db = db.patched(&self.topo, routes, affected)?;
+        columns_sp.end();
+        // Repaired trees keep their old service levels; re-check the CDGs
+        // and let the caller fall back to a full sweep if layering broke.
+        if self.verify {
+            verify_deadlock_free(&self.topo, routes)?;
+        }
+        Ok(new_db)
     }
 
     /// Destination LID trees the (just reactivated) cable `l` could improve,
@@ -566,25 +597,27 @@ impl SubnetManager {
 /// speculative [`FabricSnapshot::what_if_fail`] query: each affected LID
 /// tree is rebuilt by a Dijkstra weighted with the current per-cable path
 /// counts, so the repair spreads detours without replaying the engine's
-/// balancing history. An empty `affected` set clones the routes unchanged
-/// (the epoch still advances at commit so consumers observe the event).
+/// balancing history. Returns the LFT rewrites that install the rebuilt
+/// trees, with `affected` as the touched trees; an empty `affected` set
+/// rewrites nothing (the epoch still advances at commit so consumers
+/// observe the event).
 fn repair_trees(
     topo: &Topology,
     routes: &Routes,
     db: &PathDb,
-    affected: &[Lid],
-) -> Result<Routes, RouteError> {
+    affected: Vec<Lid>,
+) -> Result<LftDelta, RouteError> {
     if affected.is_empty() {
-        return Ok(routes.clone());
+        return Ok(LftDelta::default());
     }
     let weights = db.link_loads(topo);
     let src_switches: Vec<SwitchId> = topo
         .switches()
         .filter(|&s| topo.attached_nodes(s).next().is_some())
         .collect();
-    let mut new_routes = routes.clone();
-    for &lid in affected {
-        let owner = new_routes
+    let mut delta = LftDelta::default();
+    for &lid in &affected {
+        let owner = routes
             .lid_map
             .owner(lid)
             .ok_or(RouteError::UnknownLid(lid))?;
@@ -595,9 +628,10 @@ fn repair_trees(
                 return Err(RouteError::NoRoute { switch: s, lid });
             }
         }
-        install_tree(&mut new_routes, &tree, lid, dlink);
+        delta.install_tree(&tree, lid, dlink);
     }
-    Ok(new_routes)
+    delta.touched = affected;
+    Ok(delta)
 }
 
 /// One routing epoch frozen for concurrent readers: the topology as the
@@ -697,8 +731,12 @@ impl FabricSnapshot {
         }
         let mut topo = (*self.topo).clone();
         topo.deactivate(l);
-        let repaired = repair_trees(&topo, &self.routes, &self.pathdb, &affected)
-            .and_then(|r| self.pathdb.patched(&topo, &r, &affected));
+        let repaired =
+            repair_trees(&topo, &self.routes, &self.pathdb, affected.clone()).and_then(|delta| {
+                let mut routes = (*self.routes).clone();
+                delta.apply(&mut routes);
+                self.pathdb.patched(&topo, &routes, &affected)
+            });
         match repaired {
             Ok(db) => Ok(WhatIfReport {
                 link: l,
@@ -915,6 +953,26 @@ mod tests {
         // Rolled back: cable active again and routing state restored.
         assert!(sm.topo().is_active(isl));
         assert!(sm.routes().is_some());
+    }
+
+    #[test]
+    fn failed_commit_restores_the_replaced_entries() {
+        let mut sm = SubnetManager::new(hx(), Box::new(Sssp::default()));
+        sm.verify = false;
+        sm.sweep().unwrap();
+        let before = sm.routes().unwrap().clone();
+        // A delta that strands every switch's route to LID 1: the path
+        // store rejects it after the entries were rewritten in place.
+        let delta = LftDelta {
+            entries: sm.topo().switches().map(|s| (s, 1, None)).collect(),
+            touched: vec![1],
+        };
+        let sp = sm.begin_patch_span("reroute", "engine", SpanCtx::none());
+        let res = sm.commit_patch(delta, "reroute", sp, std::time::Instant::now());
+        assert!(matches!(res, Err(RouteError::NoRoute { lid: 1, .. })));
+        assert!(sm.routes().unwrap().lft_eq(&before));
+        assert_eq!(sm.epoch(), 1);
+        assert_eq!(sm.pathdb().unwrap().epoch(), 1);
     }
 
     #[test]

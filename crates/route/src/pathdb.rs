@@ -168,14 +168,21 @@ impl PathDb {
 
     /// Incremental patch: recomputes only the columns of `affected` LIDs
     /// from (repaired) forwarding state, copies every other column verbatim,
-    /// and bumps the epoch. The LID layout must be unchanged.
+    /// and bumps the epoch. The LID layout must be unchanged
+    /// ([`RouteError::LidLayoutChanged`] otherwise), and every affected LID
+    /// must lie inside it ([`RouteError::UnknownLid`] otherwise).
     pub fn patched(
         &self,
         topo: &Topology,
         routes: &Routes,
         affected: &[Lid],
     ) -> Result<PathDb, RouteError> {
-        assert_eq!(routes.lid_space(), self.lid_space, "LID layout changed");
+        if routes.lid_space() != self.lid_space {
+            return Err(RouteError::LidLayoutChanged {
+                expected: self.lid_space,
+                found: routes.lid_space(),
+            });
+        }
         let s = self.num_switches;
         let src_switches: Vec<SwitchId> = topo
             .switches()
@@ -183,31 +190,45 @@ impl PathDb {
             .collect();
         let mut is_affected = vec![false; self.lid_space];
         for &l in affected {
-            is_affected[l as usize] = true;
+            *is_affected
+                .get_mut(l as usize)
+                .ok_or(RouteError::UnknownLid(l))? = true;
+        }
+        // Rebuild the affected columns first: their lengths fix the new
+        // store's size before anything is copied, so the tables are
+        // allocated once at their exact size. A hop table that outgrows
+        // its capacity doubles, and on 8x8x8:t8 that passes the 32 MB
+        // above which glibc maps (and the kernel faults in) every block
+        // afresh.
+        let mut fresh: Vec<(usize, Column)> = Vec::with_capacity(affected.len());
+        let mut total = self.isl_hops.len();
+        for lid in (0..self.lid_space).filter(|&l| is_affected[l]) {
+            let owner = routes
+                .lid_map
+                .owner(lid as Lid)
+                .ok_or(RouteError::UnknownLid(lid as Lid))?;
+            let col = build_column(topo, routes, &src_switches, lid as Lid, owner)?;
+            total =
+                total + col.1.len() - (self.offsets[lid * s + s] - self.offsets[lid * s]) as usize;
+            fresh.push((lid, col));
         }
         let mut offsets = Vec::with_capacity(self.offsets.len());
         offsets.push(0u32);
-        let mut isl_hops: Vec<DirLink> = Vec::with_capacity(self.isl_hops.len());
-        #[allow(clippy::needless_range_loop)] // lid also scales offset math
+        let mut isl_hops: Vec<DirLink> = Vec::with_capacity(total);
+        let mut fresh = fresh.into_iter().peekable();
         for lid in 0..self.lid_space {
-            if is_affected[lid] {
-                let owner = routes
-                    .lid_map
-                    .owner(lid as Lid)
-                    .ok_or(RouteError::UnknownLid(lid as Lid))?;
-                let (lens, hops) = build_column(topo, routes, &src_switches, lid as Lid, owner)?;
+            if let Some((_, (lens, hops))) = fresh.next_if(|&(l, _)| l == lid) {
                 let mut run = *offsets.last().unwrap();
-                for &len in &lens {
+                offsets.extend(lens.iter().map(|&len| {
                     run += len;
-                    offsets.push(run);
-                }
+                    run
+                }));
                 isl_hops.extend_from_slice(&hops);
             } else {
                 let base = self.offsets[lid * s];
                 let shift = *offsets.last().unwrap() as i64 - base as i64;
-                for i in 1..=s {
-                    offsets.push((self.offsets[lid * s + i] as i64 + shift) as u32);
-                }
+                let column = &self.offsets[lid * s + 1..=lid * s + s];
+                offsets.extend(column.iter().map(|&o| (o as i64 + shift) as u32));
                 let end = self.offsets[lid * s + s];
                 isl_hops.extend_from_slice(&self.isl_hops[base as usize..end as usize]);
             }
@@ -406,27 +427,36 @@ impl PathDb {
 
     /// Aggregate hop statistics over every (source node, destination LID)
     /// pair, excluding self-sends — the stats `verify_paths` reports.
+    ///
+    /// Every node on a switch shares that switch's path, so each owned
+    /// LID's column is read once, contiguously, and each `(switch, LID)`
+    /// entry counts for the switch's attached nodes — one fewer on the
+    /// owner's switch, whose owner would be a self-send.
     pub fn stats(&self) -> PathStats {
         let mut pairs = 0usize;
         let mut max = 0usize;
         let mut sum = 0u64;
         let mut hist = vec![0usize; 8];
         let s = self.num_switches;
-        for (n, &sw) in self.node_sw.iter().enumerate() {
-            for lid in 0..self.lid_space {
-                let o = self.owner[lid];
-                if o == u32::MAX || o == n as u32 {
+        for (lid, &o) in self.owner.iter().enumerate() {
+            if o == u32::MAX {
+                continue;
+            }
+            let owner_sw = self.node_sw[o as usize] as usize;
+            let column = &self.offsets[lid * s..=lid * s + s];
+            for (sw, (ends, &at)) in column.windows(2).zip(&self.nodes_at).enumerate() {
+                let senders = (at - u32::from(sw == owner_sw)) as usize;
+                if senders == 0 {
                     continue;
                 }
-                let i = lid * s + sw as usize;
-                let h = (self.offsets[i + 1] - self.offsets[i]) as usize;
-                pairs += 1;
-                sum += h as u64;
+                let h = (ends[1] - ends[0]) as usize;
+                pairs += senders;
+                sum += (h * senders) as u64;
                 max = max.max(h);
                 if h >= hist.len() {
                     hist.resize(h + 1, 0);
                 }
-                hist[h] += 1;
+                hist[h] += senders;
             }
         }
         PathStats {
@@ -537,6 +567,34 @@ mod tests {
         // Re-deriving *every* column must also be a fixed point.
         let all: Vec<Lid> = r.lid_map.lids().map(|(l, _)| l).collect();
         assert!(db.patched(&t, &r, &all).unwrap().content_eq(&db));
+    }
+
+    #[test]
+    fn patched_rejects_a_changed_lid_layout() {
+        let t = hx();
+        let r = MinHop::default().route(&t).unwrap();
+        let db = PathDb::build(&t, &r, 1, 1).unwrap();
+        let t1 = HyperXConfig::new(vec![4, 4], 1).build();
+        let r1 = MinHop::default().route(&t1).unwrap();
+        assert_eq!(
+            db.patched(&t1, &r1, &[]),
+            Err(RouteError::LidLayoutChanged {
+                expected: r.lid_space(),
+                found: r1.lid_space(),
+            })
+        );
+    }
+
+    #[test]
+    fn patched_rejects_an_out_of_range_lid() {
+        let t = hx();
+        let r = MinHop::default().route(&t).unwrap();
+        let db = PathDb::build(&t, &r, 1, 1).unwrap();
+        let past = db.lid_space() as Lid;
+        assert_eq!(
+            db.patched(&t, &r, &[1, past]),
+            Err(RouteError::UnknownLid(past))
+        );
     }
 
     #[test]

@@ -70,36 +70,42 @@ proptest! {
     /// FT-HyperX's engine-owned `on_fail`/`on_recover` deltas leave the
     /// manager's live LFTs bit-identical to a from-scratch sweep of the
     /// faulted lattice, across random fail/recover interleavings. Even a
-    /// rolled-back (disconnecting) failure must leave the state exact.
+    /// rolled-back (disconnecting) failure must leave the state exact. The
+    /// 3-D lattice hosts three nodes per switch, so one event patches
+    /// several LIDs from the same destination-switch tree.
     #[test]
     fn ft_hyperx_engine_repair_tracks_full_resweep(
         t in 1u32..3,
         ops in proptest::collection::vec((0u8..=255, 0usize..10_000), 1..12),
     ) {
-        let topo = HyperXConfig::new(vec![4, 4], t).build();
-        let mut sm = SubnetManager::new(topo, Box::new(FtHyperX::default()));
-        sm.verify = false;
-        sm.sweep().unwrap();
-        prop_assert!(sm.engine_owns_repair(), "FT-HyperX must expose IncrementalRepair");
-        for &(sel, k) in &ops {
-            let down = inactive_isls(sm.topo());
-            let outcome = if sel % 2 == 1 && !down.is_empty() {
-                sm.recover_link(down[k % down.len()])
-            } else {
-                let up = active_isls(sm.topo());
-                if up.is_empty() {
-                    break;
-                }
-                sm.fail_link(up[k % up.len()])
-            };
-            let fresh = FtHyperX::default()
-                .route(sm.topo())
-                .map_err(|e| TestCaseError::Fail(format!("fresh sweep failed: {e}")))?;
-            prop_assert!(
-                sm.routes().unwrap().lft_eq(&fresh),
-                "engine-patched LFTs diverge from a from-scratch sweep (outcome {:?})",
-                outcome.map(|r| r.incremental)
-            );
+        for topo in [
+            HyperXConfig::new(vec![4, 4], t).build(),
+            HyperXConfig::new(vec![4, 2, 2], 3).build(),
+        ] {
+            let mut sm = SubnetManager::new(topo, Box::new(FtHyperX::default()));
+            sm.verify = false;
+            sm.sweep().unwrap();
+            prop_assert!(sm.engine_owns_repair(), "FT-HyperX must expose IncrementalRepair");
+            for &(sel, k) in &ops {
+                let down = inactive_isls(sm.topo());
+                let outcome = if sel % 2 == 1 && !down.is_empty() {
+                    sm.recover_link(down[k % down.len()])
+                } else {
+                    let up = active_isls(sm.topo());
+                    if up.is_empty() {
+                        break;
+                    }
+                    sm.fail_link(up[k % up.len()])
+                };
+                let fresh = FtHyperX::default()
+                    .route(sm.topo())
+                    .map_err(|e| TestCaseError::Fail(format!("fresh sweep failed: {e}")))?;
+                prop_assert!(
+                    sm.routes().unwrap().lft_eq(&fresh),
+                    "engine-patched LFTs diverge from a from-scratch sweep (outcome {:?})",
+                    outcome.map(|r| r.incremental)
+                );
+            }
         }
     }
 

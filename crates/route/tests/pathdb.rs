@@ -6,12 +6,16 @@
 //! The from-scratch rebuild refuses any path that traverses a deactivated
 //! cable, so these properties also prove the affected-tree computation is
 //! complete: a single destination tree left unrepaired fails the rebuild.
+//!
+//! `PathDb::stats` is checked against a per-pair count through
+//! `node_path` that shares no code with it, on fresh and patched stores.
 
 use hxroute::engines::{
     Dfsssp, FatPaths, FtHyperX, Ftree, Lash, MinHop, Parx, RoutingEngine, Sssp, UpDown,
 };
-use hxroute::{PathDb, SubnetManager};
+use hxroute::{Lid, PathDb, PathStats, SubnetManager};
 use hxtopo::fattree::{FatTreeConfig, Stage};
+use hxtopo::faults::{FaultCount, FaultPlan};
 use hxtopo::hyperx::HyperXConfig;
 use hxtopo::{LinkClass, LinkId, Topology};
 use proptest::prelude::*;
@@ -163,8 +167,120 @@ fn check_churn_sequence(
     Ok(())
 }
 
+/// Reference for [`PathDb::stats`]: one count per (source node,
+/// destination LID) pair, read through [`PathDb::node_path`] (terminal
+/// hops included, self-sends empty, unowned LIDs `None`).
+fn stats_oracle(topo: &Topology, db: &PathDb) -> PathStats {
+    let (mut pairs, mut sum, mut max) = (0usize, 0u64, 0usize);
+    let mut hist = vec![0usize; 8];
+    for src in topo.nodes() {
+        for lid in 0..db.lid_space() as Lid {
+            let Some(path) = db.node_path(src, lid) else {
+                continue;
+            };
+            if path.is_empty() {
+                continue;
+            }
+            let h = path.len() - 2;
+            pairs += 1;
+            sum += h as u64;
+            max = max.max(h);
+            if h >= hist.len() {
+                hist.resize(h + 1, 0);
+            }
+            hist[h] += 1;
+        }
+    }
+    PathStats {
+        pairs,
+        max_isl_hops: max,
+        avg_isl_hops: if pairs == 0 {
+            0.0
+        } else {
+            sum as f64 / pairs as f64
+        },
+        hist,
+    }
+}
+
+/// `topo` with `faults` random ISLs removed (seeded).
+fn faulted(mut topo: Topology, faults: usize, seed: u64) -> Topology {
+    FaultPlan {
+        count: FaultCount::Absolute(faults),
+        class: None,
+        seed,
+    }
+    .apply(&mut topo);
+    topo
+}
+
+/// Checks `stats()` against the oracle on a fresh sweep of `topo`. A
+/// fault set that leaves the engine no route is skipped.
+fn check_stats(topo: &Topology, engine: &dyn RoutingEngine) -> Result<(), TestCaseError> {
+    let Ok(routes) = engine.route(topo) else {
+        return Ok(());
+    };
+    let Ok(db) = PathDb::build(topo, &routes, 1, 1) else {
+        return Ok(());
+    };
+    prop_assert_eq!(db.stats(), stats_oracle(topo, &db), "{}", engine.name());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `stats()` equals the per-pair oracle on faulted HyperX (MinHop,
+    /// DFSSSP), on PARX's LMC > 0 LID space (unowned LIDs), and on the
+    /// degraded fat-tree (switches without nodes).
+    #[test]
+    fn stats_match_per_pair_oracle(
+        shape in 0usize..4,
+        faults in 0usize..8,
+        seed in 0u64..1_000_000,
+    ) {
+        let spec = ["4x4:t2", "4x3:t1", "3x2x2:t2", "4x4:t3"][shape];
+        let hx = faulted(HyperXConfig::parse_spec(spec).unwrap().build(), faults, seed);
+        check_stats(&hx, &MinHop::default())?;
+        check_stats(&hx, &Dfsssp::default())?;
+        let even = faulted(HyperXConfig::new(vec![4, 4], 2).build(), faults, seed);
+        check_stats(&even, &Parx::default())?;
+        let ft = faulted(mini_fattree(), faults, seed);
+        check_stats(&ft, &Sssp::default())?;
+    }
+
+    /// `stats()` equals the oracle on every store `patched` returns along
+    /// a random fail/recover sequence.
+    #[test]
+    fn patched_stats_match_per_pair_oracle(
+        ops in proptest::collection::vec((0u8..=255, 0usize..10_000), 1..8),
+    ) {
+        let engines: [Box<dyn RoutingEngine>; 3] = [
+            Box::new(MinHop::default()),
+            Box::new(FtHyperX::default()),
+            Box::new(Parx::default()),
+        ];
+        for engine in engines {
+            let mut sm = SubnetManager::new(HyperXConfig::new(vec![4, 4], 2).build(), engine);
+            sm.verify = false;
+            sm.sweep().unwrap();
+            for &(sel, k) in &ops {
+                let down = inactive_isls(sm.topo());
+                let report = if sel % 2 == 1 && !down.is_empty() {
+                    sm.recover_link(down[k % down.len()])
+                } else {
+                    let up = active_isls(sm.topo());
+                    sm.fail_link(up[k % up.len()])
+                };
+                let db = sm.pathdb().unwrap();
+                let oracle = stats_oracle(sm.topo(), db);
+                prop_assert_eq!(&db.stats(), &oracle);
+                if let Ok(r) = report {
+                    prop_assert_eq!(r.paths, oracle);
+                }
+            }
+        }
+    }
 
     /// Incremental patching equals a from-scratch resweep extraction on
     /// HyperX planes, for every engine and any ISL fault sequence.
