@@ -3,7 +3,7 @@
 //! scale, plus workload-skeleton evaluation cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hxmpi::{estimate, Fabric, Placement, Pml, RoundProgram, ScheduleBuilder};
+use hxmpi::{estimate, Fabric, Placement, Pml, RoundProgram};
 use hxroute::engines::{Dfsssp, Parx, RoutingEngine};
 use hxroute::Routes;
 use hxsim::{NetParams, Simulator};
@@ -79,9 +79,9 @@ fn exact_des(c: &mut Criterion) {
     let f = fabric(&topo, &routes, n);
     g.bench_function("alltoall_256KiB_32r", |b| {
         b.iter(|| {
-            let mut sb = ScheduleBuilder::new(n);
-            sb.alltoall(256 << 10);
-            Simulator::new(&topo, &f, NetParams::qdr()).run(&sb.build())
+            let mut rp = RoundProgram::new(n);
+            rp.alltoall(256 << 10);
+            Simulator::new(&topo, &f, NetParams::qdr()).run(&rp.lower())
         })
     });
     g.finish();

@@ -3,7 +3,7 @@
 //! model must be cheap enough for 672-node sweeps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hxmpi::{Fabric, Placement, Pml, ScheduleBuilder};
+use hxmpi::{Fabric, Placement, Pml, RoundProgram};
 use hxroute::engines::{Dfsssp, RoutingEngine};
 use hxroute::DirLink;
 use hxsim::flow::{directed_capacities, max_min_rates, FlowSpec};
@@ -113,10 +113,10 @@ fn des_churn(c: &mut Criterion) {
     let (topo, routes) = faulted_t2_hyperx();
     let nodes: Vec<NodeId> = topo.nodes().collect();
     let n = 64;
-    let mut sb = ScheduleBuilder::new(n);
-    sb.alltoall(4096);
-    sb.allreduce(1 << 16);
-    let program = sb.build();
+    let mut rp = RoundProgram::new(n);
+    rp.alltoall(4096);
+    rp.allreduce(1 << 16);
+    let program = rp.lower();
     let mut g = c.benchmark_group("sim/des_churn");
     g.sample_size(10);
     for kind in [SolverKind::Exact, SolverKind::Incremental] {

@@ -497,7 +497,7 @@ impl ServiceReader<'_> {
                 })
             }
             Query::Stats => {
-                let s = snap.pathdb().stats();
+                let s = snap.stats();
                 Ok(Answer::Stats {
                     epoch,
                     engine: snap.engine(),

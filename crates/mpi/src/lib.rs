@@ -13,10 +13,11 @@
 //!   [`hxsim::PathResolver`],
 //! * [`rail`] — NIC rail selection over K fabric planes (round-robin,
 //!   flow-hash, least-loaded) with plane-failover health masking,
-//! * [`coll`] — collective algorithm schedules (binomial, recursive
-//!   doubling, ring, Bruck, pairwise...) compiled to per-rank programs,
-//! * [`rounds`] — the round-synchronous fast evaluator for full-system
-//!   sweeps, plus the DAL-style adaptive-routing model.
+//! * [`rounds`] — collective algorithm schedules (binomial, recursive
+//!   doubling, ring, Bruck, pairwise...) as round programs; the
+//!   round-synchronous fast evaluator for full-system sweeps; their
+//!   lowering to per-rank programs for the exact DES; and the DAL-style
+//!   adaptive-routing model.
 //!
 //! # Example
 //!
@@ -45,14 +46,12 @@
 //! assert!(seconds > 0.0 && seconds < 0.1);
 //! ```
 
-pub mod coll;
 pub mod fabric;
 pub mod placement;
 pub mod pml;
 pub mod rail;
 pub mod rounds;
 
-pub use coll::ScheduleBuilder;
 pub use fabric::Fabric;
 pub use placement::Placement;
 pub use pml::Pml;

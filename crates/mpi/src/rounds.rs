@@ -11,10 +11,29 @@
 //! ([`hxsim::bottleneck_round_time`]).
 //!
 //! A [`RoundProgram`] is a list of [`Phase`]s (exchanges or compute), with
-//! generators mirroring the algorithms of [`crate::coll`], including
-//! subgroup (`*_among`) variants used by the proxy applications'
+//! generators for the classic algorithms of MPICH/Open MPI's tuned modules
+//! — the algorithm families of the paper's Open MPI 1.10 stack:
+//!
+//! * Barrier — dissemination,
+//! * Bcast — binomial tree; van de Geijn (scatter + ring allgather) for
+//!   large payloads,
+//! * Gather / Scatter — binomial trees with subtree-sized payloads,
+//! * Reduce — binomial tree (+ reduction compute),
+//! * Allreduce — recursive doubling (small, power-of-two) or ring
+//!   (reduce-scatter + allgather; also Baidu's DeepBench algorithm),
+//! * Allgather — recursive doubling (small, power-of-two) or ring,
+//! * Alltoall — Bruck (small) or pairwise exchange,
+//!
+//! plus subgroup (`*_among`) variants used by the proxy applications'
 //! sub-communicators. [`estimate`] evaluates a program over a routed
 //! [`Fabric`] in milliseconds of CPU time even at 672 ranks.
+//!
+//! # One schedule, two pricers
+//!
+//! [`RoundProgram::lower`] turns the same program into per-rank
+//! send/receive/compute lists for the exact discrete-event simulator
+//! ([`hxsim::Simulator`]), so the DES checks the round model on exactly
+//! the schedule the harnesses price.
 //!
 //! # Shared exchanges
 //!
@@ -40,8 +59,26 @@
 use crate::fabric::Fabric;
 use hxroute::DirLink;
 use hxsim::flow::directed_capacities;
-use hxsim::NetParams;
+use hxsim::{NetParams, Op, Program};
+use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Reduction compute cost (seconds per byte): memory-bound streaming
+/// add on the Westmere-generation hosts (~4 GB/s effective for
+/// read-read-write).
+pub const REDUCE_SEC_PER_BYTE: f64 = 0.25e-9;
+
+/// Payload threshold above which Bcast switches to van de Geijn.
+pub const BCAST_LARGE: u64 = 128 * 1024;
+
+/// Payload threshold above which Allreduce switches to the ring algorithm.
+pub const ALLREDUCE_LARGE: u64 = 16 * 1024;
+
+/// Per-pair payload threshold below which Alltoall uses Bruck.
+pub const ALLTOALL_SMALL: u64 = 256;
+
+/// Total-payload threshold below which Allgather uses recursive doubling.
+pub const ALLGATHER_SMALL: u64 = 8 * 1024;
 
 /// One message: `(source rank, destination rank, bytes)`.
 pub type Msg = (usize, usize, u64);
@@ -84,6 +121,49 @@ impl RoundProgram {
                 Phase::Compute(_) => 0,
             })
             .sum()
+    }
+
+    /// Lowers the program to per-rank operation lists for the exact
+    /// discrete-event simulator. Each exchange becomes every rank's sends,
+    /// then its receives, under a fresh tag range: the `k`-th copy of a
+    /// `(src, dst)` pair within one exchange gets the range's `k`-th tag,
+    /// so duplicate pairs still match one to one. Each compute phase
+    /// becomes a compute op on every rank.
+    pub fn lower(&self) -> Program {
+        let mut prog = Program::new(self.n);
+        let mut recvs: Vec<Vec<Op>> = vec![Vec::new(); self.n];
+        let mut copies: HashMap<(usize, usize), u32> = HashMap::new();
+        let mut tag = 0u32;
+        for phase in &self.phases {
+            match phase {
+                Phase::Compute(s) => {
+                    for ops in &mut prog.ops {
+                        ops.push(Op::Compute(*s));
+                    }
+                }
+                Phase::Exchange(msgs) => {
+                    copies.clear();
+                    let mut width = 1u32;
+                    for &(src, dst, bytes) in msgs.iter() {
+                        let k = copies.entry((src, dst)).or_insert(0);
+                        let t = tag + *k;
+                        *k += 1;
+                        width = width.max(*k);
+                        prog.ops[src].push(Op::Send {
+                            to: dst,
+                            bytes,
+                            tag: t,
+                        });
+                        recvs[dst].push(Op::Recv { from: src, tag: t });
+                    }
+                    for (ops, rs) in prog.ops.iter_mut().zip(&mut recvs) {
+                        ops.append(rs);
+                    }
+                    tag += width;
+                }
+            }
+        }
+        prog
     }
 
     /// Appends an exchange phase.
@@ -165,7 +245,8 @@ impl RoundProgram {
         self.record("reduce", before);
     }
 
-    /// Allreduce with the same algorithm selection as [`crate::coll`].
+    /// Allreduce: recursive doubling below [`ALLREDUCE_LARGE`] on
+    /// power-of-two ranks, ring otherwise.
     pub fn allreduce(&mut self, bytes: u64) {
         let before = self.phases.len();
         self.allreduce_among(&self.all(), bytes);
@@ -222,13 +303,13 @@ impl RoundProgram {
     }
 
     /// Binomial broadcast among `g`; van de Geijn above
-    /// [`crate::coll::BCAST_LARGE`].
+    /// [`BCAST_LARGE`].
     pub fn bcast_among(&mut self, g: &[usize], root: usize, bytes: u64) {
         let m = g.len();
         if m < 2 {
             return;
         }
-        if bytes >= crate::coll::BCAST_LARGE && m > 2 {
+        if bytes >= BCAST_LARGE && m > 2 {
             let chunk = bytes.div_ceil(m as u64);
             self.scatter_among(g, root, chunk);
             self.allgather_ring_among(g, chunk);
@@ -307,9 +388,6 @@ impl RoundProgram {
                 vr += 2 * d;
             }
             self.exchange(msgs);
-            if d == 0 {
-                break;
-            }
             d >>= 1;
         }
     }
@@ -336,7 +414,7 @@ impl RoundProgram {
                 vr += d;
             }
             self.exchange(msgs);
-            self.compute(bytes as f64 * crate::coll::REDUCE_SEC_PER_BYTE);
+            self.compute(bytes as f64 * REDUCE_SEC_PER_BYTE);
             k += 1;
         }
     }
@@ -348,11 +426,11 @@ impl RoundProgram {
         if m < 2 {
             return;
         }
-        if bytes < crate::coll::ALLREDUCE_LARGE && m.is_power_of_two() {
+        if bytes < ALLREDUCE_LARGE && m.is_power_of_two() {
             for k in 0..m.trailing_zeros() as usize {
                 let d = 1usize << k;
                 self.exchange((0..m).map(|i| (g[i], g[i ^ d], bytes)).collect());
-                self.compute(bytes as f64 * crate::coll::REDUCE_SEC_PER_BYTE);
+                self.compute(bytes as f64 * REDUCE_SEC_PER_BYTE);
             }
         } else {
             self.allreduce_ring_among(g, bytes);
@@ -370,7 +448,7 @@ impl RoundProgram {
         for s in 0..2 * (m - 1) {
             self.exchange_shared(&step);
             if s < m - 1 {
-                self.compute(chunk as f64 * crate::coll::REDUCE_SEC_PER_BYTE);
+                self.compute(chunk as f64 * REDUCE_SEC_PER_BYTE);
             }
         }
     }
@@ -382,7 +460,7 @@ impl RoundProgram {
         if m < 2 {
             return;
         }
-        if bytes * m as u64 <= crate::coll::ALLGATHER_SMALL && m.is_power_of_two() {
+        if bytes * m as u64 <= ALLGATHER_SMALL && m.is_power_of_two() {
             for k in 0..m.trailing_zeros() as usize {
                 let d = 1usize << k;
                 let payload = bytes << k;
@@ -405,8 +483,10 @@ impl RoundProgram {
         }
     }
 
-    /// Ring reduce-scatter among `g` (cf.
-    /// [`crate::coll::ScheduleBuilder::reduce_scatter_ring`]).
+    /// Ring reduce-scatter among `g`: each member ends up with the
+    /// reduction of its `bytes_per_block` block — the first half of the
+    /// ring allreduce, used standalone by Graph500's distributed frontier
+    /// reduction (Table 2).
     pub fn reduce_scatter_ring_among(&mut self, g: &[usize], bytes_per_block: u64) {
         let m = g.len();
         if m < 2 {
@@ -415,7 +495,7 @@ impl RoundProgram {
         let step = Self::ring_step(g, bytes_per_block);
         for _ in 0..m - 1 {
             self.exchange_shared(&step);
-            self.compute(bytes_per_block as f64 * crate::coll::REDUCE_SEC_PER_BYTE);
+            self.compute(bytes_per_block as f64 * REDUCE_SEC_PER_BYTE);
         }
     }
 
@@ -424,14 +504,14 @@ impl RoundProgram {
         self.reduce_scatter_ring_among(&self.all(), bytes_per_block);
     }
 
-    /// Alltoall among `g` (Bruck below [`crate::coll::ALLTOALL_SMALL`],
+    /// Alltoall among `g` (Bruck below [`ALLTOALL_SMALL`],
     /// pairwise otherwise).
     pub fn alltoall_among(&mut self, g: &[usize], bytes: u64) {
         let m = g.len();
         if m < 2 {
             return;
         }
-        if bytes <= crate::coll::ALLTOALL_SMALL {
+        if bytes <= ALLTOALL_SMALL {
             let rounds = usize::BITS as usize - (m - 1).leading_zeros() as usize;
             for k in 0..rounds {
                 let pk = 1usize << k;
@@ -465,7 +545,7 @@ impl RoundProgram {
             let d = m >> (k + 1);
             let payload = (bytes >> (k + 1)).max(1);
             self.exchange((0..m).map(|i| (g[i], g[i ^ d], payload)).collect());
-            self.compute(payload as f64 * crate::coll::REDUCE_SEC_PER_BYTE);
+            self.compute(payload as f64 * REDUCE_SEC_PER_BYTE);
         }
         // Allgather: payload doubles every round.
         for k in (0..rounds).rev() {
@@ -812,6 +892,13 @@ mod tests {
         .expect("routable fabric")
     }
 
+    /// Runs `rp` lowered in the exact DES over `f`.
+    fn des(t: &Topology, f: &Fabric<'_>, rp: &RoundProgram) -> f64 {
+        Simulator::new(t, f, NetParams::qdr())
+            .run(&rp.lower())
+            .makespan
+    }
+
     #[test]
     fn estimate_tracks_des_for_barrier() {
         let (t, r) = setup();
@@ -820,12 +907,7 @@ mod tests {
         let mut rp = RoundProgram::new(n);
         rp.barrier();
         let est = estimate(&f, &rp);
-
-        let mut sb = crate::coll::ScheduleBuilder::new(n);
-        sb.barrier();
-        let des = Simulator::new(&t, &f, NetParams::qdr())
-            .run(&sb.build())
-            .makespan;
+        let des = des(&t, &f, &rp);
         // Round model and DES agree within 2x for latency-bound patterns.
         assert!(est > 0.5 * des && est < 2.0 * des, "est {est} des {des}");
     }
@@ -835,52 +917,229 @@ mod tests {
         let (t, r) = setup();
         let n = 16;
         let f = fabric(&t, &r, n);
-        let bytes = 1u64 << 18;
         let mut rp = RoundProgram::new(n);
-        rp.alltoall(bytes);
+        rp.alltoall(1 << 18);
         let est = estimate(&f, &rp);
-
-        let mut sb = crate::coll::ScheduleBuilder::new(n);
-        sb.alltoall(bytes);
-        let des = Simulator::new(&t, &f, NetParams::qdr())
-            .run(&sb.build())
-            .makespan;
+        let des = des(&t, &f, &rp);
         assert!(est > 0.4 * des && est < 2.5 * des, "est {est} des {des}");
     }
 
+    /// The 4x4 HyperX with one node per switch, for the DES checks of the
+    /// lowered schedules.
+    fn des_setup() -> (Topology, Routes) {
+        let t = HyperXConfig::new(vec![4, 4], 1).build();
+        let r = Dfsssp::default().route(&t).unwrap();
+        (t, r)
+    }
+
+    /// DES makespan of `rp` on [`des_setup`]'s fabric.
+    fn run(t: &Topology, r: &Routes, rp: &RoundProgram) -> f64 {
+        des(t, &fabric(t, r, rp.n), rp)
+    }
+
+    /// Bytes of every lowered send to rank `to` (`None` = any rank).
+    fn sent_bytes(p: &Program, to: Option<usize>) -> u64 {
+        p.ops
+            .iter()
+            .flatten()
+            .filter_map(|o| match *o {
+                Op::Send { to: d, bytes, .. } if to.is_none_or(|t| t == d) => Some(bytes),
+                _ => None,
+            })
+            .sum()
+    }
+
     #[test]
-    fn message_counts_match_schedule_builder() {
-        for n in [5usize, 8, 13, 16] {
+    fn barrier_scales_logarithmically() {
+        let (t, r) = des_setup();
+        let mut times = Vec::new();
+        for n in [2usize, 4, 8, 16] {
             let mut rp = RoundProgram::new(n);
             rp.barrier();
-            rp.bcast(0, 1024);
-            rp.gather(0, 512);
-            rp.scatter(0, 512);
-            rp.reduce(0, 2048);
-            rp.allreduce(1024);
-            rp.allreduce(1 << 20);
-            rp.allgather(100_000);
-            rp.alltoall(64);
-            rp.alltoall(8192);
-
-            let mut sb = crate::coll::ScheduleBuilder::new(n);
-            sb.barrier();
-            sb.bcast(0, 1024);
-            sb.gather(0, 512);
-            sb.scatter(0, 512);
-            sb.reduce(0, 2048);
-            sb.allreduce(1024);
-            sb.allreduce(1 << 20);
-            sb.allgather(100_000);
-            sb.alltoall(64);
-            sb.alltoall(8192);
-
-            assert_eq!(
-                rp.num_messages(),
-                sb.build().num_messages(),
-                "n={n}: round model diverges from schedule"
-            );
+            times.push(run(&t, &r, &rp));
         }
+        // Monotone in rounds and within ~per-round bounds.
+        assert!(times[0] < times[1] && times[1] < times[2] && times[2] < times[3]);
+        // 16 ranks = 4 rounds: latency under 4x a generous per-round bound.
+        assert!(times[3] < 4.0 * 10e-6, "{times:?}");
+    }
+
+    #[test]
+    fn barrier_message_count() {
+        let mut rp = RoundProgram::new(10);
+        rp.barrier();
+        // ceil(log2 10) = 4 rounds x 10 ranks.
+        assert_eq!(rp.lower().num_messages(), 40);
+    }
+
+    #[test]
+    fn bcast_binomial_message_count() {
+        let mut rp = RoundProgram::new(16);
+        rp.bcast(0, 1024);
+        // A broadcast reaches 15 ranks with exactly 15 messages.
+        assert_eq!(rp.lower().num_messages(), 15);
+    }
+
+    #[test]
+    fn bcast_nonzero_root_completes() {
+        let (t, r) = des_setup();
+        for root in [0usize, 3, 15] {
+            let mut rp = RoundProgram::new(16);
+            rp.bcast(root, 4096);
+            let m = run(&t, &r, &rp);
+            assert!(m > 0.0 && m < 1.0);
+        }
+    }
+
+    #[test]
+    fn large_bcast_uses_van_de_geijn() {
+        let mut rp = RoundProgram::new(8);
+        rp.bcast(0, 1 << 20);
+        // scatter (7 msgs) + ring allgather (8 * 7 msgs) = 63.
+        assert_eq!(rp.lower().num_messages(), 63);
+    }
+
+    #[test]
+    fn gather_and_scatter_complete_any_n() {
+        let (t, r) = des_setup();
+        for n in [3usize, 7, 12, 16] {
+            for root in [0usize, n - 1] {
+                let mut rp = RoundProgram::new(n);
+                rp.gather(root, 1024);
+                rp.scatter(root, 1024);
+                let m = run(&t, &r, &rp);
+                assert!(m > 0.0, "n={n} root={root}");
+            }
+        }
+    }
+
+    #[test]
+    fn gather_root_receives_all_data() {
+        // Binomial gather: every rank's block crosses towards root once
+        // per tree edge; the three direct children of root deliver all 7.
+        let mut rp = RoundProgram::new(8);
+        rp.gather(0, 100);
+        let p = rp.lower();
+        assert_eq!(sent_bytes(&p, Some(0)), 700);
+        assert!(sent_bytes(&p, None) >= 700);
+    }
+
+    #[test]
+    fn allreduce_ring_bandwidth_shape() {
+        let (t, r) = des_setup();
+        // Large ring allreduce moves ~2*bytes per node: time must be close
+        // to 2 * bytes / cap for co-located ranks, far below n * bytes / cap.
+        let bytes = 8u64 << 20;
+        let mut rp = RoundProgram::new(8);
+        rp.allreduce_ring(bytes);
+        let m = run(&t, &r, &rp);
+        let cap = 3.4e9;
+        let lower = 2.0 * (7.0 / 8.0) * bytes as f64 / cap;
+        assert!(m >= lower * 0.9, "{m} vs {lower}");
+        assert!(m <= lower * 3.0, "{m} vs {lower}");
+    }
+
+    #[test]
+    fn allreduce_selects_algorithm() {
+        let count = |n: usize, bytes: u64| {
+            let mut rp = RoundProgram::new(n);
+            rp.allreduce(bytes);
+            rp.lower().num_messages()
+        };
+        // Recursive doubling: 3 rounds x 8 ranks = 24 msgs.
+        assert_eq!(count(8, 1024), 24);
+        // Ring: 14 steps x 8 = 112.
+        assert_eq!(count(8, 1 << 20), 112);
+        // Non-power-of-two falls back to ring: 10 steps x 6 = 60.
+        assert_eq!(count(6, 1024), 60);
+    }
+
+    #[test]
+    fn alltoall_pairwise_counts() {
+        let mut rp = RoundProgram::new(7);
+        rp.alltoall(4096);
+        assert_eq!(rp.lower().num_messages(), 7 * 6);
+    }
+
+    #[test]
+    fn alltoall_bruck_counts_and_volume() {
+        let n = 8usize;
+        let mut rp = RoundProgram::new(n);
+        rp.alltoall(64);
+        let p = rp.lower();
+        // log2(8) rounds, each carrying n/2 blocks.
+        assert_eq!(p.num_messages(), n * 3);
+        for o in p.ops.iter().flatten() {
+            if let Op::Send { bytes, .. } = o {
+                assert_eq!(*bytes, 4 * 64);
+            }
+        }
+    }
+
+    #[test]
+    fn alltoall_completes_on_non_power_of_two() {
+        let (t, r) = des_setup();
+        for n in [5usize, 11, 14] {
+            let mut rp = RoundProgram::new(n);
+            rp.alltoall(64); // bruck
+            rp.alltoall(8192); // pairwise
+            let m = run(&t, &r, &rp);
+            assert!(m > 0.0, "n={n}");
+        }
+    }
+
+    /// One ping-pong of `bytes` between ranks 0 and 1: two one-message
+    /// exchanges.
+    fn pingpong(bytes: u64) -> RoundProgram {
+        let mut rp = RoundProgram::new(2);
+        rp.exchange(vec![(0, 1, bytes)]);
+        rp.exchange(vec![(1, 0, bytes)]);
+        rp
+    }
+
+    #[test]
+    fn pingpong_latency_matches_params() {
+        let (t, r) = des_setup();
+        let m = run(&t, &r, &pingpong(0));
+        // One node per switch; the 2-D HyperX connects adjacent switches
+        // directly: 2 switches, 3 cables per direction.
+        let one_way = NetParams::qdr().base_latency(2, 3);
+        assert!((m - 2.0 * one_way).abs() < 1e-7, "{m}");
+    }
+
+    #[test]
+    fn multi_pingpong_is_concurrent() {
+        let (t, r) = des_setup();
+        let bytes = 1u64 << 20;
+        let t_one = run(&t, &r, &pingpong(bytes));
+        let mut many = RoundProgram::new(16);
+        many.multi_pingpong(bytes);
+        let t_many = run(&t, &r, &many);
+        // Eight concurrent pairs on disjoint terminal links should not take
+        // 8x one pair.
+        assert!(t_many < 4.0 * t_one, "{t_many} vs {t_one}");
+    }
+
+    #[test]
+    fn exchange_handles_duplicate_pairs() {
+        let (t, r) = des_setup();
+        let mut rp = RoundProgram::new(4);
+        rp.exchange(vec![(0, 1, 100), (0, 1, 200), (2, 3, 50)]);
+        let m = run(&t, &r, &rp);
+        assert!(m > 0.0);
+    }
+
+    #[test]
+    fn composed_schedule_runs_in_order() {
+        let (t, r) = des_setup();
+        let mut rp = RoundProgram::new(8);
+        rp.compute(1e-3);
+        rp.allreduce(4096);
+        rp.barrier();
+        rp.bcast(0, 4096);
+        let m = run(&t, &r, &rp);
+        assert!(m >= 1e-3);
+        assert!(m < 2e-3, "{m}");
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Property-based tests of the MPI layer: collective schedules are
-//! deadlock-free and complete for arbitrary rank counts and payloads;
-//! placements are injective; the round model matches the schedule builder.
+//! Property-based tests of the MPI layer: lowered collective schedules are
+//! deadlock-free, keep the round program's messages and complete in the
+//! exact DES for arbitrary rank counts and payloads; placements are
+//! injective.
 
-use hxmpi::{estimate, Fabric, Placement, Pml, RoundProgram, ScheduleBuilder};
+use hxmpi::{estimate, Fabric, Phase, Placement, Pml, RoundProgram};
 use hxroute::engines::{Dfsssp, RoutingEngine};
 use hxroute::Routes;
 use hxsim::{NetParams, Op, Simulator};
@@ -50,11 +51,53 @@ fn sends_match_recvs(prog: &hxsim::Program) -> bool {
     sends.values().all(|&v| v == 0)
 }
 
+/// Total bytes of the round program's messages.
+fn round_bytes(rp: &RoundProgram) -> u64 {
+    rp.phases
+        .iter()
+        .map(|p| match p {
+            Phase::Exchange(m) => m.iter().map(|&(_, _, b)| b).sum(),
+            Phase::Compute(_) => 0,
+        })
+        .sum()
+}
+
+/// Total bytes of the lowered program's sends.
+fn lowered_bytes(prog: &hxsim::Program) -> u64 {
+    prog.ops
+        .iter()
+        .flatten()
+        .map(|o| match *o {
+            Op::Send { bytes, .. } => bytes,
+            _ => 0,
+        })
+        .sum()
+}
+
+/// Lowers `rp` and checks it against the round program: every send has
+/// its receive, message count and bytes carry over, and the DES completes
+/// having moved exactly the round program's messages.
+fn check_lowering(rp: &RoundProgram) -> Result<(), TestCaseError> {
+    let prog = rp.lower();
+    prop_assert!(sends_match_recvs(&prog));
+    prop_assert_eq!(prog.num_messages(), rp.num_messages());
+    prop_assert_eq!(lowered_bytes(&prog), round_bytes(rp));
+
+    let f = fabric(rp.n);
+    let (t, _) = world();
+    let res = Simulator::new(t, &f, NetParams::qdr()).run(&prog);
+    prop_assert_eq!(res.messages, rp.num_messages());
+    prop_assert!(res.makespan > 0.0 && res.makespan.is_finite());
+    prop_assert!(res.finish.iter().all(|&x| x <= res.makespan));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every collective schedule completes in the exact DES for arbitrary
-    /// rank counts, roots and payloads, and its sends/recvs pair up.
+    /// Every full-communicator collective completes in the exact DES for
+    /// arbitrary rank counts, roots and payloads, with its lowered
+    /// sends/recvs paired up.
     #[test]
     fn collectives_complete(
         n in 2usize..20,
@@ -62,43 +105,54 @@ proptest! {
         bytes in 1u64..2_000_000,
     ) {
         let root = root_pick % n;
-        let mut sb = ScheduleBuilder::new(n);
-        sb.barrier();
-        sb.bcast(root, bytes);
-        sb.gather(root, bytes.min(65536));
-        sb.scatter(root, bytes.min(65536));
-        sb.reduce(root, bytes.min(65536));
-        sb.allreduce(bytes.min(1 << 20));
-        sb.allgather(bytes.min(65536));
-        sb.alltoall(bytes.min(65536));
-        sb.reduce_scatter_ring(bytes.min(65536));
-        let prog = sb.build();
-        prop_assert!(sends_match_recvs(&prog));
-
-        let f = fabric(n);
-        let (t, _) = world();
-        let res = Simulator::new(t, &f, NetParams::qdr()).run(&prog);
-        prop_assert!(res.makespan > 0.0 && res.makespan.is_finite());
-        prop_assert!(res.finish.iter().all(|&x| x <= res.makespan));
+        let mut rp = RoundProgram::new(n);
+        rp.barrier();
+        rp.bcast(root, bytes);
+        rp.gather(root, bytes.min(65536));
+        rp.scatter(root, bytes.min(65536));
+        rp.reduce(root, bytes.min(65536));
+        rp.allreduce(bytes.min(1 << 20));
+        rp.allgather(bytes.min(65536));
+        rp.alltoall(bytes.min(65536));
+        rp.reduce_scatter_ring(bytes.min(65536));
+        check_lowering(&rp)?;
     }
 
-    /// The round model and schedule builder produce identical message
-    /// counts for every collective at every rank count (they implement the
-    /// same algorithms).
+    /// The subgroup generators lower as faithfully: `*_among` collectives
+    /// on a random member subset, irregular alltoallv, concurrent
+    /// alltoalls over disjoint groups and Rabenseifner on a power-of-two
+    /// group.
     #[test]
-    fn round_model_message_parity(n in 2usize..33, bytes in 1u64..1_000_000) {
-        let mut sb = ScheduleBuilder::new(n);
+    fn subgroup_collectives_lower_faithfully(
+        n in 2usize..20,
+        member_mask in 3u32..(1 << 19),
+        root_pick in 0usize..20,
+        bytes in 1u64..200_000,
+        stride in 1usize..5,
+    ) {
+        let mut g: Vec<usize> = (0..n).filter(|&r| member_mask >> r & 1 == 1).collect();
+        if g.len() < 2 {
+            g = vec![0, n - 1];
+        }
+        let root = g[root_pick % g.len()];
         let mut rp = RoundProgram::new(n);
-        sb.barrier();             rp.barrier();
-        sb.bcast(0, bytes);       rp.bcast(0, bytes);
-        sb.gather(0, bytes);      rp.gather(0, bytes);
-        sb.scatter(0, bytes);     rp.scatter(0, bytes);
-        sb.reduce(0, bytes);      rp.reduce(0, bytes);
-        sb.allreduce(bytes);      rp.allreduce(bytes);
-        sb.allgather(bytes);      rp.allgather(bytes);
-        sb.alltoall(bytes);       rp.alltoall(bytes);
-        sb.reduce_scatter_ring(bytes); rp.reduce_scatter_ring(bytes);
-        prop_assert_eq!(sb.build().num_messages(), rp.num_messages());
+        rp.barrier_among(&g);
+        rp.bcast_among(&g, root, bytes);
+        rp.gather_among(&g, root, bytes.min(8192));
+        rp.scatter_among(&g, root, bytes.min(8192));
+        rp.reduce_among(&g, root, bytes);
+        rp.allreduce_among(&g, bytes);
+        rp.allgather_among(&g, bytes.min(8192));
+        rp.alltoall_among(&g, bytes.min(8192));
+        rp.reduce_scatter_ring_among(&g, bytes.min(8192));
+        rp.alltoallv_among(&g, &|i, j| ((i * 31 + j * 17) as u64 * bytes) % 5000);
+        let pow2: Vec<usize> = g[..1 << g.len().ilog2()].to_vec();
+        rp.allreduce_rabenseifner_among(&pow2, bytes);
+        let groups: Vec<Vec<usize>> = (0..stride.min(n))
+            .map(|k| (k..n).step_by(stride).collect())
+            .collect();
+        rp.alltoall_concurrent(&groups, bytes.min(8192));
+        check_lowering(&rp)?;
     }
 
     /// Round-model estimates are positive, finite and monotone in payload.

@@ -50,7 +50,7 @@ fn programs(g: &[usize]) -> Vec<(&'static str, RoundProgram)> {
         f(&mut rp);
         rp
     };
-    let bcast_bytes = 4 * hxmpi::coll::BCAST_LARGE;
+    let bcast_bytes = 4 * hxmpi::rounds::BCAST_LARGE;
     vec![
         (
             "allreduce_ring",

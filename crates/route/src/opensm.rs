@@ -43,6 +43,9 @@ pub struct SubnetManager {
     engine: Box<dyn RoutingEngine>,
     routes: Option<Routes>,
     pathdb: Option<Arc<PathDb>>,
+    /// `pathdb`'s statistics, computed once per epoch and shared with
+    /// every snapshot of it.
+    paths: Option<Arc<PathStats>>,
     epoch: u64,
     /// Verify deadlock freedom on every sweep (the paper's criteria (4);
     /// disable only for throughput experiments). Loop freedom and
@@ -68,6 +71,7 @@ impl SubnetManager {
             engine,
             routes: None,
             pathdb: None,
+            paths: None,
             epoch: 0,
             verify: true,
             incremental: true,
@@ -85,11 +89,13 @@ impl SubnetManager {
         pathdb: Arc<PathDb>,
     ) -> SubnetManager {
         let epoch = pathdb.epoch();
+        let paths = Arc::new(pathdb.stats());
         SubnetManager {
             topo,
             engine,
             routes: Some(routes),
             pathdb: Some(pathdb),
+            paths: Some(paths),
             epoch,
             verify: true,
             incremental: true,
@@ -179,6 +185,7 @@ impl SubnetManager {
         }
         self.routes = Some(routes);
         self.pathdb = Some(Arc::new(db));
+        self.paths = Some(Arc::new(paths.clone()));
         Ok(SweepReport {
             paths,
             vls,
@@ -484,6 +491,7 @@ impl SubnetManager {
         let vls = routes.num_vls;
         self.routes = Some(routes);
         self.pathdb = Some(Arc::new(new_db));
+        self.paths = Some(Arc::new(paths.clone()));
         Ok(SweepReport {
             paths,
             vls,
@@ -574,7 +582,8 @@ impl SubnetManager {
 
     /// A consistent, immutable view of the current routing epoch for
     /// read-side consumers: topology, forwarding tables, and path store
-    /// glued together under one epoch stamp. Cheap to clone (three `Arc`s)
+    /// glued together under one epoch stamp, with the path statistics the
+    /// sweep or patch already computed. Cheap to clone (four `Arc`s)
     /// and safe to hand to other threads while this manager keeps churning.
     /// Returns [`RouteError::NotSwept`] / [`RouteError::NoPathDb`] before
     /// the first sweep — retryable, never a panic.
@@ -584,10 +593,12 @@ impl SubnetManager {
             .as_ref()
             .ok_or(RouteError::NotSwept("snapshot"))?;
         let pathdb = self.pathdb.clone().ok_or(RouteError::NoPathDb)?;
+        let stats = self.paths.clone().ok_or(RouteError::NoPathDb)?;
         Ok(FabricSnapshot {
             topo: Arc::new(self.topo.clone()),
             routes: Arc::new(routes.clone()),
             pathdb,
+            stats,
         })
     }
 }
@@ -644,6 +655,7 @@ pub struct FabricSnapshot {
     topo: Arc<Topology>,
     routes: Arc<Routes>,
     pathdb: Arc<PathDb>,
+    stats: Arc<PathStats>,
 }
 
 /// Answer to a speculative "what if cable `link` failed?" query, computed
@@ -692,6 +704,12 @@ impl FabricSnapshot {
         &self.pathdb
     }
 
+    /// Hop statistics of the frozen path store, as the epoch's sweep or
+    /// patch computed them (equal to `pathdb().stats()`, without the pass).
+    pub fn stats(&self) -> &PathStats {
+        &self.stats
+    }
+
     /// Speculatively fails cable `l`: clones the frozen topology, repairs
     /// the affected destination trees with the shared load-aware rule, and
     /// rebuilds their path-store columns via [`PathDb::patched`] — live
@@ -706,7 +724,7 @@ impl FabricSnapshot {
                 "what-if cable out of range",
             ));
         }
-        let before = self.pathdb.stats();
+        let before = (*self.stats).clone();
         let epoch = self.epoch();
         if !self.topo.is_active(l) {
             return Ok(WhatIfReport {
@@ -1109,6 +1127,42 @@ mod tests {
         assert_eq!(snap.epoch(), 1);
         assert!(snap.topo().is_active(isl));
         assert_eq!(sm.snapshot().unwrap().epoch(), 2);
+    }
+
+    #[test]
+    fn snapshot_stats_track_every_epoch() {
+        let mut sm = SubnetManager::new(hx(), Box::new(Dfsssp::default()));
+        sm.verify = false;
+        sm.sweep().unwrap();
+        let isl = sm
+            .topo()
+            .links()
+            .find(|(_, l)| l.class != LinkClass::Terminal)
+            .unwrap()
+            .0;
+        let check = |sm: &SubnetManager, epoch: u64| {
+            let snap = sm.snapshot().unwrap();
+            assert_eq!(snap.epoch(), epoch);
+            assert_eq!(snap.stats(), &snap.pathdb().stats(), "epoch {epoch}");
+            assert_eq!(snap.stats(), &sm.pathdb().unwrap().stats());
+        };
+        check(&sm, 1);
+        assert!(sm.fail_link(isl).unwrap().incremental);
+        check(&sm, 2);
+        sm.recover_link(isl).unwrap();
+        check(&sm, 3);
+        // A full resweep refreshes the stats as well.
+        sm.incremental = false;
+        sm.fail_link(isl).unwrap();
+        check(&sm, 4);
+        // A restored manager computes them from the store it is given.
+        let restored = SubnetManager::with_state(
+            sm.topo().clone(),
+            Box::new(Dfsssp::default()),
+            sm.routes().unwrap().clone(),
+            sm.pathdb().unwrap().clone(),
+        );
+        check(&restored, 4);
     }
 
     #[test]

@@ -33,8 +33,8 @@ type Column = (Vec<u32>, Vec<DirLink>);
 ///
 /// Hop vectors cover the inter-switch legs only; the source terminal hop
 /// (per node) and destination terminal hop (per LID) are factored out into
-/// side tables, so a full node-to-node path is
-/// `[node_up] ++ isl_path(switch, lid) ++ [dst_down]`.
+/// side tables, so a full node-to-node path ([`PathDb::node_path`]) is
+/// `[node_up] ++ the (switch, lid) slice of isl_hops ++ [dst_down]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathDb {
     epoch: u64,
@@ -320,18 +320,6 @@ impl PathDb {
         self.isl_hops.len()
     }
 
-    /// Owner node of a LID (`None` = unowned).
-    pub fn lid_owner(&self, lid: Lid) -> Option<NodeId> {
-        let o = *self.owner.get(lid as usize)?;
-        (o != u32::MAX).then_some(NodeId(o))
-    }
-
-    /// Directed terminal hop arriving at a LID's owner (dummy for unowned
-    /// LIDs).
-    pub fn dst_down_hop(&self, lid: Lid) -> DirLink {
-        self.dst_down[lid as usize]
-    }
-
     /// Approximate heap footprint in bytes of the path payload (CSR
     /// offsets + hop vectors) plus side tables.
     pub fn approx_bytes(&self) -> usize {
@@ -342,14 +330,6 @@ impl PathDb {
             + self.nodes_at.len() * 4
             + self.owner.len() * 4
             + self.dst_down.len() * 4
-    }
-
-    /// The ISL hop vector from a source switch towards a destination LID.
-    /// Empty for same-switch delivery, unowned LIDs and node-less switches.
-    #[inline]
-    pub fn isl_path(&self, sw: SwitchId, dst_lid: Lid) -> &[DirLink] {
-        let i = dst_lid as usize * self.num_switches + sw.idx();
-        &self.isl_hops[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// The full node-to-node hop vector (terminal cables included), exactly

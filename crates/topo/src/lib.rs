@@ -44,7 +44,6 @@
 #![deny(missing_docs)]
 
 pub mod cost;
-pub mod dragonfly;
 pub mod fattree;
 pub mod faults;
 pub mod graph;
@@ -54,7 +53,6 @@ pub mod ids;
 pub mod props;
 
 pub use cost::{BillOfMaterials, CostModel};
-pub use dragonfly::DragonflyConfig;
 pub use fattree::{FatTreeConfig, TreeLevels};
 pub use faults::FaultPlan;
 pub use graph::{AdjEntry, Endpoint, Link, LinkClass, Topology, TopologyBuilder};

@@ -4,7 +4,7 @@
 
 use t2hx::core::{Combo, Runner, T2hx};
 use t2hx::load::imb::ImbCollective;
-use t2hx::mpi::{Fabric, Placement, Pml, ScheduleBuilder};
+use t2hx::mpi::{estimate, Fabric, Placement, Pml, RoundProgram};
 use t2hx::route::{verify_deadlock_free, verify_paths};
 use t2hx::sim::{NetParams, Simulator};
 use t2hx::topo::NodeId;
@@ -31,26 +31,28 @@ fn all_routing_states_verify() {
 #[test]
 fn des_and_round_model_agree_across_combos() {
     // The fast round model used for sweeps must track the exact
-    // discrete-event simulation within a small factor on every combo.
+    // discrete-event simulation of the same lowered schedule within a
+    // small factor: every Figure 4 collective, at latency-, mid- and
+    // bandwidth-bound sizes, on every combo.
     let sys = mini();
     let n = 16;
     for combo in Combo::all() {
         let fabric = sys.fabric(combo, n, 1);
-        let mut rp = t2hx::mpi::RoundProgram::new(n);
-        rp.allreduce(32 * 1024);
-        let est = t2hx::mpi::estimate(&fabric, &rp);
-
-        let mut sb = ScheduleBuilder::new(n);
-        sb.allreduce(32 * 1024);
-        let des = Simulator::new(sys.topo(combo), &fabric, sys.params())
-            .run(&sb.build())
-            .makespan;
-        let ratio = est / des;
-        assert!(
-            (0.3..3.0).contains(&ratio),
-            "{}: est {est} vs des {des} (ratio {ratio})",
-            combo.label()
-        );
+        let sim = Simulator::new(sys.topo(combo), &fabric, sys.params());
+        for coll in ImbCollective::figure4() {
+            for bytes in [64u64, 8 << 10, 1 << 20] {
+                let rp = coll.program(n, bytes);
+                let est = estimate(&fabric, &rp);
+                let des = sim.run(&rp.lower()).makespan;
+                let ratio = est / des;
+                assert!(
+                    (0.3..3.0).contains(&ratio),
+                    "{} {} {bytes} B: est {est} vs des {des} (ratio {ratio})",
+                    combo.label(),
+                    coll.name()
+                );
+            }
+        }
     }
 }
 
@@ -133,12 +135,12 @@ fn explicit_fabric_runs_des_collectives_on_both_planes() {
             NetParams::qdr(),
         )
         .expect("routable fabric");
-        let mut sb = ScheduleBuilder::new(32);
-        sb.barrier();
-        sb.bcast(3, 1 << 16);
-        sb.alltoall(2048);
-        sb.allreduce(1 << 18);
-        let res = Simulator::new(topo, &fabric, NetParams::qdr()).run(&sb.build());
+        let mut rp = RoundProgram::new(32);
+        rp.barrier();
+        rp.bcast(3, 1 << 16);
+        rp.alltoall(2048);
+        rp.allreduce(1 << 18);
+        let res = Simulator::new(topo, &fabric, NetParams::qdr()).run(&rp.lower());
         assert!(res.makespan > 0.0 && res.makespan < 1.0);
         assert!(res.messages > 100);
     }

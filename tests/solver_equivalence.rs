@@ -4,7 +4,7 @@
 //! oracle — makespan, per-rank finish times and message counts.
 
 use t2hx::core::{Combo, T2hx};
-use t2hx::mpi::ScheduleBuilder;
+use t2hx::mpi::RoundProgram;
 use t2hx::sim::solver::SolverKind;
 use t2hx::sim::{RunResult, Simulator};
 
@@ -29,12 +29,12 @@ fn des_runs_are_bit_identical_across_backends_on_every_combo() {
     let n = 16;
     // A contention-heavy mixed schedule: barrier, fan-out, alltoall and a
     // reduction, so flows constantly join and leave shared cables.
-    let mut sb = ScheduleBuilder::new(n);
-    sb.barrier();
-    sb.bcast(1, 1 << 16);
-    sb.alltoall(4096);
-    sb.allreduce(1 << 17);
-    let program = sb.build();
+    let mut rp = RoundProgram::new(n);
+    rp.barrier();
+    rp.bcast(1, 1 << 16);
+    rp.alltoall(4096);
+    rp.allreduce(1 << 17);
+    let program = rp.lower();
 
     for combo in Combo::all() {
         let fabric = sys.fabric(combo, n, 1);
