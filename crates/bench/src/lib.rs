@@ -13,6 +13,7 @@
 pub mod knobs;
 
 use hxcore::T2hx;
+use hxload::ebb::EBB_SAMPLES;
 
 /// One runnable harness binary: its name (also the cargo `--bin` name)
 /// and a one-line description of what it reproduces.
@@ -153,11 +154,11 @@ impl Drop for ObsScope {
     }
 }
 
-/// eBB sample count: `T2HX_SAMPLES`, else 50 quick / 1000 full (paper:
-/// 1000).
+/// eBB sample count: `T2HX_SAMPLES`, else 50 quick / [`EBB_SAMPLES`] full.
 pub fn ebb_samples() -> usize {
     let cfg = knobs::config();
-    cfg.samples.unwrap_or(if cfg.quick { 50 } else { 1000 })
+    cfg.samples
+        .unwrap_or(if cfg.quick { 50 } else { EBB_SAMPLES })
 }
 
 /// Builds the full 672-node dual-plane system with the paper's faults.

@@ -14,7 +14,7 @@
 //! core it drives.
 
 use crate::place::PlaceError;
-use crate::policy::{ring_links, PlacementPolicy, PoolView};
+use crate::policy::{PlacementPolicy, PoolView};
 use crate::quadrant_pool_order;
 use hxroute::{DirLink, PathDb, Routes};
 use hxtopo::{NodeId, Topology};
@@ -44,7 +44,6 @@ pub struct LiveJob {
 /// state is a pure function of the live job set, so a rebuild replays
 /// allocations).
 pub struct Allocator<'a> {
-    topo: &'a Topology,
     routes: &'a Routes,
     db: &'a PathDb,
     pool: Vec<NodeId>,
@@ -60,7 +59,7 @@ pub struct Allocator<'a> {
 
 impl<'a> Allocator<'a> {
     /// An empty allocator over the plane's quadrant-major pool.
-    pub fn new(topo: &'a Topology, routes: &'a Routes, db: &'a PathDb) -> Allocator<'a> {
+    pub fn new(topo: &Topology, routes: &'a Routes, db: &'a PathDb) -> Allocator<'a> {
         let pool = quadrant_pool_order(topo);
         let mut node_pos = vec![0usize; topo.num_nodes()];
         for (i, n) in pool.iter().enumerate() {
@@ -68,7 +67,6 @@ impl<'a> Allocator<'a> {
         }
         let free_count = pool.len();
         Allocator {
-            topo,
             routes,
             db,
             free: vec![true; free_count],
@@ -84,7 +82,6 @@ impl<'a> Allocator<'a> {
     /// The policy-facing view of the current pool state.
     pub fn view(&self) -> PoolView<'_> {
         PoolView {
-            topo: self.topo,
             routes: self.routes,
             db: self.db,
             pool: &self.pool,
@@ -120,11 +117,13 @@ impl<'a> Allocator<'a> {
             self.free[pos] = false;
         }
         self.free_count -= k;
-        let links = ring_links(self.routes, self.db, &nodes);
+        let paths = ring_paths(self.routes, self.db, &nodes);
+        let mut links: Vec<usize> = paths.iter().flatten().map(|dl| dl.index()).collect();
+        links.sort_unstable();
+        links.dedup();
         for &l in &links {
             self.link_share[l] += 1;
         }
-        let paths = ring_paths(self.routes, self.db, &nodes);
         let id = JobId(self.next_id);
         self.next_id += 1;
         self.jobs.insert(
@@ -241,7 +240,7 @@ fn ring_paths(routes: &Routes, db: &PathDb, nodes: &[NodeId]) -> Vec<Vec<DirLink
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{Contiguous, PolicyKind, Scattered};
+    use crate::policy::{ring_links, Contiguous, Scattered};
     use hxroute::engines::{RoutingEngine, Sssp};
     use hxtopo::hyperx::HyperXConfig;
 
@@ -317,12 +316,15 @@ mod tests {
                 .collect();
             assert_eq!(a.free_nodes(), 32 - 18);
             assert!(a.utilization() > 0.5);
+            // A job's cables are exactly the ones its ring crosses.
+            for (_, job) in a.jobs() {
+                assert_eq!(job.links, ring_links(&routes, &db, &job.nodes));
+            }
             for id in ids {
                 a.release(id).unwrap();
             }
             assert_eq!(a.free_nodes(), 32);
             assert_eq!(a.utilization(), 0.0);
         }
-        let _ = PolicyKind::Contiguous;
     }
 }

@@ -173,18 +173,14 @@ pub fn run_capacity(
     // cables — bursts from co-running jobs stretch the communication phases
     // of everyone sharing the cable.
     let mut results = Vec::with_capacity(apps.len());
-    let mut offset2 = 0usize;
     for (slot, ev) in apps.iter().zip(&evals) {
-        let standalone_est = ev.setup + ev.iters * (ev.compute + ev.comm);
+        let standalone = ev.setup + ev.iters * (ev.compute + ev.comm);
         let mut background: f64 = 0.0;
         for &(i, b) in &ev.links {
-            let own = b * ev.iters / standalone_est.max(1e-9);
+            let own = b * ev.iters / standalone.max(1e-9);
             background = background.max((rate[i] - own).max(0.0) / caps[i]);
         }
         let dilation = 1.0 + cfg.burst_factor * background;
-        offset2 += slot.nodes;
-        let _ = offset2;
-        let standalone = ev.setup + ev.iters * (ev.compute + ev.comm);
         let interfered = ev.setup + ev.iters * (ev.compute + ev.comm * dilation);
 
         // Sequential runs with per-run noise until the window closes.

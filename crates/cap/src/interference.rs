@@ -66,14 +66,6 @@ impl InterferenceReport {
             .map(|j| j.slowdown())
             .fold(1.0, f64::max)
     }
-
-    /// Mean per-job slowdown (1.0 for an empty report).
-    pub fn mean_slowdown(&self) -> f64 {
-        if self.per_job.is_empty() {
-            return 1.0;
-        }
-        self.per_job.iter().map(|j| j.slowdown()).sum::<f64>() / self.per_job.len() as f64
-    }
 }
 
 /// Mean of the finite entries of a rate slice (ring flows over a shared
@@ -223,7 +215,6 @@ mod tests {
         let r = interference(&a, &caps);
         assert!(r.per_job.is_empty());
         assert_eq!(r.max_slowdown(), 1.0);
-        assert_eq!(r.mean_slowdown(), 1.0);
         assert!(pairwise_loss(&a, &caps).is_empty());
     }
 

@@ -114,7 +114,6 @@ pub fn place_ranks_with(
     let free = vec![true; pool.len()];
     let link_share = vec![0u32; topo.num_links() * 2];
     let view = PoolView {
-        topo,
         routes,
         db,
         pool: &pool,
@@ -122,7 +121,7 @@ pub fn place_ranks_with(
         link_share: &link_share,
     };
     let nodes = policy.policy().select(&view, k, seed)?;
-    let mean_isl_hops = mean_pairwise_isl_hops(topo, routes, db, &nodes);
+    let mean_isl_hops = mean_pairwise_isl_hops(routes, db, &nodes);
     let quadrant_spread = quadrant_spread(topo, &nodes);
     Ok(Placed {
         nodes,

@@ -25,7 +25,7 @@
 
 use crate::place::PlaceError;
 use hxroute::{PathDb, Routes};
-use hxtopo::{NodeId, Topology};
+use hxtopo::NodeId;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -47,8 +47,6 @@ const EXACT_PAIRS_UP_TO: usize = 96;
 /// per directed cable (dense [`hxroute::DirLink`] index), how many live
 /// jobs' communication rings cross it.
 pub struct PoolView<'a> {
-    /// The plane being allocated.
-    pub topo: &'a Topology,
     /// Forwarding state of the scoring epoch.
     pub routes: &'a Routes,
     /// Path store of the scoring epoch.
@@ -170,7 +168,7 @@ impl PlacementPolicy for NetworkAware {
         starts.dedup();
         let mut best: Option<(f64, Vec<NodeId>)> = None;
         let mut consider = |nodes: Vec<NodeId>| {
-            let score = mean_pairwise_isl_hops(view.topo, view.routes, view.db, &nodes)
+            let score = mean_pairwise_isl_hops(view.routes, view.db, &nodes)
                 + SHARE_WEIGHT * ring_share_score(view, &nodes);
             match &best {
                 Some((b, _)) if *b <= score => {}
@@ -190,13 +188,7 @@ impl PlacementPolicy for NetworkAware {
 /// given path-store epoch (0.0 for single-node sets). Above 96 nodes the
 /// mean is estimated over a deterministic strided subsample of ordered
 /// pairs.
-pub fn mean_pairwise_isl_hops(
-    topo: &Topology,
-    routes: &Routes,
-    db: &PathDb,
-    nodes: &[NodeId],
-) -> f64 {
-    let _ = topo;
+pub fn mean_pairwise_isl_hops(routes: &Routes, db: &PathDb, nodes: &[NodeId]) -> f64 {
     let k = nodes.len();
     if k < 2 {
         return 0.0;
@@ -364,6 +356,7 @@ mod tests {
     use super::*;
     use hxroute::engines::{RoutingEngine, Sssp};
     use hxtopo::hyperx::HyperXConfig;
+    use hxtopo::Topology;
 
     fn ctx() -> (Topology, Routes, PathDb) {
         let topo = HyperXConfig::new(vec![4, 4], 2).build();
@@ -373,7 +366,6 @@ mod tests {
     }
 
     fn all_free_view<'a>(
-        topo: &'a Topology,
         routes: &'a Routes,
         db: &'a PathDb,
         pool: &'a [NodeId],
@@ -381,7 +373,6 @@ mod tests {
         share: &'a [u32],
     ) -> PoolView<'a> {
         PoolView {
-            topo,
             routes,
             db,
             pool,
@@ -410,7 +401,7 @@ mod tests {
             free[i] = false;
         }
         let share = vec![0u32; topo.num_links() * 2];
-        let view = all_free_view(&topo, &routes, &db, &pool, &free, &share);
+        let view = all_free_view(&routes, &db, &pool, &free, &share);
         let avail = view.free_count();
         for kind in POLICY_KINDS {
             let nodes = kind.policy().select(&view, avail.min(9), 7).unwrap();
@@ -430,7 +421,7 @@ mod tests {
         let pool = crate::quadrant_pool_order(&topo);
         let free = vec![true; pool.len()];
         let share = vec![0u32; topo.num_links() * 2];
-        let view = all_free_view(&topo, &routes, &db, &pool, &free, &share);
+        let view = all_free_view(&routes, &db, &pool, &free, &share);
         for kind in POLICY_KINDS {
             assert_eq!(
                 kind.policy().select(&view, 0, 1),
@@ -452,11 +443,11 @@ mod tests {
         let pool = crate::quadrant_pool_order(&topo);
         let free = vec![true; pool.len()];
         let share = vec![0u32; topo.num_links() * 2];
-        let view = all_free_view(&topo, &routes, &db, &pool, &free, &share);
+        let view = all_free_view(&routes, &db, &pool, &free, &share);
         let tight = Contiguous.select(&view, 8, 3).unwrap();
         let loose = Scattered.select(&view, 8, 3).unwrap();
-        let th = mean_pairwise_isl_hops(&topo, &routes, &db, &tight);
-        let lh = mean_pairwise_isl_hops(&topo, &routes, &db, &loose);
+        let th = mean_pairwise_isl_hops(&routes, &db, &tight);
+        let lh = mean_pairwise_isl_hops(&routes, &db, &loose);
         assert!(th <= lh, "contiguous {th} vs scattered {lh}");
     }
 
@@ -472,11 +463,11 @@ mod tests {
             free[i] = false;
         }
         let share = vec![0u32; topo.num_links() * 2];
-        let view = all_free_view(&topo, &routes, &db, &pool, &free, &share);
+        let view = all_free_view(&routes, &db, &pool, &free, &share);
         let na = NetworkAware.select(&view, 6, 11).unwrap();
         let ct = Contiguous.select(&view, 6, 11).unwrap();
-        let na_h = mean_pairwise_isl_hops(&topo, &routes, &db, &na);
-        let ct_h = mean_pairwise_isl_hops(&topo, &routes, &db, &ct);
+        let na_h = mean_pairwise_isl_hops(&routes, &db, &na);
+        let ct_h = mean_pairwise_isl_hops(&routes, &db, &ct);
         assert!(
             na_h <= ct_h + 1e-9,
             "network-aware {na_h} vs contiguous {ct_h}"
@@ -495,7 +486,7 @@ mod tests {
         for l in ring_links(&routes, &db, &head) {
             share[l] = 100;
         }
-        let view = all_free_view(&topo, &routes, &db, &pool, &free, &share);
+        let view = all_free_view(&routes, &db, &pool, &free, &share);
         let picked = NetworkAware.select(&view, 8, 5).unwrap();
         assert_ne!(picked, head, "slate stayed on the saturated cables");
     }
@@ -506,7 +497,7 @@ mod tests {
         let pool = crate::quadrant_pool_order(&topo);
         let free = vec![true; pool.len()];
         let share = vec![0u32; topo.num_links() * 2];
-        let view = all_free_view(&topo, &routes, &db, &pool, &free, &share);
+        let view = all_free_view(&routes, &db, &pool, &free, &share);
         for kind in POLICY_KINDS {
             let a = kind.policy().select(&view, 10, 42).unwrap();
             let b = kind.policy().select(&view, 10, 42).unwrap();

@@ -63,14 +63,6 @@ impl Combo {
         }
     }
 
-    /// Whether the combo runs on the HyperX plane.
-    pub fn is_hyperx(&self) -> bool {
-        matches!(
-            self,
-            Combo::HxDfssspLinear | Combo::HxDfssspRandom | Combo::HxParxClustered
-        )
-    }
-
     /// Rank placement scheme.
     pub fn scheme(&self) -> Scheme {
         match self {
@@ -122,11 +114,10 @@ mod tests {
 
     #[test]
     fn plane_assignment() {
-        assert!(!Combo::FtFtreeLinear.is_hyperx());
-        assert!(!Combo::FtSsspClustered.is_hyperx());
-        assert!(Combo::HxDfssspLinear.is_hyperx());
-        assert!(Combo::HxDfssspRandom.is_hyperx());
-        assert!(Combo::HxParxClustered.is_hyperx());
+        // Planes 0 and 1 are the Fat-Tree's routing states, 2 and 3 the
+        // HyperX's; the two DFSSSP combos share one.
+        let planes = Combo::all().map(|c| c.plane());
+        assert_eq!(planes, [0, 1, 2, 2, 3]);
     }
 
     #[test]

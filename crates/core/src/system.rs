@@ -47,11 +47,6 @@ impl Plane {
         &self.topo
     }
 
-    /// The shared handle on the plane's topology.
-    pub fn topo_arc(&self) -> &Arc<Topology> {
-        &self.topo
-    }
-
     /// The plane's forwarding state.
     pub fn routes(&self) -> &Routes {
         &self.routes
@@ -69,7 +64,6 @@ impl Plane {
 /// all into a [`System`].
 pub struct SystemBuilder {
     specs: Vec<(String, Arc<Topology>, Box<dyn RoutingEngine>)>,
-    epoch: u64,
 }
 
 impl Default for SystemBuilder {
@@ -81,16 +75,7 @@ impl Default for SystemBuilder {
 impl SystemBuilder {
     /// An empty builder.
     pub fn new() -> SystemBuilder {
-        SystemBuilder {
-            specs: Vec::new(),
-            epoch: 1,
-        }
-    }
-
-    /// Epoch stamped on every plane's initial path store (default 1).
-    pub fn epoch(mut self, epoch: u64) -> SystemBuilder {
-        self.epoch = epoch;
-        self
+        SystemBuilder { specs: Vec::new() }
     }
 
     /// Adds a plane spec. Planes may share a topology `Arc` (same physical
@@ -105,9 +90,9 @@ impl SystemBuilder {
         self
     }
 
-    /// Routes every plane and extracts its shared path store. All planes
-    /// must attach the same number of nodes (each node has one NIC per
-    /// physical plane).
+    /// Routes every plane and extracts its shared path store, stamped
+    /// epoch 1. All planes must attach the same number of nodes (each node
+    /// has one NIC per physical plane).
     pub fn build(self) -> Result<System, RouteError> {
         assert!(!self.specs.is_empty(), "a system needs at least one plane");
         let nodes = self.specs[0].1.num_nodes();
@@ -118,7 +103,7 @@ impl SystemBuilder {
                 nodes,
                 "plane {idx} ({label}) attaches a different node count"
             );
-            let (routes, db) = route_plane(engine.as_ref(), &topo, self.epoch, idx)?;
+            let (routes, db) = route_plane(engine.as_ref(), &topo, 1, idx)?;
             planes.push(Plane {
                 label,
                 topo,
@@ -367,16 +352,6 @@ impl T2hx {
         self.sys.plane(2).topo()
     }
 
-    /// OpenSM ftree forwarding state on the Fat-Tree.
-    pub fn ft_ftree(&self) -> &Routes {
-        self.sys.plane(0).routes()
-    }
-
-    /// OpenSM SSSP forwarding state on the Fat-Tree.
-    pub fn ft_sssp(&self) -> &Routes {
-        self.sys.plane(1).routes()
-    }
-
     /// DFSSSP forwarding state on the HyperX.
     pub fn hx_dfsssp(&self) -> &Routes {
         self.sys.plane(2).routes()
@@ -450,8 +425,8 @@ mod tests {
     fn mini_system_assembles_and_verifies() {
         let sys = T2hx::mini().unwrap();
         assert_eq!(sys.num_nodes(), 32);
-        verify_paths(sys.fattree(), sys.ft_ftree()).unwrap();
-        verify_paths(sys.fattree(), sys.ft_sssp()).unwrap();
+        verify_paths(sys.fattree(), sys.routes(Combo::FtFtreeLinear)).unwrap();
+        verify_paths(sys.fattree(), sys.routes(Combo::FtSsspClustered)).unwrap();
         verify_paths(sys.hyperx(), sys.hx_dfsssp()).unwrap();
         verify_paths(sys.hyperx(), sys.hx_parx()).unwrap();
         verify_deadlock_free(sys.hyperx(), sys.hx_dfsssp()).unwrap();
@@ -462,17 +437,17 @@ mod tests {
     fn preset_planes_share_physical_topologies() {
         let sys = T2hx::mini().unwrap();
         assert_eq!(sys.system().num_planes(), 4);
-        assert!(Arc::ptr_eq(
-            sys.system().plane(0).topo_arc(),
-            sys.system().plane(1).topo_arc()
+        assert!(std::ptr::eq(
+            sys.system().plane(0).topo(),
+            sys.system().plane(1).topo()
         ));
-        assert!(Arc::ptr_eq(
-            sys.system().plane(2).topo_arc(),
-            sys.system().plane(3).topo_arc()
+        assert!(std::ptr::eq(
+            sys.system().plane(2).topo(),
+            sys.system().plane(3).topo()
         ));
-        assert!(!Arc::ptr_eq(
-            sys.system().plane(1).topo_arc(),
-            sys.system().plane(2).topo_arc()
+        assert!(!std::ptr::eq(
+            sys.system().plane(1).topo(),
+            sys.system().plane(2).topo()
         ));
         let labels: Vec<&str> = sys.system().planes().iter().map(|p| p.label()).collect();
         assert_eq!(labels, vec!["ft:ftree", "ft:sssp", "hx:dfsssp", "hx:parx"]);
@@ -543,10 +518,7 @@ mod tests {
         assert_eq!(sys.num_planes(), 3);
         assert_eq!(sys.num_nodes(), 32);
         // One shared physical topology across all rails.
-        assert!(Arc::ptr_eq(
-            sys.plane(0).topo_arc(),
-            sys.plane(2).topo_arc()
-        ));
+        assert!(std::ptr::eq(sys.plane(0).topo(), sys.plane(2).topo()));
         let epochs: Vec<u64> = sys.planes().iter().map(|p| p.pathdb().epoch()).collect();
         assert_eq!(epochs, vec![1, 1, 1]);
         // Planes 1 and 2 route identically, plane 0 differs somewhere.

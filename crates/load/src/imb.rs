@@ -91,27 +91,6 @@ impl ImbCollective {
     }
 }
 
-/// Multi-PingPong (IMB MuPP): `iters` ping-pongs between ranks `i` and
-/// `i + n/2`; returns seconds.
-pub fn multi_pingpong_seconds(fabric: &Fabric<'_>, n: usize, bytes: u64, iters: usize) -> f64 {
-    let mut rp = RoundProgram::new(n);
-    for _ in 0..iters {
-        rp.multi_pingpong(bytes);
-    }
-    estimate(fabric, &rp)
-}
-
-/// EmDL: the paper's deep-learning emulation — `iters` alternations of a
-/// 0.1 s compute phase and an allreduce of `bytes` (footnote 12).
-pub fn emdl_seconds(fabric: &Fabric<'_>, n: usize, bytes: u64, iters: usize) -> f64 {
-    let mut rp = RoundProgram::new(n);
-    for _ in 0..iters {
-        rp.compute(0.1);
-        rp.allreduce(bytes);
-    }
-    estimate(fabric, &rp)
-}
-
 /// IMB Multi-PingPong as a capacity workload (MuPP in Figure 7): pairs
 /// `(i, i + n/2)` — maximally sensitive to placements that separate the
 /// halves.
@@ -267,7 +246,11 @@ mod tests {
     fn emdl_dominated_by_compute() {
         let (t, r) = setup();
         let f = fabric(&t, &r, 8);
-        let s = emdl_seconds(&f, 8, 1 << 20, 5);
+        let emdl = Emdl {
+            iters: 5,
+            bytes: 1 << 20,
+        };
+        let s = emdl.kernel_seconds(&f, 8);
         assert!(s >= 0.5, "{s}"); // 5 x 0.1s sleep
         assert!(s < 0.7, "{s}");
     }
@@ -288,8 +271,8 @@ mod tests {
     fn mupp_scales_with_iters() {
         let (t, r) = setup();
         let f = fabric(&t, &r, 8);
-        let one = multi_pingpong_seconds(&f, 8, 4096, 1);
-        let ten = multi_pingpong_seconds(&f, 8, 4096, 10);
+        let mupp = |iters| Mupp { iters, bytes: 4096 }.kernel_seconds(&f, 8);
+        let (one, ten) = (mupp(1), mupp(10));
         assert!((ten / one - 10.0).abs() < 0.01, "{one} {ten}");
     }
 }

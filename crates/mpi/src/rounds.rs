@@ -7,8 +7,8 @@
 //! x 10 repetitions per collective). The classical alternative — used by
 //! LogGP-style analyses — is to treat each algorithm as a sequence of
 //! communication *rounds*: all messages of a round start together, and the
-//! round ends when the most-loaded directed cable has drained
-//! ([`hxsim::bottleneck_round_time`]).
+//! round ends when the most-loaded directed cable has drained (see
+//! [`estimate`]).
 //!
 //! A [`RoundProgram`] is a list of [`Phase`]s (exchanges or compute), with
 //! generators for the classic algorithms of MPICH/Open MPI's tuned modules
@@ -922,6 +922,29 @@ mod tests {
         let est = estimate(&f, &rp);
         let des = des(&t, &f, &rp);
         assert!(est > 0.4 * des && est < 2.5 * des, "est {est} des {des}");
+    }
+
+    #[test]
+    fn round_bandwidth_term_is_the_shared_cable_drain() {
+        // Seven flows over the one cable of a two-switch HyperX: the
+        // round's bandwidth term is that cable's drain time, 7 x bytes /
+        // capacity (paper Figure 1), on top of a byte-free latency term.
+        let t = HyperXConfig::new(vec![2], 7).build();
+        let r = Dfsssp::default().route(&t).unwrap();
+        let f = fabric(&t, &r, 14);
+        let round = |bytes| {
+            let mut rp = RoundProgram::new(14);
+            rp.exchange((0..7).map(|i| (i, i + 7, bytes)).collect());
+            estimate(&f, &rp)
+        };
+        let (_, cable) = t
+            .links()
+            .find(|(_, l)| l.class != hxtopo::LinkClass::Terminal)
+            .unwrap();
+        let bytes = 1u64 << 20;
+        let expect = 7.0 * bytes as f64 / cable.capacity;
+        let bw = round(bytes) - round(0);
+        assert!((bw - expect).abs() < expect * 1e-9, "{bw} vs {expect}");
     }
 
     /// The 4x4 HyperX with one node per switch, for the DES checks of the

@@ -5,8 +5,9 @@
 //! `0..=255` (0 = no traffic, 1 = lowest non-zero, 255 = heaviest pair;
 //! Section 3.2.3). A job-submission interface turns the rank-based profile
 //! plus the selected node allocation into the node/LID-based demand file the
-//! routing engine consumes; here that corresponds to building a
-//! [`Demand`] over nodes from rank-level byte counts and a rank->node map.
+//! routing engine consumes; here that is `hxload`'s `RankProfile::bind`,
+//! which builds a [`Demand`] over nodes from rank-level byte counts and a
+//! placement.
 
 use hxtopo::NodeId;
 
@@ -40,26 +41,6 @@ impl Demand {
             Some((_, b)) => *b += bytes,
             None => row.push((dst, bytes)),
         }
-    }
-
-    /// Builds a node demand from a rank-level byte matrix and a rank->node
-    /// placement (the SAR-style interface of Section 4.4.3).
-    pub fn from_rank_matrix(
-        num_nodes: usize,
-        rank_bytes: &[Vec<u64>],
-        rank_to_node: &[NodeId],
-    ) -> Demand {
-        assert_eq!(rank_bytes.len(), rank_to_node.len());
-        let mut d = Demand::new(num_nodes);
-        for (src_rank, row) in rank_bytes.iter().enumerate() {
-            assert_eq!(row.len(), rank_to_node.len());
-            for (dst_rank, &bytes) in row.iter().enumerate() {
-                if src_rank != dst_rank && bytes > 0 {
-                    d.add(rank_to_node[src_rank], rank_to_node[dst_rank], bytes);
-                }
-            }
-        }
-        d
     }
 
     /// Sends of one node.
@@ -198,16 +179,6 @@ mod tests {
         assert_eq!(senders[0].0, NodeId(0));
         assert_eq!(senders[1].0, NodeId(1));
         assert_eq!(senders[1].1, 255);
-    }
-
-    #[test]
-    fn from_rank_matrix_respects_placement() {
-        // 2 ranks on nodes 5 and 3.
-        let rank_bytes = vec![vec![0, 77], vec![33, 0]];
-        let map = vec![NodeId(5), NodeId(3)];
-        let d = Demand::from_rank_matrix(8, &rank_bytes, &map);
-        assert_eq!(d.sends(NodeId(5)), &[(NodeId(3), 77)]);
-        assert_eq!(d.sends(NodeId(3)), &[(NodeId(5), 33)]);
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //!   at equal distance (alignment/link-id preference).
 
 use super::{
-    assign_vls, install_tree, walk_lft, IncrementalRepair, LftDelta, Multipath, RoutingEngine,
+    assign_vls, install_tree, walked_hops, IncrementalRepair, LftDelta, Multipath, RoutingEngine,
 };
 use crate::dijkstra::DestTree;
 use crate::lft::{RouteError, Routes};
@@ -185,13 +185,6 @@ impl FtHyperX {
         Ok(changed)
     }
 
-    /// Installed ISL hop count from `sw` toward `lid`, `None` when the
-    /// walk dead-ends (the switch has no live route).
-    fn walked_hops(topo: &Topology, routes: &Routes, sw: SwitchId, lid: Lid) -> Option<u32> {
-        let mut h = 0u32;
-        walk_lft(topo, routes, sw, lid, |_| h += 1).ok().map(|_| h)
-    }
-
     /// Whether the restored edge `l` (endpoint `s`, peer `w` at walked
     /// hops `hw` vs `s`'s `hs`) beats `s`'s installed argmin choice.
     #[allow(clippy::too_many_arguments)]
@@ -309,8 +302,8 @@ impl IncrementalRepair for FtHyperX {
             let (dsw, dlink) = topo.node_switch(dst);
             let cd = hx.coord(dsw);
             let touched = match (
-                Self::walked_hops(topo, routes, u, lid),
-                Self::walked_hops(topo, routes, v, lid),
+                walked_hops(topo, routes, u, lid),
+                walked_hops(topo, routes, v, lid),
             ) {
                 (Some(hu), Some(hv)) if hu.abs_diff(hv) < 2 => {
                     // No distance changed anywhere; only the endpoints'

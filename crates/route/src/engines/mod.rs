@@ -294,6 +294,13 @@ pub(crate) fn walk_lft(
     Err(RouteError::ForwardingLoop { lid, at: cur })
 }
 
+/// Installed ISL hop count from `sw` toward `lid` ([`walk_lft`]'s hops),
+/// `None` when the walk dead-ends or loops.
+pub(crate) fn walked_hops(topo: &Topology, routes: &Routes, sw: SwitchId, lid: Lid) -> Option<u32> {
+    let mut h = 0u32;
+    walk_lft(topo, routes, sw, lid, |_| h += 1).ok().map(|_| h)
+}
+
 /// Weight-balanced minimal routing for every destination LID — the shared
 /// core of [`Sssp`], [`Dfsssp`] and [`MinHop`].
 ///

@@ -272,13 +272,6 @@ impl Routes {
             && self.lft == other.lft
     }
 
-    /// Installs a service-level table sized `num_switches * lid_space`.
-    pub fn set_sl_table(&mut self, sl: Vec<u8>, num_vls: u8) {
-        assert_eq!(sl.len(), self.num_switches * self.lid_space);
-        self.sl = sl;
-        self.num_vls = num_vls.max(1);
-    }
-
     /// Service level used from `src` towards `dst_lid`.
     #[inline]
     pub fn sl(&self, src_switch: SwitchId, dst_lid: Lid) -> u8 {
@@ -486,14 +479,10 @@ mod tests {
 
     #[test]
     fn sl_defaults_to_zero() {
-        let (t, mut r) = route_line();
+        let (_, mut r) = route_line();
         assert_eq!(r.sl(SwitchId(0), 1), 0);
-        let n = t.num_switches() * r.lid_space();
-        let mut sl = vec![0u8; n];
-        sl[r.lid_space() + 3] = 2; // switch 1, lid 3
-        r.set_sl_table(sl, 3);
+        *r.sl_entry_mut(SwitchId(1), 3) = 2;
         assert_eq!(r.sl(SwitchId(1), 3), 2);
         assert_eq!(r.sl(SwitchId(0), 3), 0);
-        assert_eq!(r.num_vls, 3);
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::demand::Demand;
 use crate::dijkstra::dijkstra_to_dest;
-use crate::engines::{walk_lft, LftDelta, RoutingEngine};
+use crate::engines::{walked_hops, LftDelta, RoutingEngine};
 use crate::lft::{RouteError, Routes};
 use crate::lid::Lid;
 use crate::pathdb::PathDb;
@@ -112,12 +112,6 @@ impl SubnetManager {
     /// Label of the routing engine currently driving sweeps.
     pub fn engine_name(&self) -> &'static str {
         self.engine.name()
-    }
-
-    /// Whether the current engine owns an incremental-repair rule
-    /// ([`crate::engines::IncrementalRepair`]).
-    pub fn engine_owns_repair(&self) -> bool {
-        self.engine.incremental().is_some()
     }
 
     /// Current routing state (after the first sweep).
@@ -535,17 +529,14 @@ impl SubnetManager {
             // Terminal cables are gated out by `cable_event`.
             return Ok(Vec::new());
         };
-        let isl_hops = |sw: SwitchId, lid: Lid| -> Option<u32> {
-            let mut h = 0u32;
-            walk_lft(&self.topo, routes, sw, lid, |_| h += 1)
-                .ok()
-                .map(|_| h)
-        };
         Ok(routes
             .lid_map
             .lids()
             .filter_map(|(lid, _)| {
-                let improvable = match (isl_hops(u, lid), isl_hops(v, lid)) {
+                let improvable = match (
+                    walked_hops(&self.topo, routes, u, lid),
+                    walked_hops(&self.topo, routes, v, lid),
+                ) {
                     (Some(a), Some(b)) => a.abs_diff(b) >= 2,
                     // An endpoint has no (valid) route to this tree; the
                     // restored cable may be what reconnects it.
@@ -1246,16 +1237,19 @@ mod tests {
     }
 
     #[test]
-    fn screening_then_sweep_pipeline() {
-        // The paper's full bring-up: screen cables, disable the bad ones,
-        // route what's left.
-        use hxtopo::{CableHealth, CableScreening};
+    fn fault_plan_then_sweep_pipeline() {
+        // The paper's bring-up: the cables that failed burn-in are gone,
+        // route what is left.
+        use hxtopo::faults::{FaultCount, FaultPlan};
         let mut topo = HyperXConfig::t2_hyperx(140).build();
-        let health = CableHealth::generate(&topo, 0.05, 13);
-        let screening = CableScreening::run(&mut topo, &health, 2.0, 10);
+        let plan = FaultPlan {
+            count: FaultCount::Fraction(0.05),
+            class: Some(LinkClass::Aoc),
+            seed: 13,
+        };
+        assert!(!plan.apply(&mut topo).is_empty());
         let mut sm = SubnetManager::new(topo, Box::new(Dfsssp::default()));
         let r = sm.sweep().unwrap();
         assert_eq!(r.paths.pairs, 140 * 139);
-        let _ = screening;
     }
 }

@@ -85,7 +85,10 @@ proptest! {
             let mut sm = SubnetManager::new(topo, Box::new(FtHyperX::default()));
             sm.verify = false;
             sm.sweep().unwrap();
-            prop_assert!(sm.engine_owns_repair(), "FT-HyperX must expose IncrementalRepair");
+            prop_assert!(
+                FtHyperX::default().incremental().is_some(),
+                "FT-HyperX must expose IncrementalRepair"
+            );
             for &(sel, k) in &ops {
                 let down = inactive_isls(sm.topo());
                 let outcome = if sel % 2 == 1 && !down.is_empty() {

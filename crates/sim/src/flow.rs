@@ -1,5 +1,4 @@
-//! Max-min fair bandwidth allocation (progressive filling) and the fast
-//! bottleneck-round model.
+//! Max-min fair bandwidth allocation (progressive filling).
 //!
 //! Progressive filling is the classical water-filling algorithm: repeatedly
 //! find the directed cable with the smallest fair share among its unfrozen
@@ -50,27 +49,6 @@ pub fn max_min_rates(caps: &[f64], flows: &[&[DirLink]]) -> Vec<f64> {
     }
     let mut os = OneShot::new(SolverKind::Exact);
     os.rates(caps, flows.iter().copied()).to_vec()
-}
-
-/// Fast "bottleneck" estimate of the completion time of a round of
-/// simultaneous flows: the most loaded directed cable dominates.
-///
-/// `latency` is added once (the paper's collectives measure end-to-end
-/// time, so per-round latency rides on top of the bandwidth term).
-pub fn bottleneck_round_time(caps: &[f64], flows: &[FlowSpec], latency: f64) -> f64 {
-    let mut load = vec![0.0f64; caps.len()];
-    for f in flows {
-        for dl in &f.path {
-            load[dl.index()] += f.bytes as f64;
-        }
-    }
-    let mut t: f64 = 0.0;
-    for (li, &b) in load.iter().enumerate() {
-        if b > 0.0 {
-            t = t.max(b / caps[li]);
-        }
-    }
-    latency + t
 }
 
 #[cfg(test)]
@@ -192,21 +170,5 @@ mod tests {
         }
         // The shared ISL must be fully utilized.
         assert!(used[isl.index()] > caps[isl.index()] * 0.999);
-    }
-
-    #[test]
-    fn bottleneck_round_matches_shared_cable() {
-        let t = dumbbell(7);
-        let caps = directed_capacities(&t);
-        let isl = isl_dir(&t);
-        let flows: Vec<FlowSpec> = (0..7)
-            .map(|_| FlowSpec {
-                path: vec![isl],
-                bytes: 1 << 20,
-            })
-            .collect();
-        let tt = bottleneck_round_time(&caps, &flows, 0.0);
-        let expect = 7.0 * (1 << 20) as f64 / caps[isl.index()];
-        assert!((tt - expect).abs() < expect * 1e-9);
     }
 }

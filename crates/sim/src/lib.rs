@@ -4,7 +4,7 @@
 //! top, standing in for the paper's physical QDR InfiniBand fabric:
 //!
 //! * [`flow`] — max-min fair bandwidth allocation over routed paths
-//!   (progressive filling), plus the fast bottleneck-round model,
+//!   (progressive filling),
 //! * [`solver`] — the congestion engine: a [`solver::RateSolver`] trait with
 //!   an `Exact` oracle and a component-wise `Incremental` backend that
 //!   re-solves only flows transitively sharing cables with a change
@@ -60,7 +60,7 @@ pub mod solver;
 pub mod stats;
 
 pub use des::{Op, PathResolver, Program, ResolvedPath, RunResult, Simulator};
-pub use flow::{bottleneck_round_time, max_min_rates, FlowSpec};
+pub use flow::{max_min_rates, FlowSpec};
 pub use fluid::FluidNet;
 pub use noise::NoiseModel;
 pub use params::NetParams;

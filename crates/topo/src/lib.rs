@@ -47,7 +47,6 @@ pub mod cost;
 pub mod fattree;
 pub mod faults;
 pub mod graph;
-pub mod health;
 pub mod hyperx;
 pub mod ids;
 pub mod props;
@@ -56,7 +55,6 @@ pub use cost::{BillOfMaterials, CostModel};
 pub use fattree::{FatTreeConfig, TreeLevels};
 pub use faults::FaultPlan;
 pub use graph::{AdjEntry, Endpoint, Link, LinkClass, Topology, TopologyBuilder};
-pub use health::{CableHealth, CableScreening, SYMBOL_ERROR_THRESHOLD};
 pub use hyperx::{HyperXConfig, HyperXShape};
 pub use ids::{LinkId, NodeId, SwitchId};
 pub use props::TopologyProps;

@@ -17,8 +17,8 @@ fn mini() -> T2hx {
 fn all_routing_states_verify() {
     let sys = mini();
     for (topo, routes) in [
-        (sys.fattree(), sys.ft_ftree()),
-        (sys.fattree(), sys.ft_sssp()),
+        (sys.fattree(), sys.routes(Combo::FtFtreeLinear)),
+        (sys.fattree(), sys.routes(Combo::FtSsspClustered)),
         (sys.hyperx(), sys.hx_dfsssp()),
         (sys.hyperx(), sys.hx_parx()),
     ] {
@@ -123,7 +123,7 @@ fn parx_pml_switches_paths_at_threshold() {
 fn explicit_fabric_runs_des_collectives_on_both_planes() {
     let sys = mini();
     for (topo, routes) in [
-        (sys.fattree(), sys.ft_ftree()),
+        (sys.fattree(), sys.routes(Combo::FtFtreeLinear)),
         (sys.hyperx(), sys.hx_dfsssp()),
     ] {
         let nodes: Vec<NodeId> = topo.nodes().collect();

@@ -137,16 +137,20 @@ fn hyperx_cost_structure_beats_fattree_at_scale() {
 #[test]
 fn subnet_manager_screens_and_routes_related_topologies() {
     // The bring-up pipeline generalizes beyond the paper's engine per
-    // plane: screen a Fat-Tree's cables, disable the bad ones, route with
+    // plane: take a seeded share of a Fat-Tree's cables down, route with
     // the topology-agnostic LASH, and survive a fail-in-place event.
     use t2hx::route::engines::Lash;
     use t2hx::route::SubnetManager;
-    use t2hx::topo::{CableHealth, CableScreening, LinkClass};
+    use t2hx::topo::faults::{FaultCount, FaultPlan};
+    use t2hx::topo::LinkClass;
 
     let mut topo = T2hx::mini().unwrap().fattree().clone();
-    let health = CableHealth::generate(&topo, 0.1, 21);
-    let screening = CableScreening::run(&mut topo, &health, 2.0, 1);
-    assert!(!screening.disabled.is_empty(), "{screening:?}");
+    let plan = FaultPlan {
+        count: FaultCount::Fraction(0.1),
+        class: None,
+        seed: 21,
+    };
+    assert!(!plan.apply(&mut topo).is_empty(), "{plan:?}");
     let mut sm = SubnetManager::new(topo, Box::new(Lash::default()));
     let report = sm.sweep().unwrap();
     assert_eq!(report.paths.pairs, 32 * 31);
