@@ -6,10 +6,11 @@ use hxload::workload::Workload;
 use hxload::x500::{Graph500, Hpcg, Hpl};
 use hxmpi::rounds::estimate_detailed;
 use hxmpi::{Fabric, Placement, Pml};
-use hxroute::Routes;
+use hxroute::{PathDb, Routes};
 use hxsim::flow::directed_capacities;
 use hxsim::{NetParams, NoiseModel};
 use hxtopo::{NodeId, Topology};
+use std::sync::Arc;
 
 /// One application slot of the capacity mix.
 pub struct AppSlot {
@@ -105,10 +106,13 @@ impl CapacityResult {
 ///
 /// `pool_order` is the node ordering of the combo's allocation scheme
 /// (linear, clustered or random over the whole machine); the scheduler
-/// slices consecutive blocks off it for each application.
+/// slices consecutive blocks off it for each application. Every app's
+/// fabric aliases the plane's path store `db`.
+#[allow(clippy::too_many_arguments)]
 pub fn run_capacity(
     topo: &Topology,
     routes: &Routes,
+    db: &Arc<PathDb>,
     pml: Pml,
     params: NetParams,
     pool_order: &[NodeId],
@@ -137,14 +141,14 @@ pub fn run_capacity(
     for slot in apps {
         let nodes = pool_order[offset..offset + slot.nodes].to_vec();
         offset += slot.nodes;
-        let fabric = Fabric::new(
+        let fabric = Fabric::with_pathdb(
             topo,
             routes,
             Placement::explicit(nodes, "capacity"),
             pml.clone(),
             params,
-        )
-        .expect("routable fabric");
+            Arc::clone(db),
+        );
         let sk = slot.workload.skeleton(slot.nodes);
         let detail = estimate_detailed(&fabric, &sk.iter);
         let standalone = sk.setup + sk.iters * detail.total;
@@ -240,6 +244,31 @@ mod tests {
         ]
     }
 
+    /// Runs `apps` on `t` routed by DFSSSP, slicing nodes off `pool`.
+    fn run(
+        t: &Topology,
+        pool: &[NodeId],
+        apps: &[AppSlot],
+        cfg: &CapacityConfig,
+    ) -> CapacityResult {
+        let r = Dfsssp::default().route(t).unwrap();
+        let db = Arc::new(PathDb::build(t, &r, 1, 1).unwrap());
+        run_capacity(t, &r, &db, Pml::Ob1, NetParams::qdr(), pool, apps, cfg)
+    }
+
+    fn hx4x4() -> (Topology, Vec<NodeId>) {
+        let t = HyperXConfig::new(vec![4, 4], 2).build();
+        let pool = t.nodes().collect();
+        (t, pool)
+    }
+
+    fn quiet() -> CapacityConfig {
+        CapacityConfig {
+            noise: NoiseModel::none(),
+            ..CapacityConfig::default()
+        }
+    }
+
     #[test]
     fn paper_mix_occupies_664_nodes() {
         let mix = paper_mix();
@@ -251,18 +280,8 @@ mod tests {
 
     #[test]
     fn capacity_counts_runs() {
-        let t = HyperXConfig::new(vec![4, 4], 2).build();
-        let r = Dfsssp::default().route(&t).unwrap();
-        let pool: Vec<NodeId> = t.nodes().collect();
-        let res = run_capacity(
-            &t,
-            &r,
-            Pml::Ob1,
-            NetParams::qdr(),
-            &pool,
-            &small_mix(),
-            &CapacityConfig::default(),
-        );
+        let (t, pool) = hx4x4();
+        let res = run(&t, &pool, &small_mix(), &CapacityConfig::default());
         assert_eq!(res.apps.len(), 3);
         for a in &res.apps {
             assert!(a.runs > 0, "{} completed no runs", a.name);
@@ -273,60 +292,20 @@ mod tests {
 
     #[test]
     fn interference_only_slows_down() {
-        let t = HyperXConfig::new(vec![4, 4], 2).build();
-        let r = Dfsssp::default().route(&t).unwrap();
-        let pool: Vec<NodeId> = t.nodes().collect();
-        let cfg = CapacityConfig {
-            noise: NoiseModel::none(),
-            ..CapacityConfig::default()
-        };
-        let res = run_capacity(
-            &t,
-            &r,
-            Pml::Ob1,
-            NetParams::qdr(),
-            &pool,
-            &small_mix(),
-            &cfg,
-        );
+        let (t, pool) = hx4x4();
+        let res = run(&t, &pool, &small_mix(), &quiet());
         // Solo run of the same first app: more runs than under interference
         // (or equal if links never overlap).
-        let solo = run_capacity(
-            &t,
-            &r,
-            Pml::Ob1,
-            NetParams::qdr(),
-            &pool,
-            &small_mix()[..1],
-            &cfg,
-        );
+        let solo = run(&t, &pool, &small_mix()[..1], &quiet());
         assert!(solo.apps[0].runs >= res.apps[0].runs);
     }
 
     #[test]
     fn deterministic() {
-        let t = HyperXConfig::new(vec![4, 4], 2).build();
-        let r = Dfsssp::default().route(&t).unwrap();
-        let pool: Vec<NodeId> = t.nodes().collect();
+        let (t, pool) = hx4x4();
         let cfg = CapacityConfig::default();
-        let a = run_capacity(
-            &t,
-            &r,
-            Pml::Ob1,
-            NetParams::qdr(),
-            &pool,
-            &small_mix(),
-            &cfg,
-        );
-        let b = run_capacity(
-            &t,
-            &r,
-            Pml::Ob1,
-            NetParams::qdr(),
-            &pool,
-            &small_mix(),
-            &cfg,
-        );
+        let a = run(&t, &pool, &small_mix(), &cfg);
+        let b = run(&t, &pool, &small_mix(), &cfg);
         let ra: Vec<u32> = a.apps.iter().map(|x| x.runs).collect();
         let rb: Vec<u32> = b.apps.iter().map(|x| x.runs).collect();
         assert_eq!(ra, rb);
@@ -334,23 +313,12 @@ mod tests {
 
     #[test]
     fn burst_factor_zero_disables_interference() {
-        let t = HyperXConfig::new(vec![4, 4], 2).build();
-        let r = Dfsssp::default().route(&t).unwrap();
-        let pool: Vec<NodeId> = t.nodes().collect();
+        let (t, pool) = hx4x4();
         let cfg = CapacityConfig {
-            noise: NoiseModel::none(),
             burst_factor: 0.0,
-            ..CapacityConfig::default()
+            ..quiet()
         };
-        let res = run_capacity(
-            &t,
-            &r,
-            Pml::Ob1,
-            NetParams::qdr(),
-            &pool,
-            &small_mix(),
-            &cfg,
-        );
+        let res = run(&t, &pool, &small_mix(), &cfg);
         for a in &res.apps {
             assert!(
                 (a.interfered - a.standalone).abs() < a.standalone * 1e-9,
@@ -364,32 +332,13 @@ mod tests {
 
     #[test]
     fn higher_burst_factor_never_speeds_apps_up() {
-        let t = HyperXConfig::new(vec![4, 4], 2).build();
-        let r = Dfsssp::default().route(&t).unwrap();
-        let pool: Vec<NodeId> = t.nodes().collect();
+        let (t, pool) = hx4x4();
         let mk = |bf: f64| CapacityConfig {
-            noise: NoiseModel::none(),
             burst_factor: bf,
-            ..CapacityConfig::default()
+            ..quiet()
         };
-        let low = run_capacity(
-            &t,
-            &r,
-            Pml::Ob1,
-            NetParams::qdr(),
-            &pool,
-            &small_mix(),
-            &mk(1.0),
-        );
-        let high = run_capacity(
-            &t,
-            &r,
-            Pml::Ob1,
-            NetParams::qdr(),
-            &pool,
-            &small_mix(),
-            &mk(20.0),
-        );
+        let low = run(&t, &pool, &small_mix(), &mk(1.0));
+        let high = run(&t, &pool, &small_mix(), &mk(20.0));
         for (a, b) in low.apps.iter().zip(&high.apps) {
             assert!(b.interfered >= a.interfered * 0.999, "{}", a.name);
             assert!(b.runs <= a.runs + 1, "{}", a.name);
@@ -399,19 +348,9 @@ mod tests {
     #[test]
     fn allocation_blocks_are_disjoint_slices() {
         // Each app receives a consecutive slice of the pool order.
-        let t = HyperXConfig::new(vec![4, 4], 2).build();
-        let r = Dfsssp::default().route(&t).unwrap();
-        let mut pool: Vec<NodeId> = t.nodes().collect();
+        let (t, mut pool) = hx4x4();
         pool.reverse(); // custom ordering
-        let res = run_capacity(
-            &t,
-            &r,
-            Pml::Ob1,
-            NetParams::qdr(),
-            &pool,
-            &small_mix(),
-            &CapacityConfig::default(),
-        );
+        let res = run(&t, &pool, &small_mix(), &CapacityConfig::default());
         let total: usize = res.apps.iter().map(|a| a.nodes).sum();
         assert_eq!(total, 24);
     }
@@ -420,16 +359,7 @@ mod tests {
     #[should_panic]
     fn oversubscribed_pool_rejected() {
         let t = HyperXConfig::new(vec![2, 2], 1).build();
-        let r = Dfsssp::default().route(&t).unwrap();
         let pool: Vec<NodeId> = t.nodes().collect();
-        run_capacity(
-            &t,
-            &r,
-            Pml::Ob1,
-            NetParams::qdr(),
-            &pool,
-            &small_mix(),
-            &CapacityConfig::default(),
-        );
+        run(&t, &pool, &small_mix(), &CapacityConfig::default());
     }
 }

@@ -49,6 +49,7 @@ pub fn run_capacity_combo(
     run_capacity(
         topo,
         sys.routes(combo),
+        sys.pathdb(combo),
         combo.pml(),
         sys.params(),
         &ordered,
