@@ -1,5 +1,5 @@
 //! The fragmentation-aware job allocator: live jobs over one plane's
-//! node pool, with pluggable placement policies and link-sharing
+//! node pool, with the three placement policies and link-sharing
 //! accounting.
 //!
 //! The paper's capacity argument (Section 5.3) is really a claim about a
@@ -7,14 +7,14 @@
 //! rearrangement cost a fat-tree pays. [`Allocator`] is that scheduler's
 //! state: a quadrant-major node pool, a free bitmap, the set of live jobs
 //! with their ring communication cables, and the per-cable sharing counts
-//! the [`NetworkAware`](crate::NetworkAware) policy and the
+//! the [`NetworkAware`](crate::PolicyKind::NetworkAware) policy and the
 //! [`interference`](mod@crate::interference) metrics read. The day-scale
 //! arrival/departure schedule lives one layer up, in
 //! `hxcore::run_capacity_scale`; this type is the pure, deterministic
 //! core it drives.
 
 use crate::place::PlaceError;
-use crate::policy::{PlacementPolicy, PoolView};
+use crate::policy::{PolicyKind, PoolView};
 use crate::quadrant_pool_order;
 use hxroute::{DirLink, PathDb, Routes};
 use hxtopo::{NodeId, Topology};
@@ -97,23 +97,14 @@ impl<'a> Allocator<'a> {
     pub fn allocate(
         &mut self,
         k: usize,
-        policy: &dyn PlacementPolicy,
+        policy: PolicyKind,
         seed: u64,
     ) -> Result<JobId, PlaceError> {
         let nodes = policy.select(&self.view(), k, seed)?;
-        debug_assert_eq!(
-            nodes.len(),
-            k,
-            "policy {} broke its contract",
-            policy.name()
-        );
+        debug_assert_eq!(nodes.len(), k, "policy {policy} broke its contract");
         for n in &nodes {
             let pos = self.node_pos[n.0 as usize];
-            debug_assert!(
-                self.free[pos],
-                "policy {} picked a busy node",
-                policy.name()
-            );
+            debug_assert!(self.free[pos], "policy {policy} picked a busy node");
             self.free[pos] = false;
         }
         self.free_count -= k;
@@ -240,7 +231,8 @@ fn ring_paths(routes: &Routes, db: &PathDb, nodes: &[NodeId]) -> Vec<Vec<DirLink
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{ring_links, Contiguous, Scattered};
+    use crate::policy::ring_links;
+    use crate::PolicyKind::{Contiguous, Scattered};
     use hxroute::engines::{RoutingEngine, Sssp};
     use hxtopo::hyperx::HyperXConfig;
 
@@ -257,7 +249,7 @@ mod tests {
         let mut a = Allocator::new(&topo, &routes, &db);
         let before = a.free_bitmap().to_vec();
         let share_before = a.link_share().to_vec();
-        let id = a.allocate(8, &Contiguous, 1).unwrap();
+        let id = a.allocate(8, Contiguous, 1).unwrap();
         assert_eq!(a.free_nodes(), 24);
         assert_eq!(a.live_jobs(), 1);
         assert!(a
@@ -277,10 +269,10 @@ mod tests {
     fn refusals_leave_state_untouched() {
         let (topo, routes, db) = ctx();
         let mut a = Allocator::new(&topo, &routes, &db);
-        a.allocate(30, &Contiguous, 1).unwrap();
+        a.allocate(30, Contiguous, 1).unwrap();
         let before = a.free_bitmap().to_vec();
         assert_eq!(
-            a.allocate(3, &Contiguous, 1),
+            a.allocate(3, Contiguous, 1),
             Err(PlaceError::Insufficient {
                 requested: 3,
                 free: 2
@@ -296,10 +288,10 @@ mod tests {
         let mut a = Allocator::new(&topo, &routes, &db);
         assert_eq!(a.fragmentation(), 0.0, "virgin pool is unfragmented");
         // A contiguous job leaves one free run: still unfragmented.
-        let head = a.allocate(8, &Contiguous, 1).unwrap();
+        let head = a.allocate(8, Contiguous, 1).unwrap();
         assert_eq!(a.fragmentation(), 0.0);
         // Scattered jobs shred the free pool.
-        let s = a.allocate(16, &Scattered, 7).unwrap();
+        let s = a.allocate(16, Scattered, 7).unwrap();
         assert!(a.fragmentation() > 0.0, "scatter must fragment");
         a.release(s).unwrap();
         a.release(head).unwrap();
@@ -311,9 +303,7 @@ mod tests {
         let (topo, routes, db) = ctx();
         for kind in crate::POLICY_KINDS {
             let mut a = Allocator::new(&topo, &routes, &db);
-            let ids: Vec<JobId> = (0..3)
-                .map(|i| a.allocate(6, kind.policy(), i).unwrap())
-                .collect();
+            let ids: Vec<JobId> = (0..3).map(|i| a.allocate(6, kind, i).unwrap()).collect();
             assert_eq!(a.free_nodes(), 32 - 18);
             assert!(a.utilization() > 0.5);
             // A job's cables are exactly the ones its ring crosses.

@@ -1,15 +1,18 @@
-//! Capacity-run scheduler and interference model.
+//! Capacity-run scheduler: the Figure-7 mix, priced by the solver-backed
+//! interference kernel of [`mod@crate::interference`].
 
+use crate::interference::slowdowns;
 use hxload::imb::{Emdl, Mupp};
 use hxload::proxy::{Amg, CoMd, Ffvc, Milc, MiniFe, Mvmc, NtChem, Qball, Swfft};
 use hxload::workload::Workload;
 use hxload::x500::{Graph500, Hpcg, Hpl};
-use hxmpi::rounds::estimate_detailed;
+use hxmpi::rounds::{estimate_detailed, Phase, RoundProgram};
 use hxmpi::{Fabric, Placement, Pml};
-use hxroute::{PathDb, Routes};
+use hxroute::{DirLink, PathDb, Routes};
 use hxsim::flow::directed_capacities;
 use hxsim::{NetParams, NoiseModel};
 use hxtopo::{NodeId, Topology};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// One application slot of the capacity mix.
@@ -53,12 +56,6 @@ pub struct CapacityConfig {
     pub restart: f64,
     /// Run-to-run noise.
     pub noise: NoiseModel,
-    /// Burst-collision amplification: applications communicate in bursts,
-    /// so the slowdown seen on a shared cable exceeds the *average*
-    /// background utilization. Dilation = `1 + burst_factor x background`.
-    /// Calibrated against the paper's Figure-7 MuPP sensitivity to the
-    /// clustered allocation.
-    pub burst_factor: f64,
 }
 
 impl Default for CapacityConfig {
@@ -67,7 +64,6 @@ impl Default for CapacityConfig {
             duration: 3.0 * 3600.0,
             restart: 8.0,
             noise: NoiseModel::default(),
-            burst_factor: 6.0,
         }
     }
 }
@@ -125,18 +121,10 @@ pub fn run_capacity(
         "mix needs {needed} nodes, pool has {}",
         pool_order.len()
     );
-    let caps = directed_capacities(topo);
 
-    // Pass 1: standalone evaluation + per-cable average rates.
-    struct Eval {
-        setup: f64,
-        iters: f64,
-        compute: f64,
-        comm: f64,
-        links: Vec<(usize, f64)>, // (dirlink index, bytes per iteration)
-    }
+    // Pass 1: each app's standalone cost and exchange flows on its slice.
     let mut evals = Vec::with_capacity(apps.len());
-    let mut rate = vec![0.0f64; caps.len()];
+    let mut flows = Vec::with_capacity(apps.len());
     let mut offset = 0usize;
     for slot in apps {
         let nodes = pool_order[offset..offset + slot.nodes].to_vec();
@@ -151,41 +139,19 @@ pub fn run_capacity(
         );
         let sk = slot.workload.skeleton(slot.nodes);
         let detail = estimate_detailed(&fabric, &sk.iter);
-        let standalone = sk.setup + sk.iters * detail.total;
-        let links: Vec<(usize, f64)> = detail
-            .link_bytes
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b > 0.0)
-            .map(|(i, &b)| (i, b))
-            .collect();
-        // Average byte rate this app imposes on each cable while running.
-        for &(i, b) in &links {
-            rate[i] += b * sk.iters / standalone.max(1e-9);
-        }
-        evals.push(Eval {
-            setup: sk.setup,
-            iters: sk.iters,
-            compute: detail.compute,
-            comm: detail.comm(),
-            links,
-        });
+        flows.push(exchange_flows(&fabric, &sk.iter));
+        evals.push((sk.setup, sk.iters, detail.compute, detail.comm()));
     }
 
-    // Pass 2: dilation per app = 1 + the worst *background* busy fraction
-    // (other applications' average byte rate over capacity) among its own
-    // cables — bursts from co-running jobs stretch the communication phases
-    // of everyone sharing the cable.
+    // Pass 2: every app's flows rated alone and against all co-runners;
+    // the slowdown dilates its communication phases.
+    let jobs: Vec<&[Vec<DirLink>]> = flows.iter().map(Vec::as_slice).collect();
+    let dilations = slowdowns(&directed_capacities(topo), &jobs);
     let mut results = Vec::with_capacity(apps.len());
-    for (slot, ev) in apps.iter().zip(&evals) {
-        let standalone = ev.setup + ev.iters * (ev.compute + ev.comm);
-        let mut background: f64 = 0.0;
-        for &(i, b) in &ev.links {
-            let own = b * ev.iters / standalone.max(1e-9);
-            background = background.max((rate[i] - own).max(0.0) / caps[i]);
-        }
-        let dilation = 1.0 + cfg.burst_factor * background;
-        let interfered = ev.setup + ev.iters * (ev.compute + ev.comm * dilation);
+    for ((slot, &(setup, iters, compute, comm)), dilation) in apps.iter().zip(&evals).zip(dilations)
+    {
+        let standalone = setup + iters * (compute + comm);
+        let interfered = setup + iters * (compute + comm * dilation);
 
         // Sequential runs with per-run noise until the window closes.
         let tag = {
@@ -213,6 +179,34 @@ pub fn run_capacity(
         });
     }
     CapacityResult { apps: results }
+}
+
+/// One flow per distinct ordered node pair the program's exchanges
+/// connect (self-sends skipped), in first-message order. Each flow takes
+/// the path the round model gives the pair's first message.
+fn exchange_flows(fabric: &Fabric<'_>, prog: &RoundProgram) -> Vec<Vec<DirLink>> {
+    let db = fabric.pathdb();
+    let mut seen = HashSet::new();
+    let mut flows = Vec::new();
+    for phase in &prog.phases {
+        let Phase::Exchange(msgs) = phase else {
+            continue;
+        };
+        for &(src, dst, bytes) in msgs.iter() {
+            let sn = fabric.placement.node(src);
+            let dn = fabric.placement.node(dst);
+            if sn == dn || !seen.insert((sn, dn)) {
+                continue;
+            }
+            let lid_idx = fabric
+                .pml
+                .select_lid_index(fabric.topo, fabric.routes, sn, dn, bytes, 0);
+            let mut path = Vec::new();
+            fabric.node_path_in(&db, sn, dn, lid_idx, &mut path);
+            flows.push(path);
+        }
+    }
+    flows
 }
 
 #[cfg(test)]
@@ -312,16 +306,14 @@ mod tests {
     }
 
     #[test]
-    fn burst_factor_zero_disables_interference() {
+    fn one_app_mix_runs_undilated() {
+        // Alone on the plane, an app's shared solve is its solo solve.
         let (t, pool) = hx4x4();
-        let cfg = CapacityConfig {
-            burst_factor: 0.0,
-            ..quiet()
-        };
-        let res = run(&t, &pool, &small_mix(), &cfg);
-        for a in &res.apps {
+        for app in small_mix() {
+            let res = run(&t, &pool, &[app], &quiet());
+            let a = &res.apps[0];
             assert!(
-                (a.interfered - a.standalone).abs() < a.standalone * 1e-9,
+                (a.interfered - a.standalone).abs() < 1e-12,
                 "{}: {} vs {}",
                 a.name,
                 a.interfered,
@@ -331,18 +323,39 @@ mod tests {
     }
 
     #[test]
-    fn higher_burst_factor_never_speeds_apps_up() {
+    fn interleaved_apps_share_cables_and_dilate() {
+        // Even nodes to the first app, odd nodes to the second: both span
+        // every switch, so their exchanges meet on the same cables.
         let (t, pool) = hx4x4();
-        let mk = |bf: f64| CapacityConfig {
-            burst_factor: bf,
-            ..quiet()
+        let (even, odd): (Vec<NodeId>, Vec<NodeId>) = pool.iter().partition(|n| n.0 % 2 == 0);
+        let interleaved: Vec<NodeId> = even.into_iter().chain(odd).collect();
+        let apps = || -> Vec<AppSlot> {
+            vec![
+                AppSlot {
+                    workload: Box::new(Mupp {
+                        iters: 1_000_000,
+                        bytes: 4096,
+                    }),
+                    nodes: 16,
+                },
+                AppSlot {
+                    workload: Box::new(Mupp {
+                        iters: 1_000_000,
+                        bytes: 4096,
+                    }),
+                    nodes: 16,
+                },
+            ]
         };
-        let low = run(&t, &pool, &small_mix(), &mk(1.0));
-        let high = run(&t, &pool, &small_mix(), &mk(20.0));
-        for (a, b) in low.apps.iter().zip(&high.apps) {
-            assert!(b.interfered >= a.interfered * 0.999, "{}", a.name);
-            assert!(b.runs <= a.runs + 1, "{}", a.name);
+        let res = run(&t, &interleaved, &apps(), &quiet());
+        for a in &res.apps {
+            assert!(a.interfered >= a.standalone, "{} sped up", a.name);
         }
+        assert!(
+            res.apps.iter().any(|a| a.interfered > a.standalone * 1.001),
+            "no app dilated: {:?}",
+            res.apps
+        );
     }
 
     #[test]

@@ -1,24 +1,27 @@
-//! Solver-backed inter-job interference metrics.
+//! Solver-backed inter-job interference: the one interference model of
+//! `hxcap`.
 //!
 //! FatPaths (Besta et al.) argues that congestion is a property of
 //! *shared cables*, not hop counts: two jobs with identical locality
 //! scores can behave completely differently depending on whether their
-//! traffic meets on a wire. This module measures exactly that, using the
-//! same max-min-fair [`hxsim::solver`] kernel the simulators run on:
+//! traffic meets on a wire. The private kernel `slowdowns` measures
+//! exactly that, using the same max-min-fair [`hxsim::solver`] kernel the
+//! simulators run on: it rates every job's flows *solo* (alone on an idle
+//! fabric) and *shared* (all jobs solved together), and the ratio is the
+//! job's slowdown — 1.0 when its cables are private, rising as co-runners
+//! pile onto them. Two callers feed it flows:
 //!
-//! * [`interference`] rates every live job's ring flows *solo* (alone on
-//!   an idle fabric) and *shared* (all live jobs solved together); the
-//!   ratio is the job's slowdown — 1.0 when its cables are private,
-//!   rising as co-running rings pile onto them.
-//! * [`pairwise_loss`] isolates victim/aggressor pairs: the rate a
-//!   victim loses when exactly one aggressor co-runs, skipping pairs
-//!   whose rings share no cable (their loss is structurally zero).
+//! * [`interference`] passes the allocator's live ring paths (the
+//!   `capacity_scale` checkpoints),
+//! * [`crate::run_capacity`] passes each application's own exchange
+//!   traffic and dilates its communication time by the slowdown
+//!   (Figure 7).
 //!
 //! Rates are bit-identical across solver backends (DESIGN.md §8), so
 //! every number here is byte-stable per allocation state and safe to
 //! fold into the `capacity_scale` fingerprints.
 
-use crate::alloc::{Allocator, JobId, LiveJob};
+use crate::alloc::{Allocator, JobId};
 use hxroute::DirLink;
 use hxsim::solver::OneShot;
 use hxsim::SolverKind;
@@ -28,27 +31,10 @@ use hxsim::SolverKind;
 pub struct JobInterference {
     /// The job.
     pub id: JobId,
-    /// Plane (rail) the job's flows were grouped under (0 on single-plane
-    /// systems).
-    pub plane: u32,
-    /// Mean ring-flow rate with the job alone on the fabric (bytes/s;
-    /// infinite-rate loopback flows excluded). 0.0 for single-rank jobs
-    /// with no flows.
-    pub solo_rate: f64,
-    /// Mean ring-flow rate with every co-planar job solved together.
-    pub shared_rate: f64,
-}
-
-impl JobInterference {
-    /// Victim slowdown: `solo / shared` (1.0 when nothing is shared or
-    /// the job has no flows).
-    pub fn slowdown(&self) -> f64 {
-        if self.shared_rate <= 0.0 || self.solo_rate <= 0.0 {
-            1.0
-        } else {
-            self.solo_rate / self.shared_rate
-        }
-    }
+    /// Victim slowdown: mean ring-flow rate alone on the fabric over the
+    /// mean with every live job solved together (1.0 when nothing is
+    /// shared or the job has no flows).
+    pub slowdown: f64,
 }
 
 /// Interference outcomes of every live job at one allocation state.
@@ -61,15 +47,57 @@ pub struct InterferenceReport {
 impl InterferenceReport {
     /// Largest per-job slowdown (1.0 when no job is slowed).
     pub fn max_slowdown(&self) -> f64 {
-        self.per_job
-            .iter()
-            .map(|j| j.slowdown())
-            .fold(1.0, f64::max)
+        self.per_job.iter().map(|j| j.slowdown).fold(1.0, f64::max)
     }
 }
 
-/// Mean of the finite entries of a rate slice (ring flows over a shared
-/// cable are always finite; loopback self-flows are infinite and carry no
+/// Rates every live job's ring flows solo and shared. `caps` comes from
+/// [`hxsim::flow::directed_capacities`] for the allocator's plane; jobs
+/// on other planes live in other allocators and never contend.
+pub fn interference(alloc: &Allocator<'_>, caps: &[f64]) -> InterferenceReport {
+    let jobs: Vec<&[Vec<DirLink>]> = alloc.jobs().map(|(_, j)| j.paths.as_slice()).collect();
+    let per_job = alloc
+        .jobs()
+        .zip(slowdowns(caps, &jobs))
+        .map(|((id, _), slowdown)| JobInterference { id, slowdown })
+        .collect();
+    InterferenceReport { per_job }
+}
+
+/// Per-job slowdown `solo / shared`, where each rate is the job's mean
+/// finite flow rate (Exact max-min) with all `jobs` solved together and
+/// with the job alone; 1.0 when either rate is 0 (a job without flows).
+pub(crate) fn slowdowns(caps: &[f64], jobs: &[&[Vec<DirLink>]]) -> Vec<f64> {
+    let mut os = OneShot::new(SolverKind::Exact);
+    let shared = mean_rates(&mut os, caps, jobs);
+    jobs.iter()
+        .zip(shared)
+        .map(|(&job, shared)| {
+            let solo = mean_rates(&mut os, caps, &[job])[0];
+            if shared <= 0.0 || solo <= 0.0 {
+                1.0
+            } else {
+                solo / shared
+            }
+        })
+        .collect()
+}
+
+/// Solves every job's flows in one shot and averages the rates per job.
+fn mean_rates(os: &mut OneShot, caps: &[f64], jobs: &[&[Vec<DirLink>]]) -> Vec<f64> {
+    let rates = os.rates(caps, jobs.iter().flat_map(|j| j.iter().map(Vec::as_slice)));
+    let mut off = 0usize;
+    jobs.iter()
+        .map(|j| {
+            let mean = mean_finite(&rates[off..off + j.len()]);
+            off += j.len();
+            mean
+        })
+        .collect()
+}
+
+/// Mean of the finite entries of a rate slice (flows over a shared cable
+/// are always finite; loopback self-flows are infinite and carry no
 /// interference signal).
 fn mean_finite(rates: &[f64]) -> f64 {
     let mut sum = 0.0;
@@ -87,113 +115,10 @@ fn mean_finite(rates: &[f64]) -> f64 {
     }
 }
 
-fn solve_mean(os: &mut OneShot, caps: &[f64], paths: &[&LiveJob]) -> Vec<(usize, f64)> {
-    // Solve all jobs' flows in one shot, then average per job.
-    let flat: Vec<&[DirLink]> = paths
-        .iter()
-        .flat_map(|j| j.paths.iter().map(|p| p.as_slice()))
-        .collect();
-    let rates = os.rates(caps, flat.iter().copied()).to_vec();
-    let mut out = Vec::with_capacity(paths.len());
-    let mut off = 0usize;
-    for (ji, j) in paths.iter().enumerate() {
-        let n = j.paths.len();
-        out.push((ji, mean_finite(&rates[off..off + n])));
-        off += n;
-    }
-    out
-}
-
-/// Rates every live job's ring flows solo and shared, grouped by plane:
-/// `plane_of(job id)` names the rail a job's traffic rides (return 0
-/// everywhere for a single-plane system), and jobs on different planes
-/// never contend. `caps` comes from
-/// [`hxsim::flow::directed_capacities`] for the plane topology.
-pub fn interference_planes(
-    alloc: &Allocator<'_>,
-    caps: &[f64],
-    plane_of: impl Fn(JobId) -> u32,
-) -> InterferenceReport {
-    let mut os = OneShot::new(SolverKind::Exact);
-    let mut groups: std::collections::BTreeMap<u32, Vec<(JobId, &LiveJob)>> = Default::default();
-    for (id, job) in alloc.jobs() {
-        groups.entry(plane_of(id)).or_default().push((id, job));
-    }
-    let mut per_job = Vec::new();
-    for (plane, members) in groups {
-        let jobs: Vec<&LiveJob> = members.iter().map(|&(_, j)| j).collect();
-        let shared = solve_mean(&mut os, caps, &jobs);
-        for (idx, (id, job)) in members.iter().enumerate() {
-            let solo = solve_mean(&mut os, caps, &[job]);
-            per_job.push(JobInterference {
-                id: *id,
-                plane,
-                solo_rate: solo[0].1,
-                shared_rate: shared[idx].1,
-            });
-        }
-    }
-    per_job.sort_by_key(|j| j.id);
-    InterferenceReport { per_job }
-}
-
-/// Single-plane convenience wrapper of [`interference_planes`].
-pub fn interference(alloc: &Allocator<'_>, caps: &[f64]) -> InterferenceReport {
-    interference_planes(alloc, caps, |_| 0)
-}
-
-/// Victim/aggressor decomposition: for every ordered pair of live jobs
-/// whose rings share at least one cable, the victim's fractional rate
-/// loss `1 - shared(victim | aggressor) / solo(victim)` when exactly the
-/// aggressor co-runs. Pairs with disjoint rings are skipped — their loss
-/// is structurally zero. Returned as `(victim, aggressor, loss)` in
-/// job-id order.
-pub fn pairwise_loss(alloc: &Allocator<'_>, caps: &[f64]) -> Vec<(JobId, JobId, f64)> {
-    let jobs: Vec<(JobId, &LiveJob)> = alloc.jobs().collect();
-    let mut os = OneShot::new(SolverKind::Exact);
-    let mut out = Vec::new();
-    for &(vid, victim) in &jobs {
-        if victim.paths.is_empty() {
-            continue;
-        }
-        let solo = solve_mean(&mut os, caps, &[victim])[0].1;
-        if solo <= 0.0 {
-            continue;
-        }
-        for &(aid, aggressor) in &jobs {
-            if aid == vid {
-                continue;
-            }
-            // Disjoint rings cannot contend; skip the solve.
-            if !share_a_cable(victim, aggressor) {
-                continue;
-            }
-            let both = solve_mean(&mut os, caps, &[victim, aggressor]);
-            let loss = 1.0 - both[0].1 / solo;
-            out.push((vid, aid, loss.max(0.0)));
-        }
-    }
-    out
-}
-
-/// Whether two jobs' deduplicated, sorted ring-cable lists intersect.
-fn share_a_cable(a: &LiveJob, b: &LiveJob) -> bool {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.links.len() && j < b.links.len() {
-        match a.links[i].cmp(&b.links[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{Contiguous, Scattered};
-    use crate::Allocator;
+    use crate::PolicyKind::{Contiguous, Scattered};
     use hxroute::engines::{RoutingEngine, Sssp};
     use hxroute::{PathDb, Routes};
     use hxsim::flow::directed_capacities;
@@ -215,7 +140,6 @@ mod tests {
         let r = interference(&a, &caps);
         assert!(r.per_job.is_empty());
         assert_eq!(r.max_slowdown(), 1.0);
-        assert!(pairwise_loss(&a, &caps).is_empty());
     }
 
     #[test]
@@ -225,13 +149,13 @@ mod tests {
         // Four contiguous 8-rank jobs: one per quadrant, private cables.
         let mut tight = Allocator::new(&topo, &routes, &db);
         for i in 0..4 {
-            tight.allocate(8, &Contiguous, i).unwrap();
+            tight.allocate(8, Contiguous, i).unwrap();
         }
         let tight_r = interference(&tight, &caps);
         // Four scattered 8-rank jobs: rings sprawl over shared cables.
         let mut loose = Allocator::new(&topo, &routes, &db);
         for i in 0..4 {
-            loose.allocate(8, &Scattered, i).unwrap();
+            loose.allocate(8, Scattered, i).unwrap();
         }
         let loose_r = interference(&loose, &caps);
         assert!(
@@ -244,43 +168,7 @@ mod tests {
         // per-flow monotone, but a job's mean cannot meaningfully gain
         // from co-runners).
         for j in tight_r.per_job.iter().chain(&loose_r.per_job) {
-            assert!(j.slowdown() >= 0.99, "{:?}", j);
-        }
-    }
-
-    #[test]
-    fn planes_isolate_jobs() {
-        let (topo, routes, db) = ctx();
-        let caps = directed_capacities(&topo);
-        let mut a = Allocator::new(&topo, &routes, &db);
-        let j0 = a.allocate(16, &Scattered, 1).unwrap();
-        let j1 = a.allocate(16, &Scattered, 2).unwrap();
-        // Same fabric, but each job on its own rail: no contention.
-        let split = interference_planes(&a, &caps, |id| if id == j0 { 0 } else { 1 });
-        assert!(
-            (split.max_slowdown() - 1.0).abs() < 1e-9,
-            "cross-plane jobs cannot contend: {}",
-            split.max_slowdown()
-        );
-        // On one shared rail the same pair does contend.
-        let merged = interference(&a, &caps);
-        assert!(merged.max_slowdown() >= split.max_slowdown());
-        let _ = j1;
-    }
-
-    #[test]
-    fn pairwise_loss_names_victims_and_aggressors() {
-        let (topo, routes, db) = ctx();
-        let caps = directed_capacities(&topo);
-        let mut a = Allocator::new(&topo, &routes, &db);
-        a.allocate(16, &Scattered, 3).unwrap();
-        a.allocate(16, &Scattered, 4).unwrap();
-        let pairs = pairwise_loss(&a, &caps);
-        // Two 16-rank scattered jobs on a 32-node plane must collide.
-        assert!(!pairs.is_empty(), "scattered halves must share a cable");
-        for (v, ag, loss) in &pairs {
-            assert_ne!(v, ag);
-            assert!((0.0..=1.0).contains(loss), "loss {loss}");
+            assert!(j.slowdown >= 0.99, "{:?}", j);
         }
     }
 
@@ -290,13 +178,12 @@ mod tests {
         let caps = directed_capacities(&topo);
         let mut a = Allocator::new(&topo, &routes, &db);
         for i in 0..3 {
-            a.allocate(8, &Scattered, i).unwrap();
+            a.allocate(8, Scattered, i).unwrap();
         }
         let r1 = interference(&a, &caps);
         let r2 = interference(&a, &caps);
         for (x, y) in r1.per_job.iter().zip(&r2.per_job) {
-            assert_eq!(x.solo_rate.to_bits(), y.solo_rate.to_bits());
-            assert_eq!(x.shared_rate.to_bits(), y.shared_rate.to_bits());
+            assert_eq!(x.slowdown.to_bits(), y.slowdown.to_bits());
         }
     }
 }

@@ -12,16 +12,16 @@
 //!   arrivals/departures over a quadrant-major node pool, three placement
 //!   policies (contiguous first-fit, scattered, network-aware
 //!   candidate-slate scoring), a fragmentation index over the free pool,
-//!   and solver-backed victim/aggressor interference metrics. This is the
-//!   machinery behind the `capacity_scale` day-scale harness and the
-//!   `hxd` service's `place(k, policy)` query (DESIGN.md §15).
+//!   and solver-backed per-job slowdowns. This is the machinery behind
+//!   the `capacity_scale` day-scale harness and the `hxd` service's
+//!   `place(k, policy)` query (DESIGN.md §15).
 //!
-//! Interference model of the Figure-7 layer: every application
-//! contributes its average per-cable byte rate; where summed rates
-//! oversubscribe a cable, communication phases dilate by the
-//! oversubscription factor. The allocator layer replaces that static
-//! model with per-job ring flows rated by the exact max-min
-//! [`hxsim::solver`] kernel.
+//! Both layers share one interference model: each job's flows are rated
+//! by the exact max-min [`hxsim::solver`] kernel alone and together with
+//! every co-runner, and the ratio is the job's slowdown. The allocator
+//! feeds it each job's ring flows; the Figure-7 layer feeds it each
+//! application's own exchange traffic and dilates its communication time
+//! by the slowdown.
 
 #![deny(missing_docs)]
 
@@ -33,11 +33,8 @@ pub mod policy;
 
 pub use alloc::{Allocator, JobId, LiveJob};
 pub use capacity::{paper_mix, run_capacity, AppResult, AppSlot, CapacityConfig, CapacityResult};
-pub use interference::{
-    interference, interference_planes, pairwise_loss, InterferenceReport, JobInterference,
-};
-pub use place::{place_ranks, place_ranks_with, quadrant_pool_order, PlaceError, Placed};
+pub use interference::{interference, InterferenceReport, JobInterference};
+pub use place::{place_ranks_with, quadrant_pool_order, PlaceError, Placed};
 pub use policy::{
-    mean_pairwise_isl_hops, ring_links, Contiguous, NetworkAware, PlacementPolicy, PolicyKind,
-    PoolView, Scattered, POLICY_KINDS, POLICY_NAMES,
+    mean_pairwise_isl_hops, ring_links, PolicyKind, PoolView, POLICY_KINDS, POLICY_NAMES,
 };

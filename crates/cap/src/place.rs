@@ -5,9 +5,9 @@
 //! quadrant is what keeps a job off the congested long dimensions. This
 //! module combines the two: order the pool quadrant-major (so a `k`-node
 //! slice spans as few quadrants as possible), select `k` free nodes under
-//! a [`PlacementPolicy`](crate::PlacementPolicy), and score the result by
-//! mean pairwise ISL hops measured on the epoch's path store — the same
-//! metric Table 1 optimizes per message.
+//! a [`PolicyKind`], and score the result by mean pairwise ISL hops
+//! measured on the epoch's path store — the same metric Table 1 optimizes
+//! per message.
 
 use crate::policy::{mean_pairwise_isl_hops, PolicyKind, PoolView};
 use hxroute::{PathDb, Routes};
@@ -120,7 +120,7 @@ pub fn place_ranks_with(
         free: &free,
         link_share: &link_share,
     };
-    let nodes = policy.policy().select(&view, k, seed)?;
+    let nodes = policy.select(&view, k, seed)?;
     let mean_isl_hops = mean_pairwise_isl_hops(routes, db, &nodes);
     let quadrant_spread = quadrant_spread(topo, &nodes);
     Ok(Placed {
@@ -128,17 +128,6 @@ pub fn place_ranks_with(
         mean_isl_hops,
         quadrant_spread,
     })
-}
-
-/// Places a `k`-rank job with the default contiguous (quadrant-major)
-/// policy — the historical `place(k)` behaviour.
-pub fn place_ranks(
-    topo: &Topology,
-    routes: &Routes,
-    db: &PathDb,
-    k: usize,
-) -> Result<Placed, PlaceError> {
-    place_ranks_with(topo, routes, db, k, PolicyKind::Contiguous, 0)
 }
 
 #[cfg(test)]
@@ -151,6 +140,16 @@ mod tests {
         let routes = Sssp::default().route(topo).unwrap();
         let db = PathDb::build(topo, &routes, 1, 1).unwrap();
         (routes, db)
+    }
+
+    /// The default `place(k)`: contiguous, quadrant-major.
+    fn contiguous(
+        topo: &Topology,
+        routes: &Routes,
+        db: &PathDb,
+        k: usize,
+    ) -> Result<Placed, PlaceError> {
+        place_ranks_with(topo, routes, db, k, PolicyKind::Contiguous, 0)
     }
 
     #[test]
@@ -174,14 +173,14 @@ mod tests {
         let topo = HyperXConfig::new(vec![4, 4], 2).build();
         let (routes, db) = swept(&topo);
         // 8 ranks fit a single 2x2-switch quadrant (2 terminals each).
-        let p = place_ranks(&topo, &routes, &db, 8).unwrap();
+        let p = contiguous(&topo, &routes, &db, 8).unwrap();
         assert_eq!(p.nodes.len(), 8);
         assert_eq!(p.quadrant_spread, 1);
         // Whole-machine jobs span all four.
-        let p = place_ranks(&topo, &routes, &db, topo.num_nodes()).unwrap();
+        let p = contiguous(&topo, &routes, &db, topo.num_nodes()).unwrap();
         assert_eq!(p.quadrant_spread, 4);
         // Locality: the small slice is tighter than the full machine.
-        let small = place_ranks(&topo, &routes, &db, 8).unwrap();
+        let small = contiguous(&topo, &routes, &db, 8).unwrap();
         assert!(small.mean_isl_hops < p.mean_isl_hops);
     }
 
@@ -190,11 +189,11 @@ mod tests {
         let topo = HyperXConfig::new(vec![4, 4], 2).build();
         let (routes, db) = swept(&topo);
         assert_eq!(
-            place_ranks(&topo, &routes, &db, 0),
+            contiguous(&topo, &routes, &db, 0),
             Err(PlaceError::ZeroRanks)
         );
         assert_eq!(
-            place_ranks(&topo, &routes, &db, topo.num_nodes() + 1),
+            contiguous(&topo, &routes, &db, topo.num_nodes() + 1),
             Err(PlaceError::Insufficient {
                 requested: topo.num_nodes() + 1,
                 free: topo.num_nodes()
@@ -221,7 +220,7 @@ mod tests {
         let pool = quadrant_pool_order(&topo);
         assert_eq!(pool, topo.nodes().collect::<Vec<_>>());
         let (routes, db) = swept(&topo);
-        let p = place_ranks(&topo, &routes, &db, 4).unwrap();
+        let p = contiguous(&topo, &routes, &db, 4).unwrap();
         assert_eq!(p.quadrant_spread, 0);
     }
 }

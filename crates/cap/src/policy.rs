@@ -1,4 +1,4 @@
-//! Pluggable placement policies for the fragmentation-aware allocator.
+//! The placement policies of the fragmentation-aware allocator.
 //!
 //! "Resource Allocation in HyperX Networks" (Cano et al.) shows that on a
 //! HyperX the *allocation* policy interacts with the routing as strongly
@@ -6,18 +6,20 @@
 //! for every neighbour exchange, while a job packed into one quadrant
 //! barely touches the shared cables. This module captures the three
 //! policy families that study (and the paper's Section 5.3 combos)
-//! compare:
+//! compare, one [`PolicyKind`] variant each; [`PolicyKind::select`]
+//! matches on the kind:
 //!
-//! * [`Contiguous`] — first-fit over the quadrant-major pool order: the
-//!   production default that keeps a job inside as few quadrants as the
-//!   current fragmentation allows,
-//! * [`Scattered`] — a seeded random draw from the free pool: the
-//!   worst-case baseline every fragmentation study needs,
-//! * [`NetworkAware`] — generates a small candidate slate (first-fit,
-//!   tail-fit, per-quadrant rotations, one scattered draw) and picks the
-//!   one minimizing *mean pairwise ISL hops plus a link-sharing penalty*
-//!   against the jobs already running — FatPaths' point that contention
-//!   lives on shared cables, not in hop counts alone.
+//! * [`PolicyKind::Contiguous`] — first-fit over the quadrant-major pool
+//!   order: the production default that keeps a job inside as few
+//!   quadrants as the current fragmentation allows,
+//! * [`PolicyKind::Scattered`] — a seeded random draw from the free
+//!   pool: the worst-case baseline every fragmentation study needs,
+//! * [`PolicyKind::NetworkAware`] — generates a small candidate slate
+//!   (first-fit, tail-fit, per-quadrant rotations, one scattered draw)
+//!   and picks the one minimizing *mean pairwise ISL hops plus a
+//!   link-sharing penalty* against the jobs already running — FatPaths'
+//!   point that contention lives on shared cables, not in hop counts
+//!   alone.
 //!
 //! Policies are deterministic per `(pool state, k, seed)`: the same free
 //! bitmap and seed always select the same nodes, which is what makes the
@@ -83,105 +85,59 @@ impl PoolView<'_> {
     }
 }
 
-/// A placement policy: selects exactly `k` free nodes from the view.
-///
-/// Contract (property-tested in `crates/cap/tests/proptest_alloc.rs`):
-/// the returned set has exactly `k` nodes, every one of them free in the
-/// view, with no duplicates; selection is a pure function of
-/// `(view state, k, seed)`.
-pub trait PlacementPolicy {
-    /// Registry name (stable across releases; usable as `T2HX_CAP_POLICY`).
-    fn name(&self) -> &'static str;
-
-    /// Selects `k` free nodes, or a typed refusal when the pool cannot
-    /// satisfy the request.
-    fn select(&self, view: &PoolView<'_>, k: usize, seed: u64) -> Result<Vec<NodeId>, PlaceError>;
-}
-
 /// First-fit over the quadrant-major pool order: the first `k` free nodes
 /// in pool order, which keeps the slice inside as few quadrants as the
 /// current fragmentation allows.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Contiguous;
-
-impl PlacementPolicy for Contiguous {
-    fn name(&self) -> &'static str {
-        "contiguous"
-    }
-
-    fn select(&self, view: &PoolView<'_>, k: usize, _seed: u64) -> Result<Vec<NodeId>, PlaceError> {
-        view.check(k)?;
-        Ok(view
-            .free_positions()
-            .into_iter()
-            .take(k)
-            .map(|i| view.pool[i])
-            .collect())
-    }
+fn first_fit(view: &PoolView<'_>, k: usize) -> Vec<NodeId> {
+    view.free_positions()
+        .into_iter()
+        .take(k)
+        .map(|i| view.pool[i])
+        .collect()
 }
 
 /// Seeded random draw from the free pool: the fragmentation worst case
 /// (the paper's `random` combo scheme applied to a live machine).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Scattered;
-
-impl PlacementPolicy for Scattered {
-    fn name(&self) -> &'static str {
-        "scattered"
-    }
-
-    fn select(&self, view: &PoolView<'_>, k: usize, seed: u64) -> Result<Vec<NodeId>, PlaceError> {
-        view.check(k)?;
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5ca7_7e4e);
-        let mut frees = view.free_positions();
-        frees.shuffle(&mut rng);
-        frees.truncate(k);
-        Ok(frees.into_iter().map(|i| view.pool[i]).collect())
-    }
+fn scattered(view: &PoolView<'_>, k: usize, seed: u64) -> Vec<NodeId> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5ca7_7e4e);
+    let mut frees = view.free_positions();
+    frees.shuffle(&mut rng);
+    frees.truncate(k);
+    frees.into_iter().map(|i| view.pool[i]).collect()
 }
 
 /// Candidate-slate placement scored on the live network: generates
 /// first-fit, tail-fit, one rotation per quadrant boundary and one
 /// scattered draw, then picks the slate entry minimizing
 /// `mean pairwise ISL hops + SHARE_WEIGHT x mean ring-cable sharing`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NetworkAware;
-
-impl PlacementPolicy for NetworkAware {
-    fn name(&self) -> &'static str {
-        "network-aware"
+fn network_aware(view: &PoolView<'_>, k: usize, seed: u64) -> Vec<NodeId> {
+    let frees = view.free_positions();
+    let n = frees.len();
+    // Rotation start offsets into the free list: head, tail, and the
+    // first free position at or after each quadrant-sized stride of
+    // the pool (approximating "start in quadrant q").
+    let mut starts = vec![0usize, n - k];
+    let quads = 4.min(n);
+    for q in 1..quads {
+        starts.push(q * n / quads);
     }
-
-    fn select(&self, view: &PoolView<'_>, k: usize, seed: u64) -> Result<Vec<NodeId>, PlaceError> {
-        view.check(k)?;
-        let frees = view.free_positions();
-        let n = frees.len();
-        // Rotation start offsets into the free list: head, tail, and the
-        // first free position at or after each quadrant-sized stride of
-        // the pool (approximating "start in quadrant q").
-        let mut starts = vec![0usize, n - k];
-        let quads = 4.min(n);
-        for q in 1..quads {
-            starts.push(q * n / quads);
+    starts.sort_unstable();
+    starts.dedup();
+    let mut best: Option<(f64, Vec<NodeId>)> = None;
+    let mut consider = |nodes: Vec<NodeId>| {
+        let score = mean_pairwise_isl_hops(view.routes, view.db, &nodes)
+            + SHARE_WEIGHT * ring_share_score(view, &nodes);
+        match &best {
+            Some((b, _)) if *b <= score => {}
+            _ => best = Some((score, nodes)),
         }
-        starts.sort_unstable();
-        starts.dedup();
-        let mut best: Option<(f64, Vec<NodeId>)> = None;
-        let mut consider = |nodes: Vec<NodeId>| {
-            let score = mean_pairwise_isl_hops(view.routes, view.db, &nodes)
-                + SHARE_WEIGHT * ring_share_score(view, &nodes);
-            match &best {
-                Some((b, _)) if *b <= score => {}
-                _ => best = Some((score, nodes)),
-            }
-        };
-        for s in starts {
-            let nodes: Vec<NodeId> = (0..k).map(|j| view.pool[frees[(s + j) % n]]).collect();
-            consider(nodes);
-        }
-        consider(Scattered.select(view, k, seed)?);
-        Ok(best.expect("at least one candidate").1)
+    };
+    for s in starts {
+        let nodes: Vec<NodeId> = (0..k).map(|j| view.pool[frees[(s + j) % n]]).collect();
+        consider(nodes);
     }
+    consider(scattered(view, k, seed));
+    best.expect("at least one candidate").1
 }
 
 /// Mean pairwise switch-to-switch hops over a node set, resolved on the
@@ -284,14 +240,14 @@ fn ring_share_score(view: &PoolView<'_>, nodes: &[NodeId]) -> f64 {
 }
 
 /// Which placement policy — the hashable, copyable handle the `hxd`
-/// service and the harness knobs pass around.
+/// service, the allocator and the harness knobs pass around.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
-    /// [`Contiguous`] first-fit over the quadrant-major pool.
+    /// First-fit over the quadrant-major pool.
     Contiguous,
-    /// [`Scattered`] seeded random draw.
+    /// Seeded random draw from the free pool.
     Scattered,
-    /// [`NetworkAware`] candidate-slate scoring.
+    /// Candidate-slate scoring on hops and live cable sharing.
     NetworkAware,
 }
 
@@ -326,13 +282,25 @@ impl PolicyKind {
         }
     }
 
-    /// The policy implementation behind the handle.
-    pub fn policy(&self) -> &'static dyn PlacementPolicy {
-        match self {
-            PolicyKind::Contiguous => &Contiguous,
-            PolicyKind::Scattered => &Scattered,
-            PolicyKind::NetworkAware => &NetworkAware,
-        }
+    /// Selects `k` free nodes from the view, or a typed refusal when the
+    /// pool cannot satisfy the request.
+    ///
+    /// Contract (property-tested in `crates/cap/tests/proptest_alloc.rs`):
+    /// the returned set has exactly `k` nodes, every one of them free in
+    /// the view, with no duplicates; selection is a pure function of
+    /// `(view state, k, seed)`. Contiguous placement ignores `seed`.
+    pub fn select(
+        &self,
+        view: &PoolView<'_>,
+        k: usize,
+        seed: u64,
+    ) -> Result<Vec<NodeId>, PlaceError> {
+        view.check(k)?;
+        Ok(match self {
+            PolicyKind::Contiguous => first_fit(view, k),
+            PolicyKind::Scattered => scattered(view, k, seed),
+            PolicyKind::NetworkAware => network_aware(view, k, seed),
+        })
     }
 
     /// Stable index for fingerprints and sketch keys.
@@ -386,7 +354,6 @@ mod tests {
         for (kind, name) in POLICY_KINDS.iter().zip(POLICY_NAMES) {
             assert_eq!(kind.name(), name);
             assert_eq!(PolicyKind::parse(name), Some(*kind));
-            assert_eq!(kind.policy().name(), name);
         }
         assert_eq!(PolicyKind::parse("nope"), None);
     }
@@ -404,7 +371,7 @@ mod tests {
         let view = all_free_view(&routes, &db, &pool, &free, &share);
         let avail = view.free_count();
         for kind in POLICY_KINDS {
-            let nodes = kind.policy().select(&view, avail.min(9), 7).unwrap();
+            let nodes = kind.select(&view, avail.min(9), 7).unwrap();
             assert_eq!(nodes.len(), avail.min(9), "{kind}");
             let mut seen = std::collections::BTreeSet::new();
             for n in &nodes {
@@ -423,12 +390,9 @@ mod tests {
         let share = vec![0u32; topo.num_links() * 2];
         let view = all_free_view(&routes, &db, &pool, &free, &share);
         for kind in POLICY_KINDS {
+            assert_eq!(kind.select(&view, 0, 1), Err(PlaceError::ZeroRanks));
             assert_eq!(
-                kind.policy().select(&view, 0, 1),
-                Err(PlaceError::ZeroRanks)
-            );
-            assert_eq!(
-                kind.policy().select(&view, pool.len() + 1, 1),
+                kind.select(&view, pool.len() + 1, 1),
                 Err(PlaceError::Insufficient {
                     requested: pool.len() + 1,
                     free: pool.len()
@@ -444,8 +408,8 @@ mod tests {
         let free = vec![true; pool.len()];
         let share = vec![0u32; topo.num_links() * 2];
         let view = all_free_view(&routes, &db, &pool, &free, &share);
-        let tight = Contiguous.select(&view, 8, 3).unwrap();
-        let loose = Scattered.select(&view, 8, 3).unwrap();
+        let tight = PolicyKind::Contiguous.select(&view, 8, 3).unwrap();
+        let loose = PolicyKind::Scattered.select(&view, 8, 3).unwrap();
         let th = mean_pairwise_isl_hops(&routes, &db, &tight);
         let lh = mean_pairwise_isl_hops(&routes, &db, &loose);
         assert!(th <= lh, "contiguous {th} vs scattered {lh}");
@@ -464,8 +428,8 @@ mod tests {
         }
         let share = vec![0u32; topo.num_links() * 2];
         let view = all_free_view(&routes, &db, &pool, &free, &share);
-        let na = NetworkAware.select(&view, 6, 11).unwrap();
-        let ct = Contiguous.select(&view, 6, 11).unwrap();
+        let na = PolicyKind::NetworkAware.select(&view, 6, 11).unwrap();
+        let ct = PolicyKind::Contiguous.select(&view, 6, 11).unwrap();
         let na_h = mean_pairwise_isl_hops(&routes, &db, &na);
         let ct_h = mean_pairwise_isl_hops(&routes, &db, &ct);
         assert!(
@@ -487,7 +451,7 @@ mod tests {
             share[l] = 100;
         }
         let view = all_free_view(&routes, &db, &pool, &free, &share);
-        let picked = NetworkAware.select(&view, 8, 5).unwrap();
+        let picked = PolicyKind::NetworkAware.select(&view, 8, 5).unwrap();
         assert_ne!(picked, head, "slate stayed on the saturated cables");
     }
 
@@ -499,12 +463,12 @@ mod tests {
         let share = vec![0u32; topo.num_links() * 2];
         let view = all_free_view(&routes, &db, &pool, &free, &share);
         for kind in POLICY_KINDS {
-            let a = kind.policy().select(&view, 10, 42).unwrap();
-            let b = kind.policy().select(&view, 10, 42).unwrap();
+            let a = kind.select(&view, 10, 42).unwrap();
+            let b = kind.select(&view, 10, 42).unwrap();
             assert_eq!(a, b, "{kind}");
         }
-        let s1 = Scattered.select(&view, 10, 1).unwrap();
-        let s2 = Scattered.select(&view, 10, 2).unwrap();
+        let s1 = PolicyKind::Scattered.select(&view, 10, 1).unwrap();
+        let s2 = PolicyKind::Scattered.select(&view, 10, 2).unwrap();
         assert_ne!(s1, s2, "distinct seeds should scatter differently");
     }
 }

@@ -53,14 +53,14 @@ proptest! {
                 prop_assert!(!freed.is_empty());
             } else if op.0 <= alloc.free_nodes() {
                 let id = alloc
-                    .allocate(op.0, POLICY_KINDS[op.1].policy(), op.2)
+                    .allocate(op.0, POLICY_KINDS[op.1], op.2)
                     .unwrap();
                 let job = alloc.job(id).unwrap();
                 prop_assert_eq!(job.nodes.len(), op.0, "policy {}", POLICY_KINDS[op.1]);
                 live.push(id);
             } else {
                 prop_assert!(alloc
-                    .allocate(op.0, POLICY_KINDS[op.1].policy(), op.2)
+                    .allocate(op.0, POLICY_KINDS[op.1], op.2)
                     .is_err());
             }
             // Disjointness + bounds across every live job, every step.
@@ -99,7 +99,7 @@ proptest! {
         let virgin_frag = alloc.fragmentation().to_bits();
         let mut placed = Vec::new();
         for (k, pi, seed) in jobs {
-            if let Ok(id) = alloc.allocate(k, POLICY_KINDS[pi].policy(), seed) {
+            if let Ok(id) = alloc.allocate(k, POLICY_KINDS[pi], seed) {
                 placed.push(id);
             }
         }

@@ -283,7 +283,7 @@ impl<'a> ScaleStepper<'a> {
             let mut placed = false;
             for p in order {
                 let draw = self.place_rng.gen::<u64>();
-                match self.allocs[p].allocate(job.ranks, self.policy.policy(), draw) {
+                match self.allocs[p].allocate(job.ranks, self.policy, draw) {
                     Ok(id) => {
                         self.queue.pop_front();
                         self.record_start(p, id, job);
@@ -355,15 +355,10 @@ impl<'a> ScaleStepper<'a> {
         let arrival_due = self.next_arrival_s <= self.horizon_s;
         match (arrival_due, next_dep) {
             (false, None) => {
-                if let Some(job) = self.queue.front().copied() {
-                    // Nothing can free nodes for a stuck over-large job:
-                    // drop it (cannot happen when max_ranks fits a
-                    // plane, but keeps the loop total).
-                    let _ = job;
-                    self.queue.pop_front();
-                    return !self.done();
-                }
-                false
+                // Nothing can free nodes for a stuck over-large job: drop
+                // it (cannot happen when max_ranks fits a plane, but keeps
+                // the loop total).
+                self.queue.pop_front().is_some() && !self.done()
             }
             (true, dep) => {
                 let dep_time = dep.map(|i| self.departures[i].end_s).unwrap_or(f64::MAX);

@@ -620,8 +620,8 @@ impl EstimateDetail {
 }
 
 /// Evaluates a round program and additionally reports the compute/
-/// communication split and per-cable traffic (used by the capacity
-/// scheduler's interference model).
+/// communication split (which the capacity scheduler dilates) and
+/// per-cable traffic (which the `dark_fiber` harness reports).
 pub fn estimate_detailed(fabric: &Fabric<'_>, prog: &RoundProgram) -> EstimateDetail {
     let mut link_bytes = vec![0.0f64; fabric.topo.num_links() * 2];
     let (total, compute) = estimate_inner(fabric, prog, Some(&mut link_bytes));
