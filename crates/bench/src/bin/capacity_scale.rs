@@ -32,7 +32,7 @@
 use hxbench::knobs;
 use hxcap::{PolicyKind, POLICY_KINDS};
 use hxcore::{run_capacity_scale, ScaleConfig, ScaleReport, System};
-use hxroute::engines::Dfsssp;
+use hxroute::engines::{Dfsssp, RoutingEngine};
 use hxtopo::hyperx::HyperXConfig;
 use hxtopo::FaultPlan;
 use std::sync::Arc;
@@ -49,15 +49,13 @@ fn plane_system(knobs: &knobs::RunConfig, rails: usize) -> (System, &'static str
         (topo, "hx-12x8-t7+15aoc")
     };
     let topo = Arc::new(topo);
-    let mut b = System::builder();
-    for r in 0..rails {
-        b = b.plane(
-            format!("cap:p{r}"),
+    let planes = (0..rails).map(|_| {
+        (
             topo.clone(),
-            Box::new(Dfsssp::default()),
-        );
-    }
-    (b.build().expect("capacity plane routes"), label)
+            Box::new(Dfsssp::default()) as Box<dyn RoutingEngine>,
+        )
+    });
+    (System::route(planes).expect("capacity plane routes"), label)
 }
 
 fn row(r: &ScaleReport, secs: f64) {

@@ -30,14 +30,11 @@ fn main() {
     ] {
         // Figure 1 uses the same dense 28-node allocation on both planes;
         // force linear placement so only topology+routing differ.
-        let fabric = hxmpi::Fabric::new(
-            sys.topo(combo),
-            sys.routes(combo),
+        let fabric = sys.system().plane_fabric(
+            combo.plane(),
             hxmpi::Placement::linear(&sys.topo(combo).nodes().collect::<Vec<_>>(), n),
             combo.pml(),
-            sys.params(),
-        )
-        .expect("routable fabric");
+        );
         let m = mpigraph(&fabric, n, bytes);
         let avg = average_bandwidth(&m);
         match combo {

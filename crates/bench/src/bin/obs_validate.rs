@@ -5,28 +5,34 @@
 //! `T2HX_OBS=1` harness run left behind and verifies the causal span
 //! machinery end to end:
 //!
+//! Every harness gets the generic checks:
+//!
 //! * every complete (`"X"`) event carries a unique nonzero `args.span`,
 //! * every `args.parent` resolves to an emitted span whose interval
 //!   time-contains the child (begin/end nesting is well-formed),
-//! * the campaign emitted at least one complete causal chain
-//!   `step → fail_link → pathdb_patch` plus `repath`/`resolve` siblings,
-//!   and a `step → recover_link` recovery chain,
 //! * plane ids are causally consistent: a span stamped with a plane id
-//!   never hangs under a parent stamped with a *different* one, and for
-//!   the `multiplane_campaign` harness every `step` span carries a plane
-//!   id and at least one plane-tagged `failover` span exists (the rail
-//!   failover actually ran),
+//!   never hangs under a parent stamped with a *different* one,
+//! * the flight dump parses and its ring retained events.
+//!
+//! The harnesses that tell a story get its checks on top:
+//!
+//! * for the campaign harnesses (`fault_campaign`, `multiplane_campaign`,
+//!   `routing_tournament`) at least one complete causal chain
+//!   `step → fail_link → pathdb_patch` plus `repath`/`resolve` siblings,
+//!   a `step → recover_link` recovery chain, and a flight ring tail that
+//!   holds the end of a `step` span,
+//! * for the `multiplane_campaign` harness every `step` span carries a
+//!   plane id and at least one plane-tagged `failover` span exists (the
+//!   rail failover actually ran),
 //! * for the `routing_tournament` harness every fail/recover span names
 //!   its engine, at least four distinct engines repaired faults, and
 //!   FT-HyperX healed with its own incremental rule (`repair="engine"`) —
 //!   never by falling back to a full resweep,
-//! * for the `hxd` harness (which has no campaign steps — the chain checks
-//!   above are skipped) every `query` span nests under a `serve` root,
+//! * for the `hxd` harness every `query` span nests under a `serve` root,
 //!   carries a valid epoch stamp and a kind tag, at least one query hit
-//!   the per-epoch result cache, and churn spans prove the writer ran
-//!   concurrently,
-//! * the flight dump parses, its ring retained events, and it holds the
-//!   tail of the same story (a `step` span-end record).
+//!   the per-epoch result cache, churn spans prove the writer ran
+//!   concurrently, and the flight ring tail holds the end of a `query`
+//!   span.
 //!
 //! Usage: `obs_validate [obs_dir] [harness_name]` — both default to
 //! [`hxbench::knobs::RunConfig::obs_dir`] and `fault_campaign`. Exits
@@ -36,6 +42,14 @@ use hxobs::Json;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::exit;
+
+/// The harnesses whose trace tells the campaign story: seeded churn steps,
+/// each a `step → fail_link → pathdb_patch` (or `recover_link`) tree.
+const CAMPAIGNS: &[&str] = &[
+    "fault_campaign",
+    "multiplane_campaign",
+    "routing_tournament",
+];
 
 /// Nesting slack in microseconds: parent and child timestamps come from
 /// the same monotonic clock, but `Instant`-to-f64 rounding can land a
@@ -165,10 +179,8 @@ fn validate_trace(path: &PathBuf, harness: &str) -> HashMap<u64, SpanEv> {
         }
     }
 
-    // The causal chains the campaign must have told as one tree each. The
-    // hxd daemon has no workload steps — its churn spans are bare
-    // fail_link/recover_link trees and its story is checked below.
-    if harness != "hxd" {
+    // The causal chains a campaign must have told as one tree each.
+    if CAMPAIGNS.contains(&harness) {
         let children_of = |pid: u64, name: &str| -> Vec<u64> {
             spans
                 .iter()
@@ -352,7 +364,11 @@ fn validate_flight(path: &PathBuf, harness: &str) {
     ];
     // The ring tail must hold the end of the harness's own story: a
     // campaign step for the churn harnesses, a served query for hxd.
-    let tail_name = if harness == "hxd" { "query" } else { "step" };
+    let tail_name = match harness {
+        "hxd" => Some("query"),
+        h if CAMPAIGNS.contains(&h) => Some("step"),
+        _ => None,
+    };
     let mut tail_end = false;
     for ev in events {
         let kind = ev
@@ -369,9 +385,9 @@ fn validate_flight(path: &PathBuf, harness: &str) {
         if ev.get("ts_us").and_then(Json::as_num).is_none() {
             fail(&format!("flight event {name:?} without ts_us"));
         }
-        tail_end |= kind == "span_end" && name == tail_name;
+        tail_end |= kind == "span_end" && Some(name) == tail_name;
     }
-    if !tail_end {
+    if let (Some(tail_name), false) = (tail_name, tail_end) {
         fail(&format!(
             "flight ring tail holds no span_end record for a {tail_name:?} span"
         ));

@@ -45,6 +45,7 @@ use hxtopo::{fnv1a, LinkClass, LinkId, NodeId, Topology, FNV_OFFSET};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 /// Parameters of one fault-churn campaign.
 #[derive(Debug, Clone)]
@@ -737,6 +738,7 @@ fn with_live<R>(
     f: impl FnOnce(Live<'_>) -> R,
 ) -> Result<R, RouteError> {
     assert!(cfg.planes >= 1, "a campaign needs at least one plane");
+    let topo = Arc::new(topo.clone());
     let mut sms = Vec::with_capacity(cfg.planes);
     for p in 0..cfg.planes {
         let mut sm = SubnetManager::new(topo.clone(), engine_for(p));
@@ -748,24 +750,22 @@ fn with_live<R>(
         apply_demand_trigger(&mut sm, cfg)?;
         sms.push(sm);
     }
-    let mut states = Vec::with_capacity(cfg.planes);
-    for sm in &sms {
-        let routes = sm.routes().ok_or(RouteError::NotSwept("campaign"))?;
-        let db = sm.pathdb().ok_or(RouteError::NoPathDb)?;
-        states.push((sm.topo().clone(), routes.clone(), db.clone()));
-    }
-    let nodes: Vec<NodeId> = states[0].0.nodes().collect();
-    let placement = Placement::linear(&nodes, nodes.len());
-    let rails: Vec<Fabric<'_>> = states
+    let snaps = sms
         .iter()
-        .map(|(t, r, db)| {
+        .map(SubnetManager::snapshot)
+        .collect::<Result<Vec<_>, _>>()?;
+    let nodes: Vec<NodeId> = topo.nodes().collect();
+    let placement = Placement::linear(&nodes, nodes.len());
+    let rails: Vec<Fabric<'_>> = snaps
+        .iter()
+        .map(|s| {
             Fabric::with_pathdb(
-                t,
-                r,
+                s.topo(),
+                s.routes(),
                 placement.clone(),
                 cfg.pml.clone(),
                 NetParams::qdr().with_solver(cfg.solver),
-                db.clone(),
+                s.pathdb().clone(),
             )
         })
         .collect();

@@ -15,14 +15,13 @@
 //!   placement into an FNV fingerprint so a `(policy, seed)` run is
 //!   byte-stable across machines (DESIGN.md §15).
 
-use crate::combos::{Combo, Scheme};
+use crate::combos::Combo;
 use crate::system::{System, T2hx};
 use hxcap::{
     interference, run_capacity, Allocator, AppSlot, CapacityConfig, CapacityResult, PolicyKind,
 };
-use hxmpi::Placement;
 use hxsim::flow::directed_capacities;
-use hxtopo::{fnv1a, NodeId, FNV_OFFSET};
+use hxtopo::{fnv1a, FNV_OFFSET};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
@@ -37,22 +36,13 @@ pub fn run_capacity_combo(
     cfg: &CapacityConfig,
     seed: u64,
 ) -> CapacityResult {
-    let topo = sys.topo(combo);
-    let pool: Vec<NodeId> = topo.nodes().collect();
-    let ordered: Vec<NodeId> = match combo.scheme() {
-        Scheme::Linear => pool,
-        Scheme::Clustered => Placement::clustered(&pool, pool.len(), seed)
-            .nodes()
-            .to_vec(),
-        Scheme::Random => Placement::random(&pool, pool.len(), seed).nodes().to_vec(),
-    };
     run_capacity(
-        topo,
+        sys.topo(combo),
         sys.routes(combo),
         sys.pathdb(combo),
         combo.pml(),
         sys.params(),
-        &ordered,
+        sys.placement(combo, sys.num_nodes(), seed).nodes(),
         apps,
         cfg,
     )
@@ -197,12 +187,10 @@ impl<'a> ScaleStepper<'a> {
     fn new(sys: &'a System, policy: PolicyKind, cfg: ScaleConfig, seed: u64) -> ScaleStepper<'a> {
         let allocs: Vec<Allocator<'a>> = sys
             .planes()
-            .iter()
-            .map(|p| Allocator::new(p.topo(), p.routes(), p.pathdb().as_ref()))
+            .map(|p| Allocator::new(p.topo(), p.routes(), p.pathdb()))
             .collect();
         let caps: Vec<Vec<f64>> = sys
             .planes()
-            .iter()
             .map(|p| directed_capacities(p.topo()))
             .collect();
         // Two split streams: arrivals/sizes/services on one, placement
@@ -510,12 +498,14 @@ mod tests {
         );
     }
 
-    use hxroute::engines::Sssp;
+    use hxroute::engines::Dfsssp;
     use hxtopo::hyperx::HyperXConfig;
 
+    /// DFSSSP, as the `capacity_scale` harness routes: a system plane's
+    /// sweep checks deadlock freedom, which SSSP on a HyperX fails.
     fn tiny_system(planes: usize) -> System {
         System::replicated_hyperx(HyperXConfig::new(vec![4, 4], 2), planes, |_| {
-            Box::new(Sssp::default())
+            Box::new(Dfsssp::default())
         })
         .unwrap()
     }

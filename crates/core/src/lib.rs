@@ -2,11 +2,12 @@
 //!
 //! Assembles the substrates into the paper's experimental platform:
 //!
-//! * [`system`] — plane-generic assembly ([`System`]/[`SystemBuilder`]: a
-//!   vector of routed planes with shared path stores) and the dual-plane
-//!   T2HX preset: 672 compute nodes attached to both a 3-level Fat-Tree
-//!   plane and a 12x8 HyperX plane, each routed by the paper's engines and
-//!   degraded by the paper's cable faults,
+//! * [`system`] — plane-generic assembly ([`System`]: one swept
+//!   [`SubnetManager`](hxroute::SubnetManager) per plane, each epoch a
+//!   [`FabricSnapshot`](hxroute::FabricSnapshot) with a shared path store)
+//!   and the dual-plane T2HX preset: 672 compute nodes attached to both a
+//!   3-level Fat-Tree plane and a 12x8 HyperX plane, each routed by the
+//!   paper's engines and degraded by the paper's cable faults,
 //! * [`combos`] — the five (topology, routing, placement) combinations of
 //!   Section 4.4.3,
 //! * [`experiment`] — capability-run executor: 10 repetitions, seeded
@@ -59,4 +60,4 @@ pub use capacity::{run_capacity_combo, run_capacity_scale, ScaleConfig, ScaleRep
 pub use combos::Combo;
 pub use experiment::{Runner, Samples};
 pub use service::{Answer, FabricService, Query, QueryError, ServiceReader};
-pub use system::{Plane, System, SystemBuilder, T2hx};
+pub use system::{System, T2hx};

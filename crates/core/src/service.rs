@@ -231,7 +231,7 @@ impl Answer {
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryError {
     /// The routing layer refused (retryable when
-    /// [`RouteError::NotSwept`] / [`RouteError::NoPathDb`]).
+    /// [`RouteError::NotSwept`]).
     Route(RouteError),
     /// The placement layer refused (typed: a zero-rank request can never
     /// succeed, an [`hxcap::PlaceError::Insufficient`] pool might after a

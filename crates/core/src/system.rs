@@ -1,10 +1,13 @@
 //! Plane-generic system assembly, and the dual-plane T2HX preset.
 //!
-//! A [`System`] is a `Vec` of [`Plane`]s — each a physical topology
-//! (possibly shared with sibling planes), the forwarding state one routing
-//! engine computed over it, and the shared [`PathDb`] every consumer
-//! resolves paths from. [`SystemBuilder`] routes the planes; presets cover
-//! the two shapes the experiments use:
+//! A [`System`] holds one swept [`SubnetManager`] per plane, the shape of
+//! a multi-plane fabric with one subnet manager per plane. Each plane's
+//! current epoch is a [`FabricSnapshot`]: a physical topology (possibly
+//! shared with sibling planes), the forwarding state one routing engine
+//! computed over it, and the shared [`PathDb`] every consumer resolves
+//! paths from. [`System::route`] sweeps the planes, with the deadlock
+//! check every sweep runs; presets cover the two shapes the experiments
+//! use:
 //!
 //! * [`T2hx::build`] — the paper's dual-plane machine: every compute node
 //!   has one HCA on the Fat-Tree plane and one on the 12x8 HyperX plane
@@ -16,167 +19,56 @@
 use crate::combos::{Combo, Scheme};
 use hxmpi::{Fabric, MultiFabric, Placement, Pml, RailPolicy};
 use hxroute::engines::{Dfsssp, Ftree, Parx, RoutingEngine, Sssp};
-use hxroute::{Demand, PathDb, RouteError, Routes};
+use hxroute::{Demand, FabricSnapshot, PathDb, RouteError, Routes, SubnetManager};
 use hxsim::NetParams;
 use hxtopo::fattree::{FatTreeConfig, Stage};
 use hxtopo::hyperx::HyperXConfig;
 use hxtopo::{FaultPlan, NodeId, Topology};
 use std::sync::Arc;
 
-/// One routing plane: a topology, the routes one engine computed over it,
-/// and the shared path store extracted from them.
-///
-/// Planes may alias a physical topology (`Arc`): the T2HX preset routes
-/// each physical plane twice, so its four routing planes share two
-/// topologies.
-pub struct Plane {
-    label: String,
-    topo: Arc<Topology>,
-    routes: Routes,
-    db: Arc<PathDb>,
-}
-
-impl Plane {
-    /// Plane label for reports and traces (e.g. `"hx:dfsssp"`, `"hx:p2"`).
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// The plane's physical topology.
-    pub fn topo(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// The plane's forwarding state.
-    pub fn routes(&self) -> &Routes {
-        &self.routes
-    }
-
-    /// The plane's shared path store. Every fabric assembled from the
-    /// system aliases this — paths are extracted once per plane, not per
-    /// job.
-    pub fn pathdb(&self) -> &Arc<PathDb> {
-        &self.db
-    }
-}
-
-/// Accumulates `(label, topology, engine)` plane specs, then routes them
-/// all into a [`System`].
-pub struct SystemBuilder {
-    specs: Vec<(String, Arc<Topology>, Box<dyn RoutingEngine>)>,
-}
-
-impl Default for SystemBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SystemBuilder {
-    /// An empty builder.
-    pub fn new() -> SystemBuilder {
-        SystemBuilder { specs: Vec::new() }
-    }
-
-    /// Adds a plane spec. Planes may share a topology `Arc` (same physical
-    /// plane routed by different engines).
-    pub fn plane(
-        mut self,
-        label: impl Into<String>,
-        topo: Arc<Topology>,
-        engine: Box<dyn RoutingEngine>,
-    ) -> SystemBuilder {
-        self.specs.push((label.into(), topo, engine));
-        self
-    }
-
-    /// Routes every plane and extracts its shared path store, stamped
-    /// epoch 1. All planes must attach the same number of nodes (each node
-    /// has one NIC per physical plane).
-    pub fn build(self) -> Result<System, RouteError> {
-        assert!(!self.specs.is_empty(), "a system needs at least one plane");
-        let nodes = self.specs[0].1.num_nodes();
-        let mut planes = Vec::with_capacity(self.specs.len());
-        for (idx, (label, topo, engine)) in self.specs.into_iter().enumerate() {
-            assert_eq!(
-                topo.num_nodes(),
-                nodes,
-                "plane {idx} ({label}) attaches a different node count"
-            );
-            let (routes, db) = route_plane(engine.as_ref(), &topo, 1, idx)?;
-            planes.push(Plane {
-                label,
-                topo,
-                routes,
-                db,
-            });
-        }
-        Ok(System { planes })
-    }
-}
-
-/// Routes one plane with wall-time + table-size telemetry (spans land
-/// on the OpenSM wall-clock track next to `SubnetManager` sweeps), then
-/// extracts its shared path store (in parallel) with build metrics.
-fn route_plane(
-    engine: &dyn RoutingEngine,
-    topo: &Topology,
-    epoch: u64,
-    plane: usize,
-) -> Result<(Routes, Arc<PathDb>), RouteError> {
-    let obs = hxobs::sink();
-    let start_us = obs.as_ref().map(|o| o.now_us()).unwrap_or(0.0);
-    let wall0 = std::time::Instant::now();
-    let routes = engine.route(topo)?;
-    let route_secs = wall0.elapsed().as_secs_f64();
-    let db0 = std::time::Instant::now();
-    let db = PathDb::build(topo, &routes, epoch, 0)?;
-    let db_secs = db0.elapsed().as_secs_f64();
-    if let Some(o) = &obs {
-        o.counter_add("route.engine_runs", 1);
-        o.histogram_record(
-            &format!("route.engine_seconds.{}", engine.name()),
-            route_secs,
-        );
-        o.histogram_record("pathdb.build_seconds", db_secs);
-        o.gauge_set("pathdb.epoch", db.epoch() as f64);
-        o.tracer.name_process(hxobs::track::OPENSM, "opensm");
-        o.span(
-            hxobs::track::OPENSM,
-            0,
-            &format!("route:{}:{}", engine.name(), topo.name()),
-            "route",
-            start_us,
-            wall0.elapsed().as_secs_f64() * 1e6,
-            vec![
-                ("engine".to_string(), hxobs::Json::from(engine.name())),
-                ("topology".to_string(), hxobs::Json::from(topo.name())),
-                ("plane".to_string(), hxobs::Json::from(plane as u64)),
-                ("vls".to_string(), hxobs::Json::from(routes.num_vls as u64)),
-                (
-                    "lft_entries".to_string(),
-                    hxobs::Json::from(routes.num_lft_entries()),
-                ),
-                (
-                    "pathdb_isl_hops".to_string(),
-                    hxobs::Json::from(db.num_isl_hops()),
-                ),
-            ],
-        );
-    }
-    Ok((routes, Arc::new(db)))
-}
-
 /// A plane-generic system: N routing planes over one node population,
-/// each node carrying one NIC per plane.
+/// each node carrying one NIC per plane, each plane run by its own swept
+/// subnet manager.
 pub struct System {
-    planes: Vec<Plane>,
+    planes: Vec<SubnetManager>,
+}
+
+/// A system plane's current epoch. [`System::route`] sweeps every plane
+/// and no later event clears an epoch, so one is always there.
+fn epoch_of(sm: &SubnetManager) -> &FabricSnapshot {
+    sm.current()
+        .expect("system planes are swept at construction")
 }
 
 impl System {
-    /// Starts an empty [`SystemBuilder`].
-    pub fn builder() -> SystemBuilder {
-        SystemBuilder::new()
+    /// Sweeps one subnet manager per `(topology, engine)` plane, in order;
+    /// plane `p` tags its spans with `p`. Planes may share a topology `Arc`
+    /// (one physical plane routed by several engines), and every plane
+    /// starts at epoch 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `planes` is empty or the planes attach different node
+    /// counts (each node has one NIC per physical plane).
+    pub fn route(
+        planes: impl IntoIterator<Item = (Arc<Topology>, Box<dyn RoutingEngine>)>,
+    ) -> Result<System, RouteError> {
+        let mut sms: Vec<SubnetManager> = Vec::new();
+        for (p, (topo, engine)) in planes.into_iter().enumerate() {
+            if let Some(first) = sms.first() {
+                assert_eq!(
+                    topo.num_nodes(),
+                    first.topo().num_nodes(),
+                    "plane {p} attaches a different node count"
+                );
+            }
+            let mut sm = SubnetManager::new(topo, engine);
+            sm.plane = Some(p as u32);
+            sm.sweep()?;
+            sms.push(sm);
+        }
+        assert!(!sms.is_empty(), "a system needs at least one plane");
+        Ok(System { planes: sms })
     }
 
     /// K topologically-identical HyperX planes — the multi-plane scaling
@@ -189,13 +81,8 @@ impl System {
         planes: usize,
         engine_for: impl Fn(usize) -> Box<dyn RoutingEngine>,
     ) -> Result<System, RouteError> {
-        assert!(planes >= 1, "a system needs at least one plane");
         let topo = Arc::new(cfg.build());
-        let mut b = System::builder();
-        for p in 0..planes {
-            b = b.plane(format!("hx:p{p}"), topo.clone(), engine_for(p));
-        }
-        b.build()
+        System::route((0..planes).map(|p| (topo.clone(), engine_for(p))))
     }
 
     /// Number of routing planes.
@@ -205,7 +92,7 @@ impl System {
 
     /// Number of compute nodes (identical across planes).
     pub fn num_nodes(&self) -> usize {
-        self.planes[0].topo.num_nodes()
+        self.planes[0].topo().num_nodes()
     }
 
     /// Timing parameters shared by every fabric assembled from this
@@ -216,42 +103,27 @@ impl System {
         NetParams::qdr()
     }
 
-    /// One routing plane.
-    pub fn plane(&self, p: usize) -> &Plane {
-        &self.planes[p]
+    /// One routing plane's current epoch.
+    pub fn plane(&self, p: usize) -> &FabricSnapshot {
+        epoch_of(&self.planes[p])
     }
 
-    /// All planes, in order.
-    pub fn planes(&self) -> &[Plane] {
-        &self.planes
-    }
-
-    /// Re-routes one plane with a (possibly different) engine, rebuilding
-    /// its path store with the epoch advanced past the previous one's.
-    /// Other planes are untouched.
-    pub fn replace_routing(
-        &mut self,
-        p: usize,
-        engine: &dyn RoutingEngine,
-    ) -> Result<(), RouteError> {
-        let epoch = self.planes[p].db.epoch() + 1;
-        let (routes, db) = route_plane(engine, &self.planes[p].topo, epoch, p)?;
-        self.planes[p].routes = routes;
-        self.planes[p].db = db;
-        Ok(())
+    /// Every plane's current epoch, in plane order.
+    pub fn planes(&self) -> impl ExactSizeIterator<Item = &FabricSnapshot> {
+        self.planes.iter().map(epoch_of)
     }
 
     /// Assembles one plane's fabric for a placement, aliasing the plane's
     /// shared path store.
     pub fn plane_fabric(&self, p: usize, placement: Placement, pml: Pml) -> Fabric<'_> {
-        let plane = &self.planes[p];
+        let plane = self.plane(p);
         Fabric::with_pathdb(
-            &plane.topo,
-            &plane.routes,
+            plane.topo(),
+            plane.routes(),
             placement,
             pml,
             self.params(),
-            plane.db.clone(),
+            plane.pathdb().clone(),
         )
     }
 
@@ -326,13 +198,15 @@ impl T2hx {
         );
         let ft = Arc::new(fattree);
         let hx = Arc::new(hyperx);
-        let sys = System::builder()
-            .plane("ft:ftree", ft.clone(), Box::new(Ftree))
-            .plane("ft:sssp", ft, Box::<Sssp>::default())
-            .plane("hx:dfsssp", hx.clone(), Box::<Dfsssp>::default())
-            .plane("hx:parx", hx, Box::<Parx>::default())
-            .build()?;
-        Ok(T2hx { sys })
+        let planes: [(Arc<Topology>, Box<dyn RoutingEngine>); 4] = [
+            (ft.clone(), Box::new(Ftree)),
+            (ft, Box::<Sssp>::default()),
+            (hx.clone(), Box::<Dfsssp>::default()),
+            (hx, Box::<Parx>::default()),
+        ];
+        Ok(T2hx {
+            sys: System::route(planes)?,
+        })
     }
 
     /// The underlying plane-generic system.
@@ -390,10 +264,11 @@ impl T2hx {
 
     /// Re-routes the HyperX with PARX ingesting a communication profile
     /// (the SAR-style interface between job submission and OpenSM,
-    /// Section 4.4.3). The PARX path store is rebuilt and its epoch
-    /// advances past the previous one's.
+    /// Section 4.4.3): the PARX plane's manager fires its demand trigger.
+    /// The PARX path store is rebuilt and its epoch advances past the
+    /// previous one's.
     pub fn reroute_parx(&mut self, demand: Demand) -> Result<(), RouteError> {
-        self.sys.replace_routing(3, &Parx::with_demand(demand))
+        self.sys.planes[3].reroute_with_demand(demand).map(|_| ())
     }
 
     /// Builds the placement a combo uses for an `n`-rank job.
@@ -437,20 +312,18 @@ mod tests {
     fn preset_planes_share_physical_topologies() {
         let sys = T2hx::mini().unwrap();
         assert_eq!(sys.system().num_planes(), 4);
-        assert!(std::ptr::eq(
+        assert!(Arc::ptr_eq(
             sys.system().plane(0).topo(),
             sys.system().plane(1).topo()
         ));
-        assert!(std::ptr::eq(
+        assert!(Arc::ptr_eq(
             sys.system().plane(2).topo(),
             sys.system().plane(3).topo()
         ));
-        assert!(!std::ptr::eq(
+        assert!(!Arc::ptr_eq(
             sys.system().plane(1).topo(),
             sys.system().plane(2).topo()
         ));
-        let labels: Vec<&str> = sys.system().planes().iter().map(|p| p.label()).collect();
-        assert_eq!(labels, vec!["ft:ftree", "ft:sssp", "hx:dfsssp", "hx:parx"]);
     }
 
     #[test]
@@ -518,8 +391,8 @@ mod tests {
         assert_eq!(sys.num_planes(), 3);
         assert_eq!(sys.num_nodes(), 32);
         // One shared physical topology across all rails.
-        assert!(std::ptr::eq(sys.plane(0).topo(), sys.plane(2).topo()));
-        let epochs: Vec<u64> = sys.planes().iter().map(|p| p.pathdb().epoch()).collect();
+        assert!(Arc::ptr_eq(sys.plane(0).topo(), sys.plane(2).topo()));
+        let epochs: Vec<u64> = sys.planes().map(FabricSnapshot::epoch).collect();
         assert_eq!(epochs, vec![1, 1, 1]);
         // Planes 1 and 2 route identically, plane 0 differs somewhere.
         assert!(sys.plane(1).pathdb().content_eq(sys.plane(2).pathdb()));

@@ -49,8 +49,10 @@ use hxtopo::{Endpoint, LinkId, NodeId, SwitchId, Topology};
 /// A static routing engine: consumes a topology, produces complete
 /// forwarding state. Fault handling and multipath are opt-in capabilities
 /// discovered through the accessor methods, so the subnet manager can
-/// dispatch on a `Box<dyn RoutingEngine>` without downcasts.
-pub trait RoutingEngine {
+/// dispatch on a `Box<dyn RoutingEngine>` without downcasts. Engines are
+/// `Send + Sync`, as is the manager that owns one: a system of swept
+/// managers can be shared across threads.
+pub trait RoutingEngine: Send + Sync {
     /// Engine name as it appears in reports (mirrors the paper's labels).
     fn name(&self) -> &'static str;
 

@@ -140,9 +140,6 @@ pub enum RouteError {
     /// successful sweep populated the routing state. Retryable: sweep,
     /// then reissue.
     NotSwept(&'static str),
-    /// The manager holds routes but no path store — an incremental patch
-    /// or snapshot cannot proceed. Retryable after a full sweep.
-    NoPathDb,
     /// An engine-owned incremental repair was requested but the named
     /// engine does not implement the `IncrementalRepair` capability; the
     /// dispatcher falls back to the generic load-aware patch.
@@ -188,7 +185,6 @@ impl std::fmt::Display for RouteError {
             RouteError::NotSwept(op) => {
                 write!(f, "{op} before the first sweep: no routing state yet")
             }
-            RouteError::NoPathDb => write!(f, "no path store for the current epoch"),
             RouteError::NoEngineRepair(engine) => {
                 write!(f, "engine {engine} owns no incremental-repair rule")
             }

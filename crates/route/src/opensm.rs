@@ -36,17 +36,16 @@ pub struct SweepReport {
     pub incremental: bool,
 }
 
-/// A minimal subnet manager: owns the fabric view, the current routing
-/// state and its [`PathDb`], re-sweeping on failures or demand changes.
+/// A minimal subnet manager: owns the fabric view and its current routing
+/// epoch, re-sweeping on failures or demand changes.
 pub struct SubnetManager {
-    topo: Topology,
+    /// The live fabric view. The current epoch shares it, so a cable event
+    /// copies it only while a reader outside the manager holds that epoch.
+    topo: Arc<Topology>,
     engine: Box<dyn RoutingEngine>,
-    routes: Option<Routes>,
-    pathdb: Option<Arc<PathDb>>,
-    /// `pathdb`'s statistics, computed once per epoch and shared with
-    /// every snapshot of it.
-    paths: Option<Arc<PathStats>>,
-    epoch: u64,
+    /// The current epoch: the view, the forwarding tables, the path store
+    /// and its statistics (`None` until the first sweep).
+    current: Option<FabricSnapshot>,
     /// Verify deadlock freedom on every sweep (the paper's criteria (4);
     /// disable only for throughput experiments). Loop freedom and
     /// reachability are always checked — the PathDb build is that check.
@@ -64,15 +63,14 @@ pub struct SubnetManager {
 }
 
 impl SubnetManager {
-    /// Takes ownership of the fabric view with a routing engine.
-    pub fn new(topo: Topology, engine: Box<dyn RoutingEngine>) -> SubnetManager {
+    /// Takes the fabric view with a routing engine. Managers of sibling
+    /// planes may share one topology `Arc`; the first cable event on a
+    /// plane gives it its own copy.
+    pub fn new(topo: impl Into<Arc<Topology>>, engine: Box<dyn RoutingEngine>) -> SubnetManager {
         SubnetManager {
-            topo,
+            topo: topo.into(),
             engine,
-            routes: None,
-            pathdb: None,
-            paths: None,
-            epoch: 0,
+            current: None,
             verify: true,
             incremental: true,
             threads: 0,
@@ -83,25 +81,19 @@ impl SubnetManager {
     /// Restores a manager from previously computed state (bench harnesses,
     /// checkpoint restarts). The epoch resumes from the PathDb's stamp.
     pub fn with_state(
-        topo: Topology,
+        topo: impl Into<Arc<Topology>>,
         engine: Box<dyn RoutingEngine>,
         routes: Routes,
         pathdb: Arc<PathDb>,
     ) -> SubnetManager {
-        let epoch = pathdb.epoch();
-        let paths = Arc::new(pathdb.stats());
-        SubnetManager {
-            topo,
-            engine,
-            routes: Some(routes),
-            pathdb: Some(pathdb),
-            paths: Some(paths),
-            epoch,
-            verify: true,
-            incremental: true,
-            threads: 0,
-            plane: None,
-        }
+        let mut sm = SubnetManager::new(topo, engine);
+        sm.current = Some(FabricSnapshot {
+            topo: sm.topo.clone(),
+            routes: Arc::new(routes),
+            stats: Arc::new(pathdb.stats()),
+            pathdb,
+        });
+        sm
     }
 
     /// The managed fabric.
@@ -114,59 +106,58 @@ impl SubnetManager {
         self.engine.name()
     }
 
+    /// The current epoch (after the first sweep), by reference. Clone it
+    /// — four `Arc`s, see [`SubnetManager::snapshot`] — to keep it past
+    /// the next event.
+    pub fn current(&self) -> Option<&FabricSnapshot> {
+        self.current.as_ref()
+    }
+
     /// Current routing state (after the first sweep).
     pub fn routes(&self) -> Option<&Routes> {
-        self.routes.as_ref()
+        self.current().map(|s| s.routes().as_ref())
     }
 
     /// The shared path store of the current epoch (after the first sweep).
     pub fn pathdb(&self) -> Option<&Arc<PathDb>> {
-        self.pathdb.as_ref()
+        self.current().map(FabricSnapshot::pathdb)
     }
 
-    /// Sweep counter.
+    /// Sweep counter: the current path store's epoch, 0 before the first
+    /// sweep.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.current().map_or(0, FabricSnapshot::epoch)
+    }
+
+    /// The current epoch, or [`RouteError::NotSwept`] naming `op`.
+    fn swept(&self, op: &'static str) -> Result<&FabricSnapshot, RouteError> {
+        self.current().ok_or(RouteError::NotSwept(op))
     }
 
     /// Discovers and routes the fabric (an OpenSM heavy sweep), building
     /// the epoch's [`PathDb`] in parallel.
     pub fn sweep(&mut self) -> Result<SweepReport, RouteError> {
-        let obs = hxobs::sink();
+        let engine = self.engine.name();
+        let mut sp = self.span(SpanCtx::none(), "sweep");
         let t0 = std::time::Instant::now();
-        let start_us = obs.as_ref().map(|o| o.now_us()).unwrap_or(0.0);
         let routes = self.engine.route(&self.topo)?;
         let route_secs = t0.elapsed().as_secs_f64();
+        let epoch = self.epoch() + 1;
         let db0 = std::time::Instant::now();
-        let db = PathDb::build(&self.topo, &routes, self.epoch + 1, self.threads)?;
+        let db = PathDb::build(&self.topo, &routes, epoch, self.threads)?;
         let db_secs = db0.elapsed().as_secs_f64();
         let paths = db.stats();
         if self.verify {
             verify_deadlock_free(&self.topo, &routes)?;
         }
-        self.epoch += 1;
         let vls = routes.num_vls;
         let patched_trees = routes.lid_map.lids().count();
-        if let Some(o) = &obs {
-            let engine = self.engine.name();
+        if let Some(o) = hxobs::sink() {
             o.tracer.name_process(hxobs::track::OPENSM, "opensm");
-            o.span(
-                hxobs::track::OPENSM,
-                0,
-                &format!("sweep:{engine}"),
-                "route",
-                start_us,
-                o.now_us() - start_us,
-                vec![
-                    ("engine".to_string(), hxobs::Json::from(engine)),
-                    ("epoch".to_string(), hxobs::Json::from(self.epoch)),
-                    ("vls".to_string(), hxobs::Json::from(vls as u64)),
-                ],
-            );
             o.counter_add("route.sweeps", 1);
             o.histogram_record(&format!("route.sweep_seconds.{engine}"), route_secs);
             o.histogram_record("pathdb.build_seconds", db_secs);
-            o.gauge_set("pathdb.epoch", self.epoch as f64);
+            o.gauge_set("pathdb.epoch", epoch as f64);
             o.gauge_set("pathdb.isl_hops", db.num_isl_hops() as f64);
             o.gauge_set("route.vls", vls as f64);
             o.gauge_set("route.lft_entries", routes.num_lft_entries() as f64);
@@ -177,13 +168,19 @@ impl SubnetManager {
                 }
             }
         }
-        self.routes = Some(routes);
-        self.pathdb = Some(Arc::new(db));
-        self.paths = Some(Arc::new(paths.clone()));
+        sp.arg("vls", hxobs::Json::from(vls as u64));
+        sp.set_epoch(epoch);
+        sp.end();
+        self.current = Some(FabricSnapshot {
+            topo: self.topo.clone(),
+            routes: Arc::new(routes),
+            pathdb: Arc::new(db),
+            stats: Arc::new(paths.clone()),
+        });
         Ok(SweepReport {
             paths,
             vls,
-            epoch: self.epoch,
+            epoch,
             patched_trees,
             incremental: false,
         })
@@ -262,15 +259,9 @@ impl SubnetManager {
         // bug in a batch run but a benign race in a resident daemon (a query
         // or event arriving mid-bring-up) — degrade to a retryable error
         // with the fabric view untouched instead of panicking.
-        if self.routes.is_none() || self.pathdb.is_none() {
-            return Err(RouteError::NotSwept(name));
-        }
-        let mut sp = Span::under(parent, hxobs::track::OPENSM, 0, name, "route");
+        self.swept(name)?;
+        let mut sp = self.span(parent, name);
         sp.arg("link", hxobs::Json::from(l.0 as u64));
-        sp.arg("engine", hxobs::Json::from(self.engine.name()));
-        if let Some(p) = self.plane {
-            sp.set_plane(p);
-        }
         let ctx = sp.ctx();
         if let Some(o) = hxobs::sink() {
             o.tracer.name_process(hxobs::track::OPENSM, "opensm");
@@ -309,10 +300,7 @@ impl SubnetManager {
             let candidates = if recover {
                 self.recover_candidates(l)
             } else {
-                self.pathdb
-                    .as_ref()
-                    .ok_or(RouteError::NoPathDb)
-                    .map(|db| db.affected_by(l))
+                self.swept(name).map(|s| s.pathdb.affected_by(l))
             };
             if let Ok(r) = candidates.and_then(|c| self.patch_trees(c, op, ctx)) {
                 return Ok(done(sp, "generic", r));
@@ -332,12 +320,23 @@ impl SubnetManager {
     }
 
     /// Brings cable `l` up or takes it down in the managed fabric view.
+    /// The current epoch lets go of the view for the edit, so the
+    /// topology is copied only while a reader outside the manager still
+    /// holds that epoch.
     fn set_cable(&mut self, l: LinkId, up: bool) {
+        let held = self.current.take().map(|s| (s.routes, s.pathdb, s.stats));
+        let topo = Arc::make_mut(&mut self.topo);
         if up {
-            self.topo.activate(l);
+            topo.activate(l);
         } else {
-            self.topo.deactivate(l);
+            topo.deactivate(l);
         }
+        self.current = held.map(|(routes, pathdb, stats)| FabricSnapshot {
+            topo: self.topo.clone(),
+            routes,
+            pathdb,
+            stats,
+        });
     }
 
     /// Applies the engine's own [`IncrementalRepair`] rule for cable `l`
@@ -355,33 +354,20 @@ impl SubnetManager {
         recover: bool,
         parent: SpanCtx,
     ) -> Result<SweepReport, RouteError> {
-        if self.engine.incremental().is_none() {
+        let Some(ir) = self.engine.incremental() else {
             return Err(RouteError::NoEngineRepair(self.engine.name()));
-        }
-        if self.routes.is_none() {
-            return Err(RouteError::NotSwept("engine_patch"));
-        }
+        };
+        let routes = self.swept("engine_patch")?.routes();
         let op = if recover { "recover" } else { "reroute" };
         let t0 = std::time::Instant::now();
         let mut patch_sp = self.begin_patch_span(op, "engine", parent);
-        let delta = {
-            let routes = self
-                .routes
-                .as_ref()
-                .ok_or(RouteError::NotSwept("engine_patch"))?;
-            let ir = self
-                .engine
-                .incremental()
-                .ok_or(RouteError::NoEngineRepair(self.engine.name()))?;
-            let delta_sp = patch_sp.child("engine_delta", "route");
-            let delta = if recover {
-                ir.on_recover(&self.topo, routes, l)?
-            } else {
-                ir.on_fail(&self.topo, routes, l)?
-            };
-            delta_sp.end();
-            delta
+        let delta_sp = patch_sp.child("engine_delta", "route");
+        let delta = if recover {
+            ir.on_recover(&self.topo, routes, l)?
+        } else {
+            ir.on_fail(&self.topo, routes, l)?
         };
+        delta_sp.end();
         patch_sp.arg("trees", hxobs::Json::from(delta.touched.len()));
         self.commit_patch(delta, op, patch_sp, t0)
     }
@@ -396,19 +382,12 @@ impl SubnetManager {
         op: &str,
         parent: SpanCtx,
     ) -> Result<SweepReport, RouteError> {
-        if self.routes.is_none() {
-            return Err(RouteError::NotSwept("patch_trees"));
-        }
-        let db = self.pathdb.clone().ok_or(RouteError::NoPathDb)?;
+        let cur = self.swept("patch_trees")?;
         let t0 = std::time::Instant::now();
         let mut patch_sp = self.begin_patch_span(op, "generic", parent);
         patch_sp.arg("trees", hxobs::Json::from(affected.len()));
-        let routes = self
-            .routes
-            .as_ref()
-            .ok_or(RouteError::NotSwept("patch_trees"))?;
         let repair_sp = patch_sp.child("generic_repair", "route");
-        let delta = repair_trees(&self.topo, routes, &db, affected)?;
+        let delta = repair_trees(&self.topo, &cur.routes, &cur.pathdb, affected)?;
         repair_sp.end();
         self.commit_patch(delta, op, patch_sp, t0)
     }
@@ -420,21 +399,30 @@ impl SubnetManager {
     ///
     /// [`IncrementalRepair`]: crate::engines::IncrementalRepair
     fn begin_patch_span(&self, op: &str, mechanism: &str, parent: SpanCtx) -> Span {
-        let mut sp = Span::under(parent, hxobs::track::OPENSM, 0, "pathdb_patch", "route");
+        let mut sp = self.span(parent, "pathdb_patch");
+        sp.arg("op", hxobs::Json::from(op));
+        sp.arg("mechanism", hxobs::Json::from(mechanism));
+        sp
+    }
+
+    /// A span of this manager's work on the OpenSM track, under `parent`
+    /// (a root when it is [`SpanCtx::none`]), tagged with the engine and,
+    /// when set, the plane.
+    fn span(&self, parent: SpanCtx, name: &'static str) -> Span {
+        let mut sp = Span::under(parent, hxobs::track::OPENSM, 0, name, "route");
+        sp.arg("engine", hxobs::Json::from(self.engine.name()));
         if let Some(p) = self.plane {
             sp.set_plane(p);
         }
-        sp.arg("op", hxobs::Json::from(op));
-        sp.arg("engine", hxobs::Json::from(self.engine.name()));
-        sp.arg("mechanism", hxobs::Json::from(mechanism));
         sp
     }
 
     /// Applies a repair's LFT delta to the live routing state in place and
     /// commits it: patches the PathDb for the delta's trees, re-checks
     /// deadlock freedom, bumps the epoch, and emits the repair telemetry.
-    /// On error the replaced entries are restored and the state is
-    /// untouched, so the caller can fall back to a full resweep.
+    /// The tables are copied first only while a reader still holds the
+    /// current epoch. On error the replaced entries are restored and the
+    /// state is untouched, so the caller can fall back to a full resweep.
     fn commit_patch(
         &mut self,
         delta: LftDelta,
@@ -442,31 +430,43 @@ impl SubnetManager {
         mut patch_sp: Span,
         t0: std::time::Instant,
     ) -> Result<SweepReport, RouteError> {
-        let mut routes = self
-            .routes
-            .take()
+        let cur = self
+            .current
+            .as_mut()
             .ok_or(RouteError::NotSwept("commit_patch"))?;
-        let undo = delta.apply_undoable(&mut routes);
+        let routes = Arc::make_mut(&mut cur.routes);
+        let undo = delta.apply_undoable(routes);
         let affected = delta.touched;
-        let new_db = match self.patched_store(&routes, &affected, &patch_sp) {
+        let columns_sp = patch_sp.child("pathdb_columns", "route");
+        let patched = cur.pathdb.patched(&self.topo, routes, &affected);
+        columns_sp.end();
+        // Repaired trees keep their old service levels; re-check the CDGs
+        // and let the caller fall back to a full sweep if layering broke.
+        let new_db = match patched.and_then(|db| {
+            if self.verify {
+                verify_deadlock_free(&self.topo, routes)?;
+            }
+            Ok(db)
+        }) {
             Ok(db) => db,
             Err(e) => {
-                undo.apply(&mut routes);
-                self.routes = Some(routes);
+                undo.apply(routes);
                 return Err(e);
             }
         };
         let stats_sp = patch_sp.child("path_stats", "route");
         let paths = new_db.stats();
         stats_sp.end();
-        self.epoch += 1;
-        debug_assert_eq!(new_db.epoch(), self.epoch);
+        let epoch = new_db.epoch();
+        let vls = routes.num_vls;
+        cur.pathdb = Arc::new(new_db);
+        cur.stats = Arc::new(paths.clone());
         let secs = t0.elapsed().as_secs_f64();
-        patch_sp.set_epoch(self.epoch);
+        patch_sp.set_epoch(epoch);
         patch_sp.end();
         match self.plane {
-            Some(p) => hxobs::sketch_record_plane("reroute.latency_us", self.epoch, p, secs * 1e6),
-            None => hxobs::sketch_record("reroute.latency_us", self.epoch, secs * 1e6),
+            Some(p) => hxobs::sketch_record_plane("reroute.latency_us", epoch, p, secs * 1e6),
+            None => hxobs::sketch_record("reroute.latency_us", epoch, secs * 1e6),
         }
         if let Some(o) = hxobs::sink() {
             o.tracer.name_process(hxobs::track::OPENSM, "opensm");
@@ -480,39 +480,15 @@ impl SubnetManager {
             );
             o.counter_add("pathdb.patched_trees", affected.len() as u64);
             o.histogram_record("route.incremental_seconds", secs);
-            o.gauge_set("pathdb.epoch", self.epoch as f64);
+            o.gauge_set("pathdb.epoch", epoch as f64);
         }
-        let vls = routes.num_vls;
-        self.routes = Some(routes);
-        self.pathdb = Some(Arc::new(new_db));
-        self.paths = Some(Arc::new(paths.clone()));
         Ok(SweepReport {
             paths,
             vls,
-            epoch: self.epoch,
+            epoch,
             patched_trees: affected.len(),
             incremental: true,
         })
-    }
-
-    /// The path store of the repaired `routes`, after the deadlock-freedom
-    /// re-check when [`SubnetManager::verify`] is set.
-    fn patched_store(
-        &self,
-        routes: &Routes,
-        affected: &[Lid],
-        patch_sp: &Span,
-    ) -> Result<PathDb, RouteError> {
-        let db = self.pathdb.as_ref().ok_or(RouteError::NoPathDb)?;
-        let columns_sp = patch_sp.child("pathdb_columns", "route");
-        let new_db = db.patched(&self.topo, routes, affected)?;
-        columns_sp.end();
-        // Repaired trees keep their old service levels; re-check the CDGs
-        // and let the caller fall back to a full sweep if layering broke.
-        if self.verify {
-            verify_deadlock_free(&self.topo, routes)?;
-        }
-        Ok(new_db)
     }
 
     /// Destination LID trees the (just reactivated) cable `l` could improve,
@@ -520,10 +496,7 @@ impl SubnetManager {
     /// cable's endpoint switches differing by >= 2, or an endpoint that
     /// cannot reach the destination at all.
     fn recover_candidates(&self, l: LinkId) -> Result<Vec<Lid>, RouteError> {
-        let routes = self
-            .routes
-            .as_ref()
-            .ok_or(RouteError::NotSwept("recover_candidates"))?;
+        let routes = &self.swept("recover_candidates")?.routes;
         let link = self.topo.link(l);
         let (Some(u), Some(v)) = (link.a.switch(), link.b.switch()) else {
             // Terminal cables are gated out by `cable_event`.
@@ -574,23 +547,14 @@ impl SubnetManager {
     /// A consistent, immutable view of the current routing epoch for
     /// read-side consumers: topology, forwarding tables, and path store
     /// glued together under one epoch stamp, with the path statistics the
-    /// sweep or patch already computed. Cheap to clone (four `Arc`s)
-    /// and safe to hand to other threads while this manager keeps churning.
-    /// Returns [`RouteError::NotSwept`] / [`RouteError::NoPathDb`] before
-    /// the first sweep — retryable, never a panic.
+    /// sweep or patch already computed. A clone of
+    /// [`SubnetManager::current`] — four `Arc`s, no table is copied — and
+    /// safe to hand to other threads while this manager keeps churning:
+    /// its next cable event copies what it edits instead. Returns
+    /// [`RouteError::NotSwept`] before the first sweep — retryable, never
+    /// a panic.
     pub fn snapshot(&self) -> Result<FabricSnapshot, RouteError> {
-        let routes = self
-            .routes
-            .as_ref()
-            .ok_or(RouteError::NotSwept("snapshot"))?;
-        let pathdb = self.pathdb.clone().ok_or(RouteError::NoPathDb)?;
-        let stats = self.paths.clone().ok_or(RouteError::NoPathDb)?;
-        Ok(FabricSnapshot {
-            topo: Arc::new(self.topo.clone()),
-            routes: Arc::new(routes.clone()),
-            pathdb,
-            stats,
-        })
+        self.swept("snapshot").cloned()
     }
 }
 
@@ -638,9 +602,12 @@ fn repair_trees(
 
 /// One routing epoch frozen for concurrent readers: the topology as the
 /// subnet manager saw it, the forwarding tables it installed, and the
-/// [`PathDb`] extracted from them. Produced by [`SubnetManager::snapshot`];
-/// the `hxd` service publishes one per epoch and readers pin it for the
-/// duration of a query, so a sweep racing the query can never tear the view.
+/// [`PathDb`] extracted from them. It is the manager's own record of its
+/// current epoch ([`SubnetManager::current`]), and a clone of it
+/// ([`SubnetManager::snapshot`]) shares every part with the manager until
+/// the next event. The `hxd` service publishes one per epoch and readers
+/// pin it for the duration of a query, so a sweep racing the query can
+/// never tear the view.
 #[derive(Clone)]
 pub struct FabricSnapshot {
     topo: Arc<Topology>,
@@ -920,7 +887,7 @@ mod tests {
             .find(|(_, l)| l.class == LinkClass::Terminal)
             .unwrap()
             .0;
-        sm.topo.deactivate(term);
+        sm.set_cable(term, false);
         let r = sm.recover_link(term).unwrap();
         assert!(!r.incremental, "terminal recovery changes node membership");
         assert!(sm.topo().is_active(term));
@@ -1113,10 +1080,19 @@ mod tests {
             .find(|(_, l)| l.class != LinkClass::Terminal)
             .unwrap()
             .0;
+        // With no event in between, snapshots share the epoch's topology
+        // and tables instead of copying them.
+        let again = sm.snapshot().unwrap();
+        assert!(Arc::ptr_eq(snap.topo(), again.topo()));
+        assert!(Arc::ptr_eq(snap.routes(), again.routes()));
+        let tables = (**snap.routes()).clone();
         sm.fail_link(isl).unwrap();
-        // The pinned view is immune to the churn that followed it.
+        // The pinned view is immune to the churn that followed it: the
+        // cable is still up and the old LFT entries are still there.
         assert_eq!(snap.epoch(), 1);
         assert!(snap.topo().is_active(isl));
+        assert!(snap.routes().lft_eq(&tables));
+        assert!(!sm.routes().unwrap().lft_eq(&tables));
         assert_eq!(sm.snapshot().unwrap().epoch(), 2);
     }
 

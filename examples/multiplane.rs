@@ -25,10 +25,7 @@ fn main() {
         sys.num_planes(),
         sys.num_nodes(),
         t0.elapsed(),
-        sys.planes()
-            .iter()
-            .map(|p| p.pathdb().epoch())
-            .collect::<Vec<_>>(),
+        sys.planes().map(|p| p.epoch()).collect::<Vec<_>>(),
     );
     let nodes: Vec<NodeId> = sys.plane(0).topo().nodes().collect();
     let placement = Placement::linear(&nodes, sys.num_nodes());
