@@ -6,10 +6,10 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use hxroute::engines::{Dfsssp, Ftree, MinHop, Parx, RoutingEngine, Sssp, UpDown};
-use hxroute::{PathDb, SubnetManager};
+use hxroute::{PathDb, RouteError, SubnetManager, SweepReport};
 use hxtopo::fattree::FatTreeConfig;
 use hxtopo::hyperx::HyperXConfig;
-use hxtopo::{FaultPlan, LinkClass};
+use hxtopo::{FaultPlan, LinkClass, LinkId};
 
 fn hyperx_engines(c: &mut Criterion) {
     let mut g = c.benchmark_group("route/hyperx");
@@ -43,56 +43,13 @@ fn fattree_engines(c: &mut Criterion) {
     g.finish();
 }
 
-/// Cable-failure handling on the paper's HyperX plane (672 nodes, the 15
-/// unconnected AOCs of Section 3.1 already missing): a full DFSSSP resweep
-/// versus the incremental PathDb patch, per additional cable failure.
-fn fail_in_place(c: &mut Criterion) {
-    let mut g = c.benchmark_group("route/fail_in_place");
-    g.sample_size(5);
-    let mut topo = HyperXConfig::t2_hyperx(672).build();
-    FaultPlan::t2_hyperx().apply(&mut topo);
-    let mut base = SubnetManager::new(topo.clone(), Box::new(Dfsssp::default()));
-    base.verify = false;
-    base.sweep().unwrap();
-    let routes = base.routes().unwrap().clone();
-    let db = base.pathdb().unwrap().clone();
-    let victim = topo
-        .links()
-        .find(|&(id, l)| l.class == LinkClass::Aoc && topo.is_active(id))
-        .map(|(id, _)| id)
-        .expect("a healthy AOC to kill");
-    for (label, incremental) in [("full_resweep", false), ("incremental", true)] {
-        g.bench_function(BenchmarkId::new(label, "t2-672+15aoc"), |b| {
-            b.iter_batched(
-                || {
-                    let mut sm = SubnetManager::with_state(
-                        topo.clone(),
-                        Box::new(Dfsssp::default()),
-                        routes.clone(),
-                        db.clone(),
-                    );
-                    sm.verify = false;
-                    sm.incremental = incremental;
-                    sm
-                },
-                |mut sm| {
-                    sm.fail_link(victim).unwrap();
-                    sm
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
-    g.finish();
-}
-
-/// The inverse of `fail_in_place`: restoring a downed AOC on the paper's
-/// HyperX plane via `recover_link` as a full resweep (`incremental` off)
-/// versus the incremental recover patch, which repairs only the
-/// destination trees the restored cable can improve.
-fn recover_link(c: &mut Criterion) {
-    let mut g = c.benchmark_group("route/recover_link");
-    g.sample_size(5);
+/// Cable events on the paper's HyperX plane (672 nodes, the 15 unconnected
+/// AOCs of Section 3.1 already missing), each as a full DFSSSP resweep
+/// (`incremental` off) versus the incremental PathDb patch: failing a
+/// healthy AOC (`route/fail_in_place`), and restoring it from the
+/// failed-and-patched state (`route/recover_link`), where the patch repairs
+/// only the destination trees the restored cable can improve.
+fn cable_events(c: &mut Criterion) {
     let mut topo = HyperXConfig::t2_hyperx(672).build();
     FaultPlan::t2_hyperx().apply(&mut topo);
     let victim = topo
@@ -100,37 +57,37 @@ fn recover_link(c: &mut Criterion) {
         .find(|&(id, l)| l.class == LinkClass::Aoc && topo.is_active(id))
         .map(|(id, _)| id)
         .expect("a healthy AOC to kill");
-    // Start every iteration from the failed-and-patched state.
-    let mut base = SubnetManager::new(topo.clone(), Box::new(Dfsssp::default()));
-    base.verify = false;
-    base.sweep().unwrap();
-    base.fail_link(victim).unwrap();
-    let failed_topo = base.topo().clone();
-    let routes = base.routes().unwrap().clone();
-    let db = base.pathdb().unwrap().clone();
-    for (label, incremental) in [("full_resweep", false), ("incremental", true)] {
-        g.bench_function(BenchmarkId::new(label, "t2-672+15aoc"), |b| {
-            b.iter_batched(
-                || {
-                    let mut sm = SubnetManager::with_state(
-                        failed_topo.clone(),
-                        Box::new(Dfsssp::default()),
-                        routes.clone(),
-                        db.clone(),
-                    );
-                    sm.verify = false;
-                    sm.incremental = incremental;
-                    sm
-                },
-                |mut sm| {
-                    sm.recover_link(victim).unwrap();
-                    sm
-                },
-                BatchSize::LargeInput,
-            )
-        });
+    let mut healthy = SubnetManager::new(topo, Box::new(Dfsssp::default()));
+    healthy.verify = false;
+    healthy.sweep().unwrap();
+    let mut failed = healthy.clone();
+    failed.fail_link(victim).unwrap();
+    type Event = fn(&mut SubnetManager, LinkId) -> Result<SweepReport, RouteError>;
+    let groups: [(&str, &SubnetManager, Event); 2] = [
+        ("route/fail_in_place", &healthy, SubnetManager::fail_link),
+        ("route/recover_link", &failed, SubnetManager::recover_link),
+    ];
+    for (group, base, event) in groups {
+        let mut g = c.benchmark_group(group);
+        g.sample_size(5);
+        for (label, incremental) in [("full_resweep", false), ("incremental", true)] {
+            g.bench_function(BenchmarkId::new(label, "t2-672+15aoc"), |b| {
+                b.iter_batched(
+                    || {
+                        let mut sm = base.clone();
+                        sm.incremental = incremental;
+                        sm
+                    },
+                    |mut sm| {
+                        event(&mut sm, victim).unwrap();
+                        sm
+                    },
+                    BatchSize::LargeInput,
+                )
+            });
+        }
+        g.finish();
     }
-    g.finish();
 }
 
 /// PathDb extraction cost: sequential vs. chunked-thread build of the full
@@ -153,8 +110,7 @@ criterion_group!(
     benches,
     hyperx_engines,
     fattree_engines,
-    fail_in_place,
-    recover_link,
+    cable_events,
     pathdb_build
 );
 criterion_main!(benches);

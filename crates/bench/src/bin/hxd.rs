@@ -162,12 +162,14 @@ fn main() {
     let n = topo.num_nodes() as u32;
     let num_links = topo.num_links() as u32;
 
-    let mut sm = SubnetManager::new(topo.clone(), engine);
+    let mut sm = SubnetManager::new(topo, engine);
     sm.verify = false;
     sm.incremental = true;
     let t0 = Instant::now();
     sm.sweep().expect("bring-up sweep");
     let sweep_ms = t0.elapsed().as_secs_f64() * 1e3;
+    // The replay phase starts from this fresh epoch.
+    let mut replay_sm = sm.clone();
     let victims: Vec<LinkId> = sm
         .topo()
         .links()
@@ -254,14 +256,9 @@ fn main() {
         svc.epoch(),
     );
 
-    // Replay phase: a fresh fabric, a fixed churn schedule, and the same
+    // Replay phase: the fresh fabric, a fixed churn schedule, and the same
     // query streams replayed single-threaded. This fingerprint is the
     // determinism contract — identical across runs for one seed.
-    let engine = knobs.engine_or(|| Box::new(Dfsssp::default()));
-    let mut replay_sm = SubnetManager::new(topo, engine);
-    replay_sm.verify = false;
-    replay_sm.incremental = true;
-    replay_sm.sweep().expect("replay sweep");
     let (fails, recovers) = churn_once(&mut replay_sm, &victims);
     let replay_svc = FabricService::from_manager(&replay_sm).expect("replay snapshot");
     let mut fp = FNV_OFFSET;

@@ -47,8 +47,9 @@ pub enum Query {
         dst: u32,
     },
     /// Speculative failure: what would repairing around cable `link` cost,
-    /// and does the fabric survive it? Computed on a clone of the pinned
-    /// snapshot — live state is never touched.
+    /// and does the fabric survive it? Answered by running the subnet
+    /// manager's repair ladder on a fork of the pinned snapshot
+    /// ([`FabricSnapshot::what_if_fail`]) — live state is never touched.
     WhatIfFail {
         /// The hypothetical victim cable.
         link: u32,
@@ -431,7 +432,7 @@ impl ServiceReader<'_> {
         }
         self.svc.misses.fetch_add(1, Ordering::Relaxed);
         sp.arg("cached", hxobs::Json::from(false));
-        let result = self.execute(q, epoch);
+        let result = self.execute(q, epoch, sp.ctx());
         match &result {
             Ok(answer) => {
                 self.cache.insert(q.clone(), answer.clone());
@@ -448,8 +449,8 @@ impl ServiceReader<'_> {
     }
 
     /// Computes an answer on the pinned snapshot (no cache, no pin
-    /// refresh).
-    fn execute(&self, q: &Query, epoch: u64) -> Result<Answer, QueryError> {
+    /// refresh); work it traces hangs under the query's span `ctx`.
+    fn execute(&self, q: &Query, epoch: u64, ctx: hxobs::SpanCtx) -> Result<Answer, QueryError> {
         let snap = &*self.snap;
         match *q {
             Query::Resolve { src, dst } => {
@@ -470,7 +471,7 @@ impl ServiceReader<'_> {
                 })
             }
             Query::WhatIfFail { link } => {
-                let w = snap.what_if_fail(LinkId(link))?;
+                let w = snap.what_if_fail(LinkId(link), ctx)?;
                 Ok(Answer::WhatIf {
                     epoch,
                     affected_trees: w.affected_trees as u32,

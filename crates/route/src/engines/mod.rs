@@ -96,11 +96,6 @@ pub struct LftDelta {
 }
 
 impl LftDelta {
-    /// Whether the delta rewrites anything at all.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.touched.is_empty()
-    }
-
     /// Applies every entry rewrite to the forwarding state.
     pub fn apply(&self, routes: &mut Routes) {
         for &(s, lid, out) in &self.entries {

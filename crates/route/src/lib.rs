@@ -66,7 +66,7 @@ pub use engines::{
 };
 pub use lft::{DirLink, Path, RouteError, Routes};
 pub use lid::{Lid, LidMap, LidPolicy};
-pub use opensm::{FabricSnapshot, SubnetManager, SweepReport, WhatIfReport};
+pub use opensm::{FabricSnapshot, Rung, SubnetManager, SweepReport, WhatIfReport};
 pub use pathdb::PathDb;
 pub use table1::{lid_choices, select_lid, SizeClass, DEFAULT_THRESHOLD};
 pub use verify::{verify_deadlock_free, verify_paths, PathStats};

@@ -16,11 +16,12 @@ use crate::lid::Lid;
 use crate::pathdb::PathDb;
 use crate::verify::{verify_deadlock_free, PathStats};
 use hxobs::{Span, SpanCtx};
-use hxtopo::{LinkClass, LinkId, SwitchId, Topology};
+use hxtopo::{LinkClass, LinkId, Topology};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Outcome of one subnet sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     /// Path statistics of the new routing state.
     pub paths: PathStats,
@@ -34,15 +35,63 @@ pub struct SweepReport {
     /// Whether the sweep was an incremental fail-in-place patch rather than
     /// a from-scratch engine run.
     pub incremental: bool,
+    /// The rung of the repair ladder that installed the epoch (`None` for
+    /// a sweep no cable event asked for).
+    pub rung: Option<Rung>,
+}
+
+/// The rungs of the repair ladder every cable event climbs, in order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rung {
+    /// The engine's own incremental rule ([`RoutingEngine::incremental`]).
+    Engine,
+    /// The generic load-aware patch of the candidate trees.
+    Generic,
+    /// A full resweep.
+    Resweep,
+}
+
+impl Rung {
+    /// The rung's label: the `repair` argument of the event's span.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Rung::Engine => "engine",
+            Rung::Generic => "generic",
+            Rung::Resweep => "resweep",
+        }
+    }
+}
+
+/// How a manager climbs the repair ladder. Every epoch carries the
+/// settings of the manager that installed it, so a fork of the epoch
+/// repairs as that manager would.
+#[derive(Debug, Clone, Copy)]
+struct Ladder {
+    verify: bool,
+    incremental: bool,
+    threads: usize,
+    plane: Option<u32>,
+}
+
+/// Wall time the rung that installed an epoch spent, for the telemetry of
+/// a live event.
+enum Spent {
+    /// An incremental patch, from its start to its commit.
+    Patch(f64),
+    /// A full sweep: the engine run and the path-store build.
+    Sweep { route: f64, db: f64 },
 }
 
 /// A minimal subnet manager: owns the fabric view and its current routing
-/// epoch, re-sweeping on failures or demand changes.
+/// epoch, re-sweeping on failures or demand changes. A clone shares the
+/// topology, the engine and the current epoch with the original; its first
+/// event copies what it edits.
+#[derive(Clone)]
 pub struct SubnetManager {
     /// The live fabric view. The current epoch shares it, so a cable event
     /// copies it only while a reader outside the manager holds that epoch.
     topo: Arc<Topology>,
-    engine: Box<dyn RoutingEngine>,
+    engine: Arc<dyn RoutingEngine>,
     /// The current epoch: the view, the forwarding tables, the path store
     /// and its statistics (`None` until the first sweep).
     current: Option<FabricSnapshot>,
@@ -69,31 +118,13 @@ impl SubnetManager {
     pub fn new(topo: impl Into<Arc<Topology>>, engine: Box<dyn RoutingEngine>) -> SubnetManager {
         SubnetManager {
             topo: topo.into(),
-            engine,
+            engine: Arc::from(engine),
             current: None,
             verify: true,
             incremental: true,
             threads: 0,
             plane: None,
         }
-    }
-
-    /// Restores a manager from previously computed state (bench harnesses,
-    /// checkpoint restarts). The epoch resumes from the PathDb's stamp.
-    pub fn with_state(
-        topo: impl Into<Arc<Topology>>,
-        engine: Box<dyn RoutingEngine>,
-        routes: Routes,
-        pathdb: Arc<PathDb>,
-    ) -> SubnetManager {
-        let mut sm = SubnetManager::new(topo, engine);
-        sm.current = Some(FabricSnapshot {
-            topo: sm.topo.clone(),
-            routes: Arc::new(routes),
-            stats: Arc::new(pathdb.stats()),
-            pathdb,
-        });
-        sm
     }
 
     /// The managed fabric.
@@ -107,8 +138,8 @@ impl SubnetManager {
     }
 
     /// The current epoch (after the first sweep), by reference. Clone it
-    /// — four `Arc`s, see [`SubnetManager::snapshot`] — to keep it past
-    /// the next event.
+    /// — a handful of `Arc`s, see [`SubnetManager::snapshot`] — to keep it
+    /// past the next event.
     pub fn current(&self) -> Option<&FabricSnapshot> {
         self.current.as_ref()
     }
@@ -134,16 +165,33 @@ impl SubnetManager {
         self.current().ok_or(RouteError::NotSwept(op))
     }
 
+    /// The settings this manager climbs the repair ladder with.
+    fn ladder(&self) -> Ladder {
+        Ladder {
+            verify: self.verify,
+            incremental: self.incremental,
+            threads: self.threads,
+            plane: self.plane,
+        }
+    }
+
     /// Discovers and routes the fabric (an OpenSM heavy sweep), building
     /// the epoch's [`PathDb`] in parallel.
     pub fn sweep(&mut self) -> Result<SweepReport, RouteError> {
-        let engine = self.engine.name();
-        let mut sp = self.span(SpanCtx::none(), "sweep");
-        let t0 = std::time::Instant::now();
+        let (r, spent) = self.resweep(SpanCtx::none())?;
+        self.record(&r, spent, false);
+        Ok(r)
+    }
+
+    /// The sweep behind [`SubnetManager::sweep`] and the ladder's last
+    /// rung, without its telemetry; the `sweep` span hangs under `parent`.
+    fn resweep(&mut self, parent: SpanCtx) -> Result<(SweepReport, Spent), RouteError> {
+        let mut sp = self.span(parent, "sweep");
+        let t0 = Instant::now();
         let routes = self.engine.route(&self.topo)?;
-        let route_secs = t0.elapsed().as_secs_f64();
+        let route = t0.elapsed().as_secs_f64();
         let epoch = self.epoch() + 1;
-        let db0 = std::time::Instant::now();
+        let db0 = Instant::now();
         let db = PathDb::build(&self.topo, &routes, epoch, self.threads)?;
         let db_secs = db0.elapsed().as_secs_f64();
         let paths = db.stats();
@@ -152,22 +200,6 @@ impl SubnetManager {
         }
         let vls = routes.num_vls;
         let patched_trees = routes.lid_map.lids().count();
-        if let Some(o) = hxobs::sink() {
-            o.tracer.name_process(hxobs::track::OPENSM, "opensm");
-            o.counter_add("route.sweeps", 1);
-            o.histogram_record(&format!("route.sweep_seconds.{engine}"), route_secs);
-            o.histogram_record("pathdb.build_seconds", db_secs);
-            o.gauge_set("pathdb.epoch", epoch as f64);
-            o.gauge_set("pathdb.isl_hops", db.num_isl_hops() as f64);
-            o.gauge_set("route.vls", vls as f64);
-            o.gauge_set("route.lft_entries", routes.num_lft_entries() as f64);
-            let hop_hist = o.registry.histogram("route.pair_hops");
-            for (hops, &n) in paths.hist.iter().enumerate() {
-                for _ in 0..n {
-                    hop_hist.record(hops as f64);
-                }
-            }
-        }
         sp.arg("vls", hxobs::Json::from(vls as u64));
         sp.set_epoch(epoch);
         sp.end();
@@ -176,14 +208,62 @@ impl SubnetManager {
             routes: Arc::new(routes),
             pathdb: Arc::new(db),
             stats: Arc::new(paths.clone()),
+            engine: self.engine.clone(),
+            ladder: self.ladder(),
         });
-        Ok(SweepReport {
+        let report = SweepReport {
             paths,
             vls,
             epoch,
             patched_trees,
             incremental: false,
-        })
+            rung: None,
+        };
+        Ok((report, Spent::Sweep { route, db: db_secs }))
+    }
+
+    /// Records the telemetry of the epoch `r` just installed: what a live
+    /// sweep or cable event reports and a speculation does not. `recover`
+    /// names the event behind a patch.
+    fn record(&self, r: &SweepReport, spent: Spent, recover: bool) {
+        if let Spent::Patch(secs) = spent {
+            match self.plane {
+                Some(p) => hxobs::sketch_record_plane("reroute.latency_us", r.epoch, p, secs * 1e6),
+                None => hxobs::sketch_record("reroute.latency_us", r.epoch, secs * 1e6),
+            }
+        }
+        let (Some(o), Some(cur)) = (hxobs::sink(), self.current()) else {
+            return;
+        };
+        o.tracer.name_process(hxobs::track::OPENSM, "opensm");
+        o.gauge_set("pathdb.epoch", r.epoch as f64);
+        match spent {
+            Spent::Patch(secs) => {
+                let counter = if recover {
+                    "route.incremental_recoveries"
+                } else {
+                    "route.incremental_reroutes"
+                };
+                o.counter_add(counter, 1);
+                o.counter_add("pathdb.patched_trees", r.patched_trees as u64);
+                o.histogram_record("route.incremental_seconds", secs);
+            }
+            Spent::Sweep { route, db } => {
+                o.counter_add("route.sweeps", 1);
+                let name = format!("route.sweep_seconds.{}", self.engine.name());
+                o.histogram_record(&name, route);
+                o.histogram_record("pathdb.build_seconds", db);
+                o.gauge_set("pathdb.isl_hops", cur.pathdb.num_isl_hops() as f64);
+                o.gauge_set("route.vls", r.vls as f64);
+                o.gauge_set("route.lft_entries", cur.routes.num_lft_entries() as f64);
+                let hop_hist = o.registry.histogram("route.pair_hops");
+                for (hops, &n) in r.paths.hist.iter().enumerate() {
+                    for _ in 0..n {
+                        hop_hist.record(hops as f64);
+                    }
+                }
+            }
+        }
     }
 
     /// Fail-in-place: deactivates a cable and repairs around it. With
@@ -205,7 +285,7 @@ impl SubnetManager {
         l: LinkId,
         parent: SpanCtx,
     ) -> Result<SweepReport, RouteError> {
-        self.cable_event(l, false, parent)
+        self.live_event(l, false, parent)
     }
 
     /// Recover-in-place: the incremental inverse of
@@ -233,36 +313,30 @@ impl SubnetManager {
         l: LinkId,
         parent: SpanCtx,
     ) -> Result<SweepReport, RouteError> {
-        self.cable_event(l, true, parent)
+        self.live_event(l, true, parent)
     }
 
-    /// The one repair ladder behind every cable event. Takes cable `l`
-    /// down (`recover` false) or brings it back up (`recover` true), then
-    /// tries, in order, the engine's own incremental rule, the generic
-    /// load-aware patch of the candidate trees (the trees that crossed the
-    /// dead cable, or the trees the restored one could improve) and a full
-    /// resweep. When the resweep fails the cable is toggled back and the
+    /// A cable event on the live fabric: the repair ladder plus what only
+    /// a real event pays — its counters and latency sketch, and the
+    /// rollback when no rung holds: the cable is toggled back and the
     /// previous fabric re-swept, so an event never leaves the manager
     /// worse than before it.
-    fn cable_event(
+    fn live_event(
         &mut self,
         l: LinkId,
         recover: bool,
         parent: SpanCtx,
     ) -> Result<SweepReport, RouteError> {
-        let (name, counter, op) = if recover {
-            ("recover_link", "route.link_recoveries", "recover")
+        let (name, counter) = if recover {
+            ("recover_link", "route.link_recoveries")
         } else {
-            ("fail_link", "route.link_failures", "reroute")
+            ("fail_link", "route.link_failures")
         };
         // Lifecycle contract: churn against an unswept manager is a caller
         // bug in a batch run but a benign race in a resident daemon (a query
         // or event arriving mid-bring-up) — degrade to a retryable error
         // with the fabric view untouched instead of panicking.
         self.swept(name)?;
-        let mut sp = self.span(parent, name);
-        sp.arg("link", hxobs::Json::from(l.0 as u64));
-        let ctx = sp.ctx();
         if let Some(o) = hxobs::sink() {
             o.tracer.name_process(hxobs::track::OPENSM, "opensm");
             o.counter_add(counter, 1);
@@ -275,12 +349,38 @@ impl SubnetManager {
                 vec![("link".to_string(), hxobs::Json::from(l.0 as u64))],
             );
         }
-        let done = |mut sp: Span, repair: &str, r: SweepReport| {
-            sp.arg("repair", hxobs::Json::from(repair));
-            sp.set_epoch(r.epoch);
-            sp.end();
-            r
-        };
+        match self.cable_event(l, recover, parent) {
+            Ok((r, spent)) => {
+                self.record(&r, spent, recover);
+                Ok(r)
+            }
+            Err(e) => {
+                self.set_cable(l, !recover);
+                self.sweep()?;
+                Err(e)
+            }
+        }
+    }
+
+    /// The one repair ladder behind every cable event, live or
+    /// speculative ([`FabricSnapshot::what_if_fail`]). Takes cable `l`
+    /// down (`recover` false) or brings it back up (`recover` true), then
+    /// tries, in order, the engine's own incremental rule, the generic
+    /// load-aware patch of the candidate trees (the trees that crossed the
+    /// dead cable, or the trees the restored one could improve) and a full
+    /// resweep. It emits the event's span under `parent` and no telemetry.
+    /// When no rung holds, the cable stays toggled over the previous
+    /// epoch's tables, for the caller to roll back or drop.
+    fn cable_event(
+        &mut self,
+        l: LinkId,
+        recover: bool,
+        parent: SpanCtx,
+    ) -> Result<(SweepReport, Spent), RouteError> {
+        let name = if recover { "recover_link" } else { "fail_link" };
+        let mut sp = self.span(parent, name);
+        sp.arg("link", hxobs::Json::from(l.0 as u64));
+        let ctx = sp.ctx();
         // Terminal cables detach a node outright; that is a membership
         // change, not a reroute — leave it to the full-sweep path. The
         // recovery of a cable that is already up re-sweeps too.
@@ -288,35 +388,29 @@ impl SubnetManager {
             && self.topo.link(l).class != LinkClass::Terminal
             && !(recover && self.topo.is_active(l));
         self.set_cable(l, recover);
-        if try_incremental {
-            // Engines owning an incremental-repair rule get first shot; the
-            // generic load-aware patch is the fallback, a full resweep the
-            // last resort. The capability probe lives inside `engine_patch`
-            // itself: an engine without the rule returns
-            // [`RouteError::NoEngineRepair`] and falls through here.
-            if let Ok(r) = self.engine_patch(l, recover, ctx) {
-                return Ok(done(sp, "engine", r));
-            }
-            let candidates = if recover {
-                self.recover_candidates(l)
-            } else {
-                self.swept(name).map(|s| s.pathdb.affected_by(l))
-            };
-            if let Ok(r) = candidates.and_then(|c| self.patch_trees(c, op, ctx)) {
-                return Ok(done(sp, "generic", r));
-            }
-            // Patch failed (disconnection or VL layering breakage): fall
-            // through to the full resweep with state untouched.
-        }
-        match self.sweep() {
-            Ok(r) => Ok(done(sp, "resweep", r)),
-            Err(e) => {
-                // Restore the previous consistent routing state.
-                self.set_cable(l, !recover);
-                self.sweep()?;
-                Err(e)
-            }
-        }
+        // Engines owning an incremental-repair rule get first shot; the
+        // generic load-aware patch is the fallback, a full resweep the last
+        // resort. An engine without the rule fails its rung with
+        // [`RouteError::NoEngineRepair`] and falls through; a failed patch
+        // (disconnection or VL layering breakage) leaves the state
+        // untouched.
+        let rungs: &[Rung] = if try_incremental {
+            &[Rung::Engine, Rung::Generic]
+        } else {
+            &[]
+        };
+        let patched = rungs
+            .iter()
+            .find_map(|&rung| Some((self.patch(rung, l, recover, ctx).ok()?, rung)));
+        let ((mut r, spent), rung) = match patched {
+            Some(done) => done,
+            None => (self.resweep(ctx)?, Rung::Resweep),
+        };
+        r.rung = Some(rung);
+        sp.arg("repair", hxobs::Json::from(rung.name()));
+        sp.set_epoch(r.epoch);
+        sp.end();
+        Ok((r, spent))
     }
 
     /// Brings cable `l` up or takes it down in the managed fabric view.
@@ -336,73 +430,78 @@ impl SubnetManager {
             routes,
             pathdb,
             stats,
+            engine: self.engine.clone(),
+            ladder: self.ladder(),
         });
     }
 
-    /// Applies the engine's own [`IncrementalRepair`] rule for cable `l`
-    /// (just deactivated when `recover` is false, just reactivated when
-    /// true), committing the returned LFT delta through the shared patch
-    /// pipeline. The capability probe is part of this dispatch step: an
-    /// engine without [`RoutingEngine::incremental`] yields
-    /// [`RouteError::NoEngineRepair`] (no span emitted, no state touched)
-    /// and the caller falls through to the generic load-aware patch.
+    /// One incremental rung for cable `l` (just deactivated when `recover`
+    /// is false, just reactivated when true): computes the rung's LFT
+    /// delta and commits it. [`Rung::Engine`] applies the engine's own
+    /// [`IncrementalRepair`] rule; an engine without one yields
+    /// [`RouteError::NoEngineRepair`] before any span or state is touched.
+    /// [`Rung::Generic`] rebuilds each candidate tree — the trees that
+    /// crossed the dead cable, or the trees the restored one could improve
+    /// — by a Dijkstra weighted with the current per-cable path counts, so
+    /// the repair spreads detours without replaying the engine's balancing
+    /// history. A tree that no longer reaches a source switch leaves that
+    /// switch's stale entry in place, which the path store then refuses.
     ///
     /// [`IncrementalRepair`]: crate::engines::IncrementalRepair
-    fn engine_patch(
+    fn patch(
         &mut self,
+        rung: Rung,
         l: LinkId,
         recover: bool,
         parent: SpanCtx,
-    ) -> Result<SweepReport, RouteError> {
-        let Some(ir) = self.engine.incremental() else {
+    ) -> Result<(SweepReport, Spent), RouteError> {
+        let rule = self.engine.incremental();
+        if rung == Rung::Engine && rule.is_none() {
             return Err(RouteError::NoEngineRepair(self.engine.name()));
+        }
+        let cur = self.swept("patch")?;
+        let topo = &*self.topo;
+        let candidates = match rung {
+            Rung::Generic if recover => self.recover_candidates(l)?,
+            Rung::Generic => cur.pathdb.affected_by(l),
+            _ => Vec::new(),
         };
-        let routes = self.swept("engine_patch")?.routes();
+        let t0 = Instant::now();
+        let mut patch_sp = self.span(parent, "pathdb_patch");
         let op = if recover { "recover" } else { "reroute" };
-        let t0 = std::time::Instant::now();
-        let mut patch_sp = self.begin_patch_span(op, "engine", parent);
-        let delta_sp = patch_sp.child("engine_delta", "route");
-        let delta = if recover {
-            ir.on_recover(&self.topo, routes, l)?
-        } else {
-            ir.on_fail(&self.topo, routes, l)?
+        patch_sp.arg("op", hxobs::Json::from(op));
+        patch_sp.arg("mechanism", hxobs::Json::from(rung.name()));
+        let delta = match rule {
+            Some(ir) if rung == Rung::Engine => {
+                let _delta_sp = patch_sp.child("engine_delta", "route");
+                if recover {
+                    ir.on_recover(topo, &cur.routes, l)?
+                } else {
+                    ir.on_fail(topo, &cur.routes, l)?
+                }
+            }
+            _ => {
+                let _repair_sp = patch_sp.child("generic_repair", "route");
+                let mut delta = LftDelta::default();
+                if !candidates.is_empty() {
+                    let weights = cur.pathdb.link_loads(topo);
+                    for &lid in &candidates {
+                        let owner = cur
+                            .routes
+                            .lid_map
+                            .owner(lid)
+                            .ok_or(RouteError::UnknownLid(lid))?;
+                        let (dsw, dlink) = topo.node_switch(owner);
+                        let tree = dijkstra_to_dest(topo, dsw, &weights, None);
+                        delta.install_tree(&tree, lid, dlink);
+                    }
+                }
+                delta.touched = candidates;
+                delta
+            }
         };
-        delta_sp.end();
         patch_sp.arg("trees", hxobs::Json::from(delta.touched.len()));
-        self.commit_patch(delta, op, patch_sp, t0)
-    }
-
-    /// Re-runs the destination-rooted repair for the given LID trees against
-    /// the current topology, patching the PathDb and bumping the epoch.
-    /// State is committed only on success. `op` labels the obs span and
-    /// counters (`"reroute"` after a failure, `"recover"` after a repair).
-    fn patch_trees(
-        &mut self,
-        affected: Vec<Lid>,
-        op: &str,
-        parent: SpanCtx,
-    ) -> Result<SweepReport, RouteError> {
-        let cur = self.swept("patch_trees")?;
-        let t0 = std::time::Instant::now();
-        let mut patch_sp = self.begin_patch_span(op, "generic", parent);
-        patch_sp.arg("trees", hxobs::Json::from(affected.len()));
-        let repair_sp = patch_sp.child("generic_repair", "route");
-        let delta = repair_trees(&self.topo, &cur.routes, &cur.pathdb, affected)?;
-        repair_sp.end();
-        self.commit_patch(delta, op, patch_sp, t0)
-    }
-
-    /// Opens the `pathdb_patch` span shared by both repair mechanisms.
-    /// `mechanism` records who computed the patch: `"engine"` for an
-    /// engine-owned [`IncrementalRepair`] delta, `"generic"` for the
-    /// manager's load-aware destination-tree rebuild.
-    ///
-    /// [`IncrementalRepair`]: crate::engines::IncrementalRepair
-    fn begin_patch_span(&self, op: &str, mechanism: &str, parent: SpanCtx) -> Span {
-        let mut sp = self.span(parent, "pathdb_patch");
-        sp.arg("op", hxobs::Json::from(op));
-        sp.arg("mechanism", hxobs::Json::from(mechanism));
-        sp
+        self.commit_patch(delta, patch_sp, t0)
     }
 
     /// A span of this manager's work on the OpenSM track, under `parent`
@@ -417,25 +516,27 @@ impl SubnetManager {
         sp
     }
 
-    /// Applies a repair's LFT delta to the live routing state in place and
-    /// commits it: patches the PathDb for the delta's trees, re-checks
-    /// deadlock freedom, bumps the epoch, and emits the repair telemetry.
-    /// The tables are copied first only while a reader still holds the
-    /// current epoch. On error the replaced entries are restored and the
-    /// state is untouched, so the caller can fall back to a full resweep.
+    /// Applies a repair's LFT delta to the current routing state in place
+    /// and commits it: patches the PathDb for the delta's trees, re-checks
+    /// deadlock freedom and bumps the epoch. The tables are copied first
+    /// only while a reader still holds the current epoch. On error the
+    /// replaced entries are restored and the state is untouched, so the
+    /// caller can fall back to a full resweep.
     fn commit_patch(
         &mut self,
         delta: LftDelta,
-        op: &str,
         mut patch_sp: Span,
-        t0: std::time::Instant,
-    ) -> Result<SweepReport, RouteError> {
+        t0: Instant,
+    ) -> Result<(SweepReport, Spent), RouteError> {
         let cur = self
             .current
             .as_mut()
             .ok_or(RouteError::NotSwept("commit_patch"))?;
         let routes = Arc::make_mut(&mut cur.routes);
         let undo = delta.apply_undoable(routes);
+        // Free the applied rewrites before the new store is built: the undo
+        // holds as many entries, and both would count in the event's peak.
+        drop(delta.entries);
         let affected = delta.touched;
         let columns_sp = patch_sp.child("pathdb_columns", "route");
         let patched = cur.pathdb.patched(&self.topo, routes, &affected);
@@ -464,31 +565,15 @@ impl SubnetManager {
         let secs = t0.elapsed().as_secs_f64();
         patch_sp.set_epoch(epoch);
         patch_sp.end();
-        match self.plane {
-            Some(p) => hxobs::sketch_record_plane("reroute.latency_us", epoch, p, secs * 1e6),
-            None => hxobs::sketch_record("reroute.latency_us", epoch, secs * 1e6),
-        }
-        if let Some(o) = hxobs::sink() {
-            o.tracer.name_process(hxobs::track::OPENSM, "opensm");
-            o.counter_add(
-                if op == "recover" {
-                    "route.incremental_recoveries"
-                } else {
-                    "route.incremental_reroutes"
-                },
-                1,
-            );
-            o.counter_add("pathdb.patched_trees", affected.len() as u64);
-            o.histogram_record("route.incremental_seconds", secs);
-            o.gauge_set("pathdb.epoch", epoch as f64);
-        }
-        Ok(SweepReport {
+        let report = SweepReport {
             paths,
             vls,
             epoch,
             patched_trees: affected.len(),
             incremental: true,
-        })
+            rung: None,
+        };
+        Ok((report, Spent::Patch(secs)))
     }
 
     /// Destination LID trees the (just reactivated) cable `l` could improve,
@@ -540,64 +625,24 @@ impl SubnetManager {
                 vec![],
             );
         }
-        self.engine = engine;
+        self.engine = Arc::from(engine);
         self.sweep()
     }
 
     /// A consistent, immutable view of the current routing epoch for
     /// read-side consumers: topology, forwarding tables, and path store
     /// glued together under one epoch stamp, with the path statistics the
-    /// sweep or patch already computed. A clone of
-    /// [`SubnetManager::current`] — four `Arc`s, no table is copied — and
-    /// safe to hand to other threads while this manager keeps churning:
-    /// its next cable event copies what it edits instead. Returns
-    /// [`RouteError::NotSwept`] before the first sweep — retryable, never
-    /// a panic.
+    /// sweep or patch already computed, the engine and this manager's
+    /// ladder settings. A clone of [`SubnetManager::current`] — a handful
+    /// of `Arc`s, no table is copied — and safe to hand to other threads
+    /// while this manager keeps churning: its next cable event copies what
+    /// it edits instead. Returns [`RouteError::NotSwept`] before the first
+    /// sweep — retryable, never a panic.
     pub fn snapshot(&self) -> Result<FabricSnapshot, RouteError> {
-        self.swept("snapshot").cloned()
+        let mut snap = self.swept("snapshot")?.clone();
+        snap.ladder = self.ladder();
+        Ok(snap)
     }
-}
-
-/// Load-aware destination-tree repair shared by the live incremental patch
-/// ([`SubnetManager::fail_link`] / [`SubnetManager::recover_link`]) and the
-/// speculative [`FabricSnapshot::what_if_fail`] query: each affected LID
-/// tree is rebuilt by a Dijkstra weighted with the current per-cable path
-/// counts, so the repair spreads detours without replaying the engine's
-/// balancing history. Returns the LFT rewrites that install the rebuilt
-/// trees, with `affected` as the touched trees; an empty `affected` set
-/// rewrites nothing (the epoch still advances at commit so consumers
-/// observe the event).
-fn repair_trees(
-    topo: &Topology,
-    routes: &Routes,
-    db: &PathDb,
-    affected: Vec<Lid>,
-) -> Result<LftDelta, RouteError> {
-    if affected.is_empty() {
-        return Ok(LftDelta::default());
-    }
-    let weights = db.link_loads(topo);
-    let src_switches: Vec<SwitchId> = topo
-        .switches()
-        .filter(|&s| topo.attached_nodes(s).next().is_some())
-        .collect();
-    let mut delta = LftDelta::default();
-    for &lid in &affected {
-        let owner = routes
-            .lid_map
-            .owner(lid)
-            .ok_or(RouteError::UnknownLid(lid))?;
-        let (dsw, dlink) = topo.node_switch(owner);
-        let tree = dijkstra_to_dest(topo, dsw, &weights, None);
-        for &s in &src_switches {
-            if !tree.reachable(s) {
-                return Err(RouteError::NoRoute { switch: s, lid });
-            }
-        }
-        delta.install_tree(&tree, lid, dlink);
-    }
-    delta.touched = affected;
-    Ok(delta)
 }
 
 /// One routing epoch frozen for concurrent readers: the topology as the
@@ -614,26 +659,34 @@ pub struct FabricSnapshot {
     routes: Arc<Routes>,
     pathdb: Arc<PathDb>,
     stats: Arc<PathStats>,
+    /// The engine that routed the epoch, for a fork's repair ladder.
+    engine: Arc<dyn RoutingEngine>,
+    /// The ladder settings of the manager when it installed the epoch, or
+    /// when [`SubnetManager::snapshot`] took it.
+    ladder: Ladder,
 }
 
-/// Answer to a speculative "what if cable `link` failed?" query, computed
+/// Answer to a speculative "what if this cable failed?" query, computed
 /// against a pinned [`FabricSnapshot`] without touching live state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WhatIfReport {
-    /// The hypothetically failed cable.
-    pub link: LinkId,
     /// Destination trees whose paths traverse the cable (the repair cost).
     pub affected_trees: usize,
-    /// Whether losing the cable disconnects the fabric (or, for a terminal
-    /// cable, detaches a node — a membership change, not a reroute).
+    /// Whether losing the cable disconnects the fabric: a terminal cable
+    /// detaches a node (a membership change, not a reroute), or no rung
+    /// of the repair ladder installs tables without it.
     pub disconnects: bool,
     /// Path statistics of the pinned epoch, before the hypothetical failure.
     pub before: PathStats,
     /// Path statistics after the speculative repair; `None` when the
     /// failure disconnects.
     pub after: Option<PathStats>,
-    /// Epoch the speculation was computed against.
-    pub epoch: u64,
+    /// Virtual lanes after the speculative repair (the pinned epoch's when
+    /// no repair ran).
+    pub vls: u8,
+    /// The rung of the repair ladder that repaired the fork; `None` when
+    /// none ran (an already-inactive cable) or none held.
+    pub rung: Option<Rung>,
 }
 
 impl FabricSnapshot {
@@ -668,72 +721,67 @@ impl FabricSnapshot {
         &self.stats
     }
 
-    /// Speculatively fails cable `l`: clones the frozen topology, repairs
-    /// the affected destination trees with the shared load-aware rule, and
-    /// rebuilds their path-store columns via [`PathDb::patched`] — live
-    /// state is never touched. Already-inactive cables are zero-impact (the
-    /// pinned epoch routes without them); terminal cables and disconnecting
-    /// failures report `disconnects` instead of repaired statistics. The
-    /// speculation skips the deadlock-freedom check — it is an advisory
-    /// estimate, not a commit.
-    pub fn what_if_fail(&self, l: LinkId) -> Result<WhatIfReport, RouteError> {
+    /// Speculatively fails cable `l`: forks a manager from this epoch and
+    /// runs the one repair ladder on the fork, so the answer is what the
+    /// manager that took the snapshot would install — the same rung, the
+    /// same deadlock check, the same resweep fallback. The fork shares
+    /// every part of the epoch and copies only what the event edits; the
+    /// snapshot and live state are never touched, and the fork records no
+    /// telemetry of a live event. Already-inactive cables are zero-impact
+    /// (the pinned epoch routes without them); terminal cables and
+    /// failures no rung repairs report `disconnects` instead of repaired
+    /// statistics. The fork's `fail_link` span hangs under `parent` — e.g.
+    /// the `hxd` query that asked.
+    pub fn what_if_fail(&self, l: LinkId, parent: SpanCtx) -> Result<WhatIfReport, RouteError> {
         if l.0 as usize >= self.topo.num_links() {
             return Err(RouteError::UnsupportedTopology(
                 "what-if cable out of range",
             ));
         }
-        let before = (*self.stats).clone();
-        let epoch = self.epoch();
+        let mut w = WhatIfReport {
+            affected_trees: 0,
+            disconnects: false,
+            before: (*self.stats).clone(),
+            after: None,
+            vls: self.routes.num_vls,
+            rung: None,
+        };
         if !self.topo.is_active(l) {
-            return Ok(WhatIfReport {
-                link: l,
-                affected_trees: 0,
-                disconnects: false,
-                after: Some(before.clone()),
-                before,
-                epoch,
-            });
+            w.after = Some(w.before.clone());
+            return Ok(w);
         }
-        let affected = self.pathdb.affected_by(l);
-        if self.topo.link(l).class == LinkClass::Terminal {
-            return Ok(WhatIfReport {
-                link: l,
-                affected_trees: affected.len(),
-                disconnects: true,
-                before,
-                after: None,
-                epoch,
-            });
-        }
-        let mut topo = (*self.topo).clone();
-        topo.deactivate(l);
-        let repaired =
-            repair_trees(&topo, &self.routes, &self.pathdb, affected.clone()).and_then(|delta| {
-                let mut routes = (*self.routes).clone();
-                delta.apply(&mut routes);
-                self.pathdb.patched(&topo, &routes, &affected)
-            });
-        match repaired {
-            Ok(db) => Ok(WhatIfReport {
-                link: l,
-                affected_trees: affected.len(),
-                disconnects: false,
-                before,
-                after: Some(db.stats()),
-                epoch,
-            }),
-            // A repair that cannot reach every source switch means the
-            // fabric falls apart without this cable.
-            Err(RouteError::NoRoute { .. }) => Ok(WhatIfReport {
-                link: l,
-                affected_trees: affected.len(),
-                disconnects: true,
-                before,
-                after: None,
-                epoch,
-            }),
-            Err(e) => Err(e),
-        }
+        // A terminal cable detaches a node: a membership change, not a
+        // reroute. Any other cable is failed on a fork that resumes from
+        // this epoch with the ladder settings of the manager that took it,
+        // sharing every part, statistics included.
+        let outcome = if self.topo.link(l).class == LinkClass::Terminal {
+            None
+        } else {
+            let mut fork = SubnetManager {
+                topo: self.topo.clone(),
+                engine: self.engine.clone(),
+                current: Some(self.clone()),
+                verify: self.ladder.verify,
+                incremental: self.ladder.incremental,
+                threads: self.ladder.threads,
+                plane: self.ladder.plane,
+            };
+            fork.cable_event(l, false, parent).ok()
+        };
+        // The generic rung recomputes exactly the trees that crossed the
+        // cable, so it has already counted them; other outcomes scan.
+        w.affected_trees = match &outcome {
+            Some((r, _)) if r.rung == Some(Rung::Generic) => r.patched_trees,
+            _ => self.pathdb.affected_by(l).len(),
+        };
+        let Some((r, _)) = outcome else {
+            w.disconnects = true;
+            return Ok(w);
+        };
+        w.after = Some(r.paths);
+        w.vls = r.vls;
+        w.rung = r.rung;
+        Ok(w)
     }
 }
 
@@ -894,27 +942,6 @@ mod tests {
     }
 
     #[test]
-    fn with_state_resumes_epoch() {
-        let mut sm = SubnetManager::new(hx(), Box::new(Sssp::default()));
-        sm.verify = false;
-        sm.sweep().unwrap();
-        let routes = sm.routes().unwrap().clone();
-        let db = sm.pathdb().unwrap().clone();
-        let mut sm2 =
-            SubnetManager::with_state(sm.topo().clone(), Box::new(Sssp::default()), routes, db);
-        sm2.verify = false;
-        assert_eq!(sm2.epoch(), 1);
-        let isl = sm2
-            .topo()
-            .links()
-            .find(|(_, l)| l.class != LinkClass::Terminal)
-            .unwrap()
-            .0;
-        let r = sm2.fail_link(isl).unwrap();
-        assert_eq!(r.epoch, 2);
-    }
-
-    #[test]
     fn catastrophic_failure_is_rolled_back() {
         // 1-D HyperX of 2 switches: killing the only ISL disconnects it.
         let topo = HyperXConfig::new(vec![2], 2).build();
@@ -943,8 +970,8 @@ mod tests {
             entries: sm.topo().switches().map(|s| (s, 1, None)).collect(),
             touched: vec![1],
         };
-        let sp = sm.begin_patch_span("reroute", "engine", SpanCtx::none());
-        let res = sm.commit_patch(delta, "reroute", sp, std::time::Instant::now());
+        let sp = sm.span(SpanCtx::none(), "pathdb_patch");
+        let res = sm.commit_patch(delta, sp, Instant::now());
         assert!(matches!(res, Err(RouteError::NoRoute { lid: 1, .. })));
         assert!(sm.routes().unwrap().lft_eq(&before));
         assert_eq!(sm.epoch(), 1);
@@ -1059,7 +1086,7 @@ mod tests {
             .unwrap()
             .0;
         assert!(matches!(
-            sm.engine_patch(isl, false, SpanCtx::none()),
+            sm.patch(Rung::Engine, isl, false, SpanCtx::none()),
             Err(RouteError::NoEngineRepair("sssp"))
         ));
         let r = sm.fail_link(isl).unwrap();
@@ -1122,14 +1149,13 @@ mod tests {
         sm.incremental = false;
         sm.fail_link(isl).unwrap();
         check(&sm, 4);
-        // A restored manager computes them from the store it is given.
-        let restored = SubnetManager::with_state(
-            sm.topo().clone(),
-            Box::new(Dfsssp::default()),
-            sm.routes().unwrap().clone(),
-            sm.pathdb().unwrap().clone(),
-        );
+        // A clone carries them over, and its next event refreshes them.
+        let mut restored = sm.clone();
         check(&restored, 4);
+        restored.incremental = true;
+        assert!(restored.recover_link(isl).unwrap().incremental);
+        check(&restored, 5);
+        check(&sm, 4);
     }
 
     #[test]
@@ -1144,9 +1170,9 @@ mod tests {
             .find(|(_, l)| l.class != LinkClass::Terminal)
             .unwrap()
             .0;
-        let w = snap.what_if_fail(isl).unwrap();
+        let w = snap.what_if_fail(isl, SpanCtx::none()).unwrap();
         assert!(!w.disconnects);
-        assert_eq!(w.epoch, 1);
+        assert_eq!(snap.epoch(), 1);
         // Speculation answers what the live repair would do...
         let after = w.after.unwrap();
         assert_eq!(after.pairs, w.before.pairs);
@@ -1164,13 +1190,13 @@ mod tests {
             .find(|(_, l)| l.class == LinkClass::Terminal)
             .unwrap()
             .0;
-        let w = snap.what_if_fail(term).unwrap();
+        let w = snap.what_if_fail(term, SpanCtx::none()).unwrap();
         assert!(w.disconnects);
         assert!(w.after.is_none());
 
         // Out-of-range cables are a typed error, not a panic.
         let bogus = hxtopo::LinkId(snap.topo().num_links() as u32);
-        assert!(snap.what_if_fail(bogus).is_err());
+        assert!(snap.what_if_fail(bogus, SpanCtx::none()).is_err());
     }
 
     #[test]
@@ -1186,7 +1212,7 @@ mod tests {
         sm.verify = false;
         sm.sweep().unwrap();
         let snap = sm.snapshot().unwrap();
-        let w = snap.what_if_fail(isl).unwrap();
+        let w = snap.what_if_fail(isl, SpanCtx::none()).unwrap();
         assert!(w.disconnects);
         assert!(w.after.is_none());
         // The speculation left live state intact: the real failure still
@@ -1206,7 +1232,7 @@ mod tests {
             .0;
         sm.fail_link(isl).unwrap();
         let snap = sm.snapshot().unwrap();
-        let w = snap.what_if_fail(isl).unwrap();
+        let w = snap.what_if_fail(isl, SpanCtx::none()).unwrap();
         assert!(!w.disconnects);
         assert_eq!(w.affected_trees, 0);
         assert_eq!(w.after.unwrap(), w.before);
