@@ -8,10 +8,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 const OBS_BATCH: usize = 1024;
 
 /// One timed iteration runs the call sites 1,024 times: a root span with
-/// a child, a counter, a histogram sample and a sketch sample. The global
-/// sink is uninstalled for the measurement and restored afterwards (with
-/// no sink, nothing reaches the flight ring), so the number is the
-/// unset-`T2HX_OBS` cost whatever the process had installed.
+/// a child, a counter, an unscoped sketch sample (`observe`) and an
+/// epoch-scoped one (`sketch_record`). The global sink is uninstalled for
+/// the measurement and restored afterwards (with no sink, nothing reaches
+/// the flight ring), so the number is the unset-`T2HX_OBS` cost whatever
+/// the process had installed.
 fn obs_disabled(c: &mut Criterion) {
     let saved_sink = hxobs::uninstall();
     assert!(!hxobs::enabled(), "the disabled path must be measured");

@@ -12,7 +12,11 @@
 //!   time-contains the child (begin/end nesting is well-formed),
 //! * plane ids are causally consistent: a span stamped with a plane id
 //!   never hangs under a parent stamped with a *different* one,
-//! * the flight dump parses and its ring retained events.
+//! * the flight dump parses and its ring retained events,
+//! * every line of `<harness>.metrics.jsonl` parses, lines are sorted by
+//!   name, each is a `counter`, `gauge` or `sketch`, and each sketch holds
+//!   `count >= 1` samples with `min <= p50 <= p95 <= p99 <= p999 <= max`
+//!   and bucket counts that sum to `count`.
 //!
 //! The harnesses that tell a story get its checks on top:
 //!
@@ -103,8 +107,8 @@ fn validate_trace(path: &PathBuf, harness: &str) -> HashMap<u64, SpanEv> {
             .and_then(Json::as_num)
             .unwrap_or(0.0) as u64;
         if span_id == 0 {
-            // Legacy flat span recorded straight through the tracer (no
-            // Span handle) — nothing causal to validate.
+            // A DES span on simulated time, recorded straight through the
+            // tracer: not part of the wall-clock causal tree.
             continue;
         }
         let sp = SpanEv {
@@ -396,6 +400,59 @@ fn validate_flight(path: &PathBuf, harness: &str) {
     }
 }
 
+/// Checks the metrics export line by line; returns the number of lines.
+fn validate_metrics(path: &PathBuf) -> usize {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
+    let mut prev = String::new();
+    for (i, line) in text.lines().enumerate() {
+        let at = format!("{}:{}", path.display(), i + 1);
+        let j = Json::parse(line).unwrap_or_else(|e| fail(&format!("{at}: bad JSON: {e}")));
+        let name = j
+            .get("name")
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| fail(&format!("{at}: no name")));
+        if name < prev.as_str() {
+            fail(&format!("{at}: {name:?} sorts before {prev:?}"));
+        }
+        prev = name.to_string();
+        match j.get("type").and_then(Json::as_str) {
+            Some("counter" | "gauge") => {}
+            Some("sketch") => {
+                let num = |k: &str| {
+                    j.get(k)
+                        .and_then(Json::as_num)
+                        .unwrap_or_else(|| fail(&format!("{at}: sketch {name:?} has no {k}")))
+                };
+                let count = num("count");
+                if count < 1.0 {
+                    fail(&format!("{at}: sketch {name:?} is empty"));
+                }
+                let order = ["min", "p50", "p95", "p99", "p999", "max"].map(num);
+                if order.windows(2).any(|w| w[0] > w[1]) {
+                    fail(&format!(
+                        "{at}: sketch {name:?} min/p50/p95/p99/p999/max {order:?} out of order"
+                    ));
+                }
+                let in_buckets: f64 = j
+                    .get("buckets")
+                    .and_then(Json::as_arr)
+                    .unwrap_or_else(|| fail(&format!("{at}: sketch {name:?} has no buckets")))
+                    .iter()
+                    .map(|b| b.get("count").and_then(Json::as_num).unwrap_or(f64::NAN))
+                    .sum();
+                if in_buckets != count {
+                    fail(&format!(
+                        "{at}: sketch {name:?} buckets hold {in_buckets} of {count} samples"
+                    ));
+                }
+            }
+            other => fail(&format!("{at}: unknown metric type {other:?}")),
+        }
+    }
+    text.lines().count()
+}
+
 fn main() {
     let cfg = hxbench::knobs::config();
     let dir = std::env::args()
@@ -408,12 +465,15 @@ fn main() {
 
     let trace = dir.join(format!("{harness}.trace.json"));
     let flight = dir.join("flightdump.json");
+    let metrics = dir.join(format!("{harness}.metrics.jsonl"));
     let spans = validate_trace(&trace, &harness);
     validate_flight(&flight, &harness);
+    let lines = validate_metrics(&metrics);
     println!(
-        "obs_validate: OK — {} spans nested cleanly in {}, flight dump {} valid",
+        "obs_validate: OK — {} spans nested cleanly in {}, flight dump {} valid, {lines} metric lines in {} valid",
         spans.len(),
         trace.display(),
-        flight.display()
+        flight.display(),
+        metrics.display()
     );
 }

@@ -801,7 +801,7 @@ pub fn run_campaign(
         if let Some(o) = hxobs::sink() {
             o.counter_add("campaign.failures", report.failures.iter().sum());
             o.counter_add("campaign.recoveries", report.recoveries.iter().sum());
-            o.histogram_record("campaign.reroute_ns", report.reroute_ns as f64);
+            o.observe("campaign.reroute_ns", report.reroute_ns as f64);
         }
         report
     })

@@ -105,7 +105,7 @@ impl Runner {
                 self.reps as u64 - values.len() as u64,
             );
             for &kt in &times {
-                o.histogram_record("core.rep_kernel_seconds", kt);
+                o.observe("core.rep_kernel_seconds", kt);
             }
         }
         run_sp.arg("completed", hxobs::Json::from(values.len()));

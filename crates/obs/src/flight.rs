@@ -53,7 +53,7 @@ pub enum Kind {
     Counter = 2,
     /// A gauge set; `value` is the new value.
     Gauge = 3,
-    /// A histogram/sketch sample; `value` is the sample.
+    /// A sketch sample; `value` is the sample.
     Sample = 4,
     /// A point event (instants, panics); `value` is unused.
     Instant = 5,

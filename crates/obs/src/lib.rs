@@ -2,22 +2,23 @@
 //!
 //! Two halves, both thread-safe and allocation-light:
 //!
-//! * a **metrics registry** ([`metrics::Registry`]) of named counters,
-//!   gauges and log-bucketed histograms, exported as JSONL;
+//! * **metrics** — named counters and gauges ([`metrics::Registry`]) and
+//!   one distribution type, the mergeable log₂-bucket quantile sketch
+//!   ([`sketch::Sketch`], p50/p95/p99/p999), kept per name and optional
+//!   `(epoch, plane)` scope in a [`sketch::SketchRegistry`]; exported
+//!   together as one name-sorted JSONL file;
 //! * a **structured event tracer** ([`trace::Tracer`]) emitting spans and
 //!   instants in Chrome trace-event JSON, loadable in Perfetto, with
 //!   pid/tid mapped to plane/rank for DES traces.
 //!
-//! Three further subsystems ride the same gate:
+//! Two further subsystems ride the same gate:
 //!
 //! * **causal spans** ([`span::Span`]) — explicitly-threaded hierarchical
 //!   span contexts with parent/child links and path-store epoch
 //!   provenance, rendered into the same Perfetto trace;
 //! * a **crash flight recorder** ([`flight`]) — a fixed-capacity lock-free
 //!   ring of the last N span/metric events, dumped to
-//!   `<out_dir>/flightdump.json` from a panic hook or on demand;
-//! * **tail-latency sketches** ([`sketch`]) — mergeable log₂-bucket
-//!   quantile sketches (p50/p95/p99/p999) keyed per `(metric, epoch)`.
+//!   `<out_dir>/flightdump.json` from a panic hook or on demand.
 //!
 //! Instrumented code pays for what it uses: the global sink defaults to
 //! off and every call site is gated on [`enabled`], a single relaxed
@@ -43,8 +44,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 pub use json::Json;
-pub use metrics::{Counter, Gauge, Histogram, Registry};
-pub use sketch::{Sketch, SketchRegistry, NO_PLANE};
+pub use metrics::{Counter, Gauge, Registry};
+pub use sketch::{Sketch, SketchRegistry};
 pub use span::{Span, SpanCtx};
 pub use stats::Summary;
 pub use trace::{TraceEvent, Tracer};
@@ -67,15 +68,15 @@ pub mod track {
     pub const CAP: u32 = 1004;
 }
 
-/// Live sink: a metrics [`Registry`], a Chrome-trace [`Tracer`] and a
-/// per-epoch tail-latency [`SketchRegistry`].
+/// Live sink: a counter/gauge [`Registry`], a [`SketchRegistry`] of
+/// distributions and a Chrome-trace [`Tracer`].
 #[derive(Default)]
 pub struct ObsRecorder {
-    /// The metrics half: named counters, gauges and histograms.
+    /// Named counters and gauges.
     pub registry: Registry,
     /// The tracing half: Chrome trace-event spans and instants.
     pub tracer: Tracer,
-    /// The tail half: per-`(name, epoch)` quantile sketches.
+    /// Distributions: per-`(name, scope)` quantile sketches.
     pub sketches: SketchRegistry,
 }
 
@@ -100,9 +101,9 @@ impl ObsRecorder {
         self.registry.gauge(name).set(value);
     }
 
-    /// Records one histogram sample under `name`.
-    pub fn histogram_record(&self, name: &str, value: f64) {
-        self.registry.histogram(name).record(value);
+    /// Records one sample into the unscoped sketch `name`.
+    pub fn observe(&self, name: &str, value: f64) {
+        self.sketches.observe(name, value);
     }
 
     /// Records a complete span on track `(pid, tid)`; times in µs.
@@ -143,17 +144,26 @@ impl ObsRecorder {
         self.sketches.record_plane(name, epoch, plane, value);
     }
 
-    /// Writes `<name>.metrics.jsonl` and `<name>.trace.json` under `dir`
-    /// (created if absent). Sketch lines (`{"type":"sketch",...}`) are
-    /// appended to the metrics JSONL — one object per line either way.
-    /// Returns the two paths.
+    /// The metrics export: every counter, gauge and sketch as one JSON
+    /// object per line, sorted by name. A counter or gauge precedes a
+    /// sketch of the same name; sketches of one name keep their scope
+    /// order.
+    pub fn metrics_jsonl(&self) -> String {
+        let mut lines = self.registry.lines();
+        lines.extend(self.sketches.lines());
+        let name = |j: &Json| j.get("name").and_then(Json::as_str).map(str::to_owned);
+        lines.sort_by_cached_key(name);
+        lines.iter().map(|j| format!("{j}\n")).collect()
+    }
+
+    /// Writes `<name>.metrics.jsonl` ([`ObsRecorder::metrics_jsonl`]) and
+    /// `<name>.trace.json` under `dir` (created if absent). Returns the
+    /// two paths.
     pub fn write_files(&self, dir: &Path, name: &str) -> std::io::Result<(PathBuf, PathBuf)> {
         std::fs::create_dir_all(dir)?;
         let metrics_path = dir.join(format!("{name}.metrics.jsonl"));
         let trace_path = dir.join(format!("{name}.trace.json"));
-        let mut jsonl = self.registry.to_jsonl();
-        jsonl.push_str(&self.sketches.to_jsonl());
-        std::fs::write(&metrics_path, jsonl)?;
+        std::fs::write(&metrics_path, self.metrics_jsonl())?;
         std::fs::write(&trace_path, self.tracer.to_chrome_json())?;
         Ok((metrics_path, trace_path))
     }
@@ -237,7 +247,7 @@ pub fn count(name: &str, delta: u64) {
     if enabled() {
         if let Some(s) = sink() {
             s.counter_add(name, delta);
-            flight_metric(&s, flight::Kind::Counter, name, delta as f64);
+            flight_metric(&s, flight::Kind::Counter, name, delta as f64, 0, 0);
         }
     }
 }
@@ -249,35 +259,45 @@ pub fn gauge(name: &str, value: f64) {
     if enabled() {
         if let Some(s) = sink() {
             s.gauge_set(name, value);
-            flight_metric(&s, flight::Kind::Gauge, name, value);
+            flight_metric(&s, flight::Kind::Gauge, name, value, 0, 0);
         }
     }
 }
 
-/// Shared flight-ring tail for the metric free functions.
+/// Shared flight-ring tail for the metric free functions; `tid` carries
+/// a sample's plane (flight events have no plane slot).
 #[inline]
-fn flight_metric(s: &ObsRecorder, kind: flight::Kind, name: &str, value: f64) {
+fn flight_metric(
+    s: &ObsRecorder,
+    kind: flight::Kind,
+    name: &str,
+    value: f64,
+    epoch: u64,
+    tid: u32,
+) {
     if flight::active() {
         flight::record(&flight::FlightEvent {
             kind,
             pid: 0,
-            tid: 0,
+            tid,
             ts_us: s.now_us(),
             span: 0,
             parent: 0,
-            epoch: 0,
+            epoch,
             value,
             name: name.to_string(),
         });
     }
 }
 
-/// Records a histogram sample if observability is on.
+/// Records a sample into the unscoped sketch `name` if observability is
+/// on. Unlike [`sketch_record`] it skips the flight ring: per-message
+/// samples would push span ends out of it.
 #[inline]
 pub fn observe(name: &str, value: f64) {
     if enabled() {
         if let Some(s) = sink() {
-            s.histogram_record(name, value);
+            s.observe(name, value);
         }
     }
 }
@@ -291,17 +311,7 @@ pub fn sketch_record(name: &str, epoch: u64, value: f64) {
     if enabled() {
         if let Some(s) = sink() {
             s.sketch_record(name, epoch, value);
-            flight::record(&flight::FlightEvent {
-                kind: flight::Kind::Sample,
-                pid: 0,
-                tid: 0,
-                ts_us: s.now_us(),
-                span: 0,
-                parent: 0,
-                epoch,
-                value,
-                name: name.to_string(),
-            });
+            flight_metric(&s, flight::Kind::Sample, name, value, epoch, 0);
         }
     }
 }
@@ -309,24 +319,13 @@ pub fn sketch_record(name: &str, epoch: u64, value: f64) {
 /// Records a plane-scoped tail-latency sample under `name` for path-store
 /// `epoch` on fabric plane `plane` if observability is on. The per-rail
 /// sibling of [`sketch_record`]: sketch JSONL lines gain a `plane` field so
-/// multi-rail tails stay separable. The flight-ring mirror reuses `tid` to
-/// carry the plane id (flight events have no plane slot).
+/// multi-rail tails stay separable.
 #[inline]
 pub fn sketch_record_plane(name: &str, epoch: u64, plane: u32, value: f64) {
     if enabled() {
         if let Some(s) = sink() {
             s.sketch_record_plane(name, epoch, plane, value);
-            flight::record(&flight::FlightEvent {
-                kind: flight::Kind::Sample,
-                pid: 0,
-                tid: plane,
-                ts_us: s.now_us(),
-                span: 0,
-                parent: 0,
-                epoch,
-                value,
-                name: name.to_string(),
-            });
+            flight_metric(&s, flight::Kind::Sample, name, value, epoch, plane);
         }
     }
 }
@@ -340,12 +339,12 @@ mod tests {
         let r = ObsRecorder::new();
         r.counter_add("c", 2);
         r.gauge_set("g", 3.5);
-        r.histogram_record("h", 1.0);
+        r.observe("h", 1.0);
         r.span(1, 2, "work", "test", 0.0, 10.0, vec![]);
         r.instant(1, 2, "tick", "test", 5.0, vec![]);
         assert_eq!(r.registry.counter("c").get(), 2);
         assert_eq!(r.registry.gauge("g").get(), 3.5);
-        assert_eq!(r.registry.histogram("h").count(), 1);
+        assert_eq!(r.sketches.merged("h").unwrap().count(), 1);
         assert_eq!(r.tracer.len(), 2);
     }
 
@@ -377,7 +376,7 @@ mod tests {
         observe("global.hist", 2.0);
         gauge("global.gauge", 9.0);
         assert_eq!(rec.registry.counter("global.counter").get(), 7);
-        assert_eq!(rec.registry.histogram("global.hist").count(), 1);
+        assert_eq!(rec.sketches.merged("global.hist").unwrap().count(), 1);
         assert_eq!(rec.registry.gauge("global.gauge").get(), 9.0);
         let back = uninstall().unwrap();
         assert!(Arc::ptr_eq(&back, &rec));

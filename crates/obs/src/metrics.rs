@@ -1,10 +1,11 @@
-//! Thread-safe, allocation-light metrics: named counters, gauges and
-//! log-bucketed histograms.
+//! Thread-safe, allocation-light metrics: named counters and gauges.
+//! Distributions are [`crate::sketch::Sketch`]es in their own registry.
 //!
-//! All instruments are lock-free atomics once created; the registry map
+//! Both instruments are lock-free atomics once created; the registry map
 //! itself sits behind a `parking_lot::RwLock` taken only on first use of a
 //! name (instrument handles are `Arc`s, so hot loops hold a handle and
-//! never touch the map). Export is a JSONL snapshot, one metric per line.
+//! never touch the map). Its export lines join the sketches' in
+//! [`crate::ObsRecorder::metrics_jsonl`].
 
 use crate::json::Json;
 use parking_lot::RwLock;
@@ -49,126 +50,9 @@ impl Gauge {
     }
 }
 
-/// Number of log₂ buckets. Bucket `i` covers `[2^(i-OFFSET-1), 2^(i-OFFSET))`,
-/// so the dynamic range spans ~1e-12 … ~1e16 — enough for seconds, bytes
-/// and hop counts alike. Shared with [`crate::sketch`] so histogram and
-/// sketch buckets line up.
-pub(crate) const BUCKETS: usize = 96;
-const OFFSET: i32 = 40;
-
-/// Lock-free log-bucketed histogram over non-negative `f64` samples.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    /// Sum of samples as f64 bits (CAS loop).
-    sum: AtomicU64,
-    /// Minimum sample as f64 bits.
-    min: AtomicU64,
-    /// Maximum sample as f64 bits.
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0.0f64.to_bits()),
-            min: AtomicU64::new(f64::INFINITY.to_bits()),
-            max: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-        }
-    }
-}
-
-pub(crate) fn bucket_of(v: f64) -> usize {
-    if v <= 0.0 {
-        return 0;
-    }
-    // ceil(log2(v)): smallest i with v <= 2^i.
-    let l = v.log2().ceil() as i32;
-    (l + OFFSET).clamp(0, BUCKETS as i32 - 1) as usize
-}
-
-/// Upper bound of bucket `i` (`2^(i-OFFSET)`).
-pub(crate) fn bucket_bound(i: usize) -> f64 {
-    ((i as i32 - OFFSET) as f64).exp2()
-}
-
-fn atomic_f64_update(cell: &AtomicU64, value: f64, better: impl Fn(f64, f64) -> bool) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let c = f64::from_bits(cur);
-        if !better(value, c) {
-            return;
-        }
-        match cell.compare_exchange_weak(cur, value.to_bits(), Ordering::Relaxed, Ordering::Relaxed)
-        {
-            Ok(_) => return,
-            Err(now) => cur = now,
-        }
-    }
-}
-
-impl Histogram {
-    /// Records one sample (negative samples clamp into the lowest bucket).
-    pub fn record(&self, v: f64) {
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        // Relaxed f64 accumulate: fine for metrics (no cross-field torn
-        // reads matter; each field is itself atomic).
-        let mut cur = self.sum.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self
-                .sum
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
-        }
-        atomic_f64_update(&self.min, v, |new, cur| new < cur);
-        atomic_f64_update(&self.max, v, |new, cur| new > cur);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of samples.
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.sum.load(Ordering::Relaxed))
-    }
-
-    /// Mean sample, 0 when empty.
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() / n as f64
-        }
-    }
-
-    /// Non-empty `(upper_bound, count)` buckets in ascending order.
-    pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                let n = c.load(Ordering::Relaxed);
-                (n > 0).then(|| (bucket_bound(i), n))
-            })
-            .collect()
-    }
-}
-
 enum Instrument {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
 }
 
 /// Named-instrument registry. Cheap to clone handles out of; never hands
@@ -216,70 +100,23 @@ impl Registry {
         }
     }
 
-    /// Histogram handle for `name`, created on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(Instrument::Histogram(h)) = self.map.read().get(name) {
-            return h.clone();
-        }
-        let mut w = self.map.write();
-        match w
-            .entry(name.to_string())
-            .or_insert_with(|| Instrument::Histogram(Arc::new(Histogram::default())))
-        {
-            Instrument::Histogram(h) => h.clone(),
-            _ => Arc::new(Histogram::default()),
-        }
-    }
-
-    /// Snapshot as JSONL: one `{"type":...,"name":...}` object per line,
-    /// sorted by metric name (byte-stable across identical runs).
-    pub fn to_jsonl(&self) -> String {
+    /// One export line per instrument, sorted by name (byte-stable
+    /// across identical runs).
+    pub(crate) fn lines(&self) -> Vec<Json> {
         let map = self.map.read();
-        let mut out = String::new();
-        for (name, inst) in map.iter() {
-            let j = match inst {
-                Instrument::Counter(c) => Json::obj([
-                    ("type", Json::str("counter")),
-                    ("name", Json::str(name.clone())),
-                    ("value", Json::from(c.get())),
-                ]),
-                Instrument::Gauge(g) => Json::obj([
-                    ("type", Json::str("gauge")),
-                    ("name", Json::str(name.clone())),
-                    ("value", Json::from(g.get())),
-                ]),
-                Instrument::Histogram(h) => {
-                    let buckets = Json::Arr(
-                        h.nonzero_buckets()
-                            .into_iter()
-                            .map(|(le, n)| {
-                                Json::obj([("le", Json::from(le)), ("count", Json::from(n))])
-                            })
-                            .collect(),
-                    );
-                    let (min, max) = if h.count() == 0 {
-                        (Json::Null, Json::Null)
-                    } else {
-                        (
-                            Json::from(f64::from_bits(h.min.load(Ordering::Relaxed))),
-                            Json::from(f64::from_bits(h.max.load(Ordering::Relaxed))),
-                        )
-                    };
-                    Json::obj([
-                        ("type", Json::str("histogram")),
-                        ("name", Json::str(name.clone())),
-                        ("count", Json::from(h.count())),
-                        ("sum", Json::from(h.sum())),
-                        ("min", min),
-                        ("max", max),
-                        ("buckets", buckets),
-                    ])
-                }
-            };
-            out.push_str(&j.to_string());
-            out.push('\n');
-        }
-        out
+        map.iter()
+            .map(|(name, inst)| {
+                let (kind, value) = match inst {
+                    Instrument::Counter(c) => ("counter", Json::from(c.get())),
+                    Instrument::Gauge(g) => ("gauge", Json::from(g.get())),
+                };
+                Json::obj([
+                    ("type", Json::str(kind)),
+                    ("name", Json::str(name.as_str())),
+                    ("value", value),
+                ])
+            })
+            .collect()
     }
 }
 
@@ -304,56 +141,26 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_log2() {
-        let h = Histogram::default();
-        for v in [0.5, 1.0, 3.0, 1000.0, 0.0] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert!((h.sum() - 1004.5).abs() < 1e-9);
-        let b = h.nonzero_buckets();
-        // Every recorded value is <= its bucket's upper bound.
-        let total: u64 = b.iter().map(|&(_, n)| n).sum();
-        assert_eq!(total, 5);
-        assert!(b.windows(2).all(|w| w[0].0 < w[1].0));
-        // 3.0 lands in the bucket bounded by 4.0.
-        assert!(b.iter().any(|&(le, _)| (le - 4.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn histogram_min_max_mean() {
-        let h = Histogram::default();
-        h.record(2.0);
-        h.record(8.0);
-        assert_eq!(h.mean(), 5.0);
+    fn a_name_keeps_its_first_kind() {
         let r = Registry::new();
-        r.histogram("h").record(7.0);
-        let line = r.to_jsonl();
-        let parsed = crate::json::parse(line.trim()).unwrap();
-        assert_eq!(parsed.get("count").and_then(|j| j.as_num()), Some(1.0));
-        assert_eq!(parsed.get("min").and_then(|j| j.as_num()), Some(7.0));
-        assert_eq!(parsed.get("max").and_then(|j| j.as_num()), Some(7.0));
+        r.counter("x").add(2);
+        r.gauge("x").set(9.0);
+        assert_eq!(r.counter("x").get(), 2);
+        assert_eq!(r.lines().len(), 1);
     }
 
     #[test]
-    fn jsonl_snapshot_sorted_and_parseable() {
+    fn lines_sorted_and_parseable() {
         let r = Registry::new();
         r.counter("z.last").add(1);
         r.gauge("a.first").set(0.25);
-        r.histogram("m.mid").record(10.0);
-        let jsonl = r.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 3);
-        let names: Vec<String> = lines
+        r.counter("m.mid").add(10);
+        let names: Vec<String> = r
+            .lines()
             .iter()
-            .map(|l| {
-                crate::json::parse(l)
-                    .unwrap()
-                    .get("name")
-                    .unwrap()
-                    .as_str()
-                    .unwrap()
-                    .to_string()
+            .map(|j| {
+                let line = crate::json::parse(&j.to_string()).unwrap();
+                line.get("name").unwrap().as_str().unwrap().to_string()
             })
             .collect();
         assert_eq!(names, vec!["a.first", "m.mid", "z.last"]);
@@ -367,10 +174,8 @@ mod tests {
             let r = r.clone();
             handles.push(std::thread::spawn(move || {
                 let c = r.counter("shared");
-                let h = r.histogram("hist");
-                for i in 0..1000 {
+                for _ in 0..1000 {
                     c.inc();
-                    h.record(i as f64);
                 }
             }));
         }
@@ -378,6 +183,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(r.counter("shared").get(), 4000);
-        assert_eq!(r.histogram("hist").count(), 4000);
     }
 }

@@ -1,27 +1,49 @@
-//! Mergeable log₂-bucket quantile sketches for tail-latency metrics.
+//! hxobs's one distribution type: mergeable log₂-bucket quantile sketches.
 //!
-//! A [`Sketch`] is the quantile-answering sibling of
-//! [`crate::metrics::Histogram`]: the same 96-bucket log₂ layout (bucket
-//! `i` covers `(2^(i-41), 2^(i-40)]`), but single-writer plain counters,
-//! a [`Sketch::quantile`] query and a cheap [`Sketch::merge`]. Because
-//! every positive sample `v` lands in the bucket whose upper bound `b`
-//! satisfies `v <= b < 2v`, a quantile estimate brackets the exact sample
-//! quantile within a factor of two: `exact <= estimate < 2 * exact`. That
-//! bound is pinned by the proptests in `tests/sketch.rs`.
+//! A [`Sketch`] counts non-negative samples in 96 log₂ buckets (bucket `i`
+//! covers `(2^(i-41), 2^(i-40)]`, so the range spans ~1e-12 … ~1e16 —
+//! seconds, bytes and hop counts alike) and answers [`Sketch::quantile`]
+//! queries; [`Sketch::merge`] is a bucket-wise add. Because every positive
+//! sample `v` lands in the bucket whose upper bound `b` satisfies
+//! `v <= b < 2v`, a quantile estimate brackets the exact sample quantile
+//! within a factor of two: `exact <= estimate < 2 * exact`. That bound is
+//! pinned by the proptests in `tests/sketch.rs`.
 //!
-//! [`SketchRegistry`] keys sketches by `(name, epoch)` so per-epoch tail
-//! distributions (flow completion, re-solve time, reroute latency) survive
-//! into the metrics export: one `{"type":"sketch",...}` JSONL line per
-//! epoch with p50/p95/p99/p999, plus cross-epoch merges on demand.
+//! [`SketchRegistry`] keys sketches by name and scope. Plain distributions
+//! ([`crate::observe`]: DES message sizes, solver component sizes, route
+//! pair hops) have no scope; per-epoch tails (flow completion, re-solve
+//! time, reroute latency) carry their path-store epoch and, on multi-rail
+//! fabrics, their plane. Each sketch exports as one `{"type":"sketch"}`
+//! JSONL line with count/sum/min/max, p50/p95/p99/p999 and the non-empty
+//! buckets.
 
 use crate::json::Json;
-use crate::metrics::{bucket_bound, bucket_of, BUCKETS};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 
+/// Number of log₂ buckets.
+const BUCKETS: usize = 96;
+/// Bucket `OFFSET` has upper bound `2^0 = 1`.
+const OFFSET: i32 = 40;
+
 /// The quantiles every sketch export reports, in order.
-pub const REPORTED_QUANTILES: [(&str, f64); 4] =
+const REPORTED_QUANTILES: [(&str, f64); 4] =
     [("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999)];
+
+/// Bucket of sample `v`: the smallest `i` with `v <= 2^(i-OFFSET)`,
+/// clamped into range (zero and negative samples land in bucket 0).
+fn bucket_of(v: f64) -> usize {
+    if v <= 0.0 {
+        return 0;
+    }
+    let l = v.log2().ceil() as i32;
+    (l + OFFSET).clamp(0, BUCKETS as i32 - 1) as usize
+}
+
+/// Upper bound of bucket `i` (`2^(i-OFFSET)`).
+fn bucket_bound(i: usize) -> f64 {
+    ((i as i32 - OFFSET) as f64).exp2()
+}
 
 /// A mergeable log₂-bucket quantile sketch over non-negative samples.
 #[derive(Debug, Clone)]
@@ -118,38 +140,53 @@ impl Sketch {
         Some([q(0.50)?, q(0.95)?, q(0.99)?, q(0.999)?])
     }
 
-    /// Serializes as the `{"type":"sketch"}` JSONL payload body (name and
-    /// epoch are added by the registry).
-    pub fn to_json_fields(&self) -> Vec<(&'static str, Json)> {
+    /// The `{"type":"sketch"}` export line for this sketch under `name`
+    /// at `scope`; `epoch` and `plane` fields appear only when scoped.
+    fn to_json(&self, name: &str, (epoch, plane): Scope) -> Json {
         let mut fields = vec![
             ("type", Json::str("sketch")),
+            ("name", Json::str(name)),
             ("count", Json::from(self.count)),
             ("sum", Json::from(self.sum)),
         ];
+        if let Some(e) = epoch {
+            fields.push(("epoch", Json::from(e)));
+        }
+        if let Some(p) = plane {
+            fields.push(("plane", Json::from(u64::from(p))));
+        }
         if self.count > 0 {
             fields.push(("min", Json::from(self.min)));
             fields.push(("max", Json::from(self.max)));
             for (label, q) in REPORTED_QUANTILES {
                 fields.push((label, Json::from(self.quantile(q).unwrap())));
             }
+            let buckets = (0..BUCKETS)
+                .filter(|&i| self.buckets[i] > 0)
+                .map(|i| {
+                    Json::obj([
+                        ("le", Json::from(bucket_bound(i))),
+                        ("count", Json::from(self.buckets[i])),
+                    ])
+                })
+                .collect();
+            fields.push(("buckets", Json::Arr(buckets)));
         }
-        fields
+        Json::obj(fields)
     }
 }
 
-/// Sentinel plane id meaning "not plane-scoped" — single-plane call sites
-/// never mention planes and their export lines carry no `plane` field.
-pub const NO_PLANE: u32 = u32::MAX;
+/// Where a sketch was recorded: the path-store epoch and the fabric plane,
+/// each `None` for call sites that do not scope by it.
+type Scope = (Option<u64>, Option<u32>);
 
-/// Per-`(name, epoch, plane)` sketch store behind a single mutex.
-/// Tail-latency recording sites are epoch-change-rate paths (flow
-/// completions, re-solves, reroutes), not per-packet paths, so one
-/// uncontended lock is cheap; the disabled case never reaches the registry
-/// at all. The plane key (default [`NO_PLANE`]) lets multi-rail fabrics
-/// export per-rail tails as separate JSONL lines.
+/// Per-`(name, scope)` sketch store behind a single mutex. Recording sites
+/// run once per message, solve, flow completion or reroute, never per
+/// packet, so one mostly uncontended lock is cheap; a registry hit
+/// allocates nothing, and the disabled case never reaches the registry.
 #[derive(Default)]
 pub struct SketchRegistry {
-    map: Mutex<BTreeMap<(String, u64, u32), Sketch>>,
+    map: Mutex<BTreeMap<String, BTreeMap<Scope, Sketch>>>,
 }
 
 impl SketchRegistry {
@@ -158,109 +195,84 @@ impl SketchRegistry {
         SketchRegistry::default()
     }
 
-    /// Records `value` into the sketch for `name` at `epoch` (unplaned).
+    /// Applies `f` to the sketch for `name` at `scope`, created on first
+    /// use. Only a miss allocates (the name and the bucket array).
+    fn with(&self, name: &str, scope: Scope, f: impl FnOnce(&mut Sketch)) {
+        let mut map = self.map.lock();
+        if let Some(scopes) = map.get_mut(name) {
+            f(scopes.entry(scope).or_default());
+            return;
+        }
+        f(map
+            .entry(name.to_string())
+            .or_default()
+            .entry(scope)
+            .or_default());
+    }
+
+    /// Records `value` into the unscoped sketch for `name`.
+    pub fn observe(&self, name: &str, value: f64) {
+        self.with(name, (None, None), |s| s.record(value));
+    }
+
+    /// Folds a locally filled `sketch` into the unscoped sketch for
+    /// `name`: one lock for a whole batch of samples. An empty sketch
+    /// leaves the registry untouched.
+    pub fn merge(&self, name: &str, sketch: &Sketch) {
+        if sketch.count() > 0 {
+            self.with(name, (None, None), |s| s.merge(sketch));
+        }
+    }
+
+    /// Records `value` into the sketch for `name` at `epoch`.
     pub fn record(&self, name: &str, epoch: u64, value: f64) {
-        self.record_plane(name, epoch, NO_PLANE, value);
+        self.with(name, (Some(epoch), None), |s| s.record(value));
     }
 
     /// Records `value` into the plane-scoped sketch for `name` at `epoch`.
     pub fn record_plane(&self, name: &str, epoch: u64, plane: u32, value: f64) {
-        self.map
-            .lock()
-            .entry((name.to_string(), epoch, plane))
-            .or_default()
-            .record(value);
+        self.with(name, (Some(epoch), Some(plane)), |s| s.record(value));
     }
 
-    /// A copy of the unplaned sketch for `name` at `epoch`, if any samples
-    /// landed.
-    pub fn get(&self, name: &str, epoch: u64) -> Option<Sketch> {
-        self.get_plane(name, epoch, NO_PLANE)
-    }
-
-    /// A copy of the plane-scoped sketch for `name` at `epoch`.
-    pub fn get_plane(&self, name: &str, epoch: u64, plane: u32) -> Option<Sketch> {
-        self.map
-            .lock()
-            .get(&(name.to_string(), epoch, plane))
-            .cloned()
-    }
-
-    /// All epochs recorded under `name` (any plane), ascending, deduped.
-    pub fn epochs(&self, name: &str) -> Vec<u64> {
-        let mut out: Vec<u64> = self
-            .map
-            .lock()
-            .keys()
-            .filter(|(n, _, _)| n == name)
-            .map(|&(_, e, _)| e)
-            .collect();
-        out.dedup();
-        out
-    }
-
-    /// All planes recorded under `name` (any epoch), ascending, deduped;
-    /// [`NO_PLANE`] entries are excluded.
-    pub fn planes(&self, name: &str) -> Vec<u32> {
-        let mut out: Vec<u32> = self
-            .map
-            .lock()
-            .keys()
-            .filter(|(n, _, p)| n == name && *p != NO_PLANE)
-            .map(|&(_, _, p)| p)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// The merge of every sketch recorded under `name`, across epochs and
-    /// planes.
+    /// The merge of every sketch recorded under `name`, across scopes.
     pub fn merged(&self, name: &str) -> Option<Sketch> {
         let map = self.map.lock();
         let mut out: Option<Sketch> = None;
-        for ((n, _, _), s) in map.iter() {
-            if n == name {
-                out.get_or_insert_with(Sketch::new).merge(s);
-            }
+        for s in map.get(name)?.values() {
+            out.get_or_insert_with(Sketch::new).merge(s);
         }
         out
     }
 
-    /// Number of `(name, epoch, plane)` sketches held.
-    pub fn len(&self) -> usize {
-        self.map.lock().len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot as JSONL: one `{"type":"sketch","name":...,"epoch":...}`
-    /// object per line, sorted by `(name, epoch, plane)` (byte-stable
-    /// across identical runs). Plane-scoped sketches additionally carry a
-    /// `plane` field; unplaned ones stay format-identical to before.
-    pub fn to_jsonl(&self) -> String {
+    /// One export line per sketch, sorted by `(name, epoch, plane)` with
+    /// the unscoped sketch of a name first (byte-stable across identical
+    /// runs).
+    pub(crate) fn lines(&self) -> Vec<Json> {
         let map = self.map.lock();
-        let mut out = String::new();
-        for ((name, epoch, plane), s) in map.iter() {
-            let mut fields = s.to_json_fields();
-            fields.push(("name", Json::str(name.clone())));
-            fields.push(("epoch", Json::from(*epoch)));
-            if *plane != NO_PLANE {
-                fields.push(("plane", Json::from(u64::from(*plane))));
-            }
-            out.push_str(&Json::obj(fields).to_string());
-            out.push('\n');
-        }
-        out
+        map.iter()
+            .flat_map(|(name, scopes)| scopes.iter().map(move |(&sc, s)| s.to_json(name, sc)))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn buckets_are_log2() {
+        let mut s = Sketch::new();
+        for v in [0.5, 1.0, 3.0, 1000.0, 0.0] {
+            s.record(v);
+        }
+        assert_eq!(s.count(), 5);
+        assert!((s.sum() - 1004.5).abs() < 1e-9);
+        // Zero sits in bucket 0; 3.0 in the bucket bounded by 4.0.
+        assert_eq!(bucket_of(0.0), 0);
+        assert_eq!(bucket_bound(bucket_of(3.0)), 4.0);
+        assert_eq!(bucket_bound(bucket_of(4.0)), 4.0);
+        assert_eq!(bucket_bound(bucket_of(1.0)), 1.0);
+    }
 
     #[test]
     fn quantiles_bracket_exact_on_a_known_stream() {
@@ -312,6 +324,22 @@ mod tests {
         }
     }
 
+    /// `(epoch, plane, count)` of every exported line for `name`.
+    fn exported(r: &SketchRegistry, name: &str) -> Vec<(Option<u64>, Option<u64>, u64)> {
+        let field = |j: &Json, k| j.get(k).and_then(Json::as_num).map(|v| v as u64);
+        r.lines()
+            .iter()
+            .filter(|j| j.get("name").and_then(Json::as_str) == Some(name))
+            .map(|j| {
+                (
+                    field(j, "epoch"),
+                    field(j, "plane"),
+                    field(j, "count").unwrap(),
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn registry_separates_planes() {
         let r = SketchRegistry::new();
@@ -319,43 +347,56 @@ mod tests {
         r.record_plane("flow.completion_us", 1, 0, 100.0);
         r.record_plane("flow.completion_us", 1, 1, 200.0);
         r.record_plane("flow.completion_us", 1, 1, 300.0);
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.get("flow.completion_us", 1).unwrap().count(), 1);
-        assert_eq!(r.get_plane("flow.completion_us", 1, 1).unwrap().count(), 2);
-        assert_eq!(r.planes("flow.completion_us"), vec![0, 1]);
+        // Plane-scoped lines carry a plane field, unplaned ones do not.
+        assert_eq!(
+            exported(&r, "flow.completion_us"),
+            vec![
+                (Some(1), None, 1),
+                (Some(1), Some(0), 1),
+                (Some(1), Some(1), 2)
+            ]
+        );
         // Merged folds every plane plus the unplaned stream.
         assert_eq!(r.merged("flow.completion_us").unwrap().count(), 4);
-        // Export: plane-scoped lines carry a plane field, unplaned do not.
-        let jsonl = r.to_jsonl();
-        let mut planes = Vec::new();
-        for line in jsonl.lines() {
-            let j = crate::json::parse(line).unwrap();
-            planes.push(j.get("plane").and_then(Json::as_num).map(|p| p as u32));
-        }
-        assert_eq!(planes, vec![Some(0), Some(1), None]);
     }
 
     #[test]
-    fn registry_keys_by_name_and_epoch() {
+    fn registry_keys_by_name_and_scope() {
         let r = SketchRegistry::new();
+        r.record("flow.completion_us", 2, 1000.0);
         r.record("flow.completion_us", 1, 10.0);
         r.record("flow.completion_us", 1, 20.0);
-        r.record("flow.completion_us", 2, 1000.0);
+        r.observe("flow.completion_us", 5.0);
         r.record("resolve_us", 1, 5.0);
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.get("flow.completion_us", 1).unwrap().count(), 2);
-        assert_eq!(r.epochs("flow.completion_us"), vec![1, 2]);
+        let mut batch = Sketch::new();
+        batch.record(2.0);
+        batch.record(3.0);
+        r.merge("route.pair_hops", &batch);
+        r.merge("route.pair_hops", &Sketch::new());
+        assert_eq!(
+            exported(&r, "flow.completion_us"),
+            vec![(None, None, 1), (Some(1), None, 2), (Some(2), None, 1)]
+        );
+        assert_eq!(exported(&r, "route.pair_hops"), vec![(None, None, 2)]);
         let merged = r.merged("flow.completion_us").unwrap();
-        assert_eq!(merged.count(), 3);
+        assert_eq!(merged.count(), 4);
         assert_eq!(merged.max(), Some(1000.0));
-        // Export: one line per (name, epoch), parseable, sorted.
-        let jsonl = r.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 3);
-        for line in &lines {
-            let j = crate::json::parse(line).unwrap();
+        assert!(r.merged("absent").is_none());
+        // Every line carries the tail and buckets that sum to its count.
+        let lines = r.lines();
+        assert_eq!(lines.len(), 5);
+        for j in &lines {
             assert_eq!(j.get("type").unwrap().as_str(), Some("sketch"));
             assert!(j.get("p999").is_some());
+            let total: f64 = j
+                .get("buckets")
+                .unwrap()
+                .as_arr()
+                .unwrap()
+                .iter()
+                .map(|b| b.get("count").and_then(Json::as_num).unwrap())
+                .sum();
+            assert_eq!(Some(total), j.get("count").and_then(Json::as_num));
         }
     }
 }

@@ -39,8 +39,14 @@ fn sample_recorder() -> ObsRecorder {
     );
     r.counter_add("des.messages", 2);
     r.gauge_set("des.last_makespan_s", 0.5);
-    r.histogram_record("des.msg_bytes", 4096.0);
-    r.histogram_record("des.msg_bytes", 65536.0);
+    r.observe("des.msg_bytes", 4096.0);
+    r.observe("des.msg_bytes", 65536.0);
+    // Sketch names that sort before and after the counters: the export
+    // interleaves both registries by name.
+    r.sketch_record("a.first_us", 1, 10.0);
+    r.sketch_record("a.first_us", 1, 30.0);
+    r.sketch_record_plane("z.last_us", 2, 1, 5.0);
+    r.sketch_record_plane("z.last_us", 2, 1, 7.0);
     r
 }
 
@@ -131,9 +137,19 @@ fn metrics_export_is_one_json_object_per_line() {
             "counter" | "gauge" => {
                 assert!(obj.get("value").and_then(Json::as_num).is_some());
             }
-            "histogram" => {
+            "sketch" => {
                 assert_eq!(obj.get("count").and_then(Json::as_num), Some(2.0));
-                assert!(obj.get("buckets").is_some());
+                let buckets = obj.get("buckets").and_then(Json::as_arr).unwrap();
+                let total: f64 = buckets
+                    .iter()
+                    .map(|b| b.get("count").and_then(Json::as_num).unwrap())
+                    .sum();
+                assert_eq!(total, 2.0);
+                for field in ["min", "max", "p50", "p999"] {
+                    assert!(obj.get(field).and_then(Json::as_num).is_some());
+                }
+                // Only per-epoch tails carry an epoch field.
+                assert_eq!(obj.get("epoch").is_some(), name != "des.msg_bytes");
             }
             other => panic!("unexpected instrument type {other:?}"),
         }
@@ -144,7 +160,13 @@ fn metrics_export_is_one_json_object_per_line() {
     assert_eq!(names, sorted, "instruments are exported in sorted order");
     assert_eq!(
         names,
-        vec!["des.last_makespan_s", "des.messages", "des.msg_bytes"]
+        vec![
+            "a.first_us",
+            "des.last_makespan_s",
+            "des.messages",
+            "des.msg_bytes",
+            "z.last_us"
+        ]
     );
 
     std::fs::remove_file(metrics_path).ok();

@@ -121,6 +121,11 @@ impl RoutingEngine for Parx {
         } else {
             LidPolicy::Sequential
         };
+        if policy == LidPolicy::QuadrantBlocks && !LidMap::quadrant_blocks_fit(topo, lmc) {
+            return Err(RouteError::UnsupportedTopology(
+                "PARX needs at most 1000 LIDs per quadrant on a 2-D HyperX",
+            ));
+        }
         let lid_map = LidMap::new(topo, lmc, policy);
         let mut routes = Routes::new(topo, lid_map, "parx");
         let mut weights = EdgeWeights::new(topo);
@@ -298,6 +303,24 @@ mod tests {
             Parx::default().route(&t),
             Err(RouteError::UnsupportedTopology(_))
         ));
+    }
+
+    #[test]
+    fn parx_rejects_overfull_quadrant_lid_blocks() {
+        // 16x16:t4 puts 256 nodes x 4 LIDs in every quadrant, past its
+        // 1000-LID block: the sweep errors instead of panicking.
+        let big = HyperXConfig::new(vec![16, 16], 4).build();
+        let mut sm = crate::SubnetManager::new(big, Box::new(Parx::default()));
+        assert!(matches!(
+            sm.sweep(),
+            Err(RouteError::UnsupportedTopology(
+                "PARX needs at most 1000 LIDs per quadrant on a 2-D HyperX"
+            ))
+        ));
+        // The paper's 12x8:t7 plane (168 x 4 LIDs per quadrant) still routes.
+        let paper = HyperXConfig::new(vec![12, 8], 7).build();
+        let mut sm = crate::SubnetManager::new(paper, Box::new(Parx::default()));
+        assert!(sm.sweep().is_ok());
     }
 
     #[test]

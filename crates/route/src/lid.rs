@@ -11,6 +11,9 @@ use hxtopo::{NodeId, Topology};
 /// A local identifier. LID 0 is reserved (invalid), as in InfiniBand.
 pub type Lid = u32;
 
+/// LIDs per quadrant under [`LidPolicy::QuadrantBlocks`].
+const QUADRANT_BLOCK: Lid = 1000;
+
 /// How LIDs are laid out over the nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LidPolicy {
@@ -62,11 +65,12 @@ impl LidMap {
                         .quadrant(topo.node_switch(node).0)
                         .expect("QuadrantBlocks requires a 2-D even-extent HyperX")
                         .index();
-                    let lid =
-                        q as u32 * 1000 + next[q] * per_node + if q == 0 { per_node } else { 0 };
+                    let lid = q as u32 * QUADRANT_BLOCK
+                        + next[q] * per_node
+                        + if q == 0 { per_node } else { 0 };
                     // Quadrant 0 starts at LID per_node to keep LID 0 reserved.
                     assert!(
-                        lid + per_node <= (q as u32 + 1) * 1000,
+                        lid + per_node <= (q as u32 + 1) * QUADRANT_BLOCK,
                         "quadrant {q} LID block overflow"
                     );
                     base[node.idx()] = lid;
@@ -143,8 +147,26 @@ impl LidMap {
         if self.policy != LidPolicy::QuadrantBlocks {
             return None;
         }
-        let q = Quadrant::try_from((lid / 1000) as usize).ok()?;
+        let q = Quadrant::try_from((lid / QUADRANT_BLOCK) as usize).ok()?;
         self.owner(lid).is_some().then_some(q)
+    }
+
+    /// True when every quadrant's nodes fit its [`QUADRANT_BLOCK`] at
+    /// `2^lmc` LIDs each (quadrant 0 also holds the reserved LID slot),
+    /// i.e. when [`LidPolicy::QuadrantBlocks`] can lay out `topo`, a 2-D
+    /// even-extent HyperX. False for any other topology.
+    pub(crate) fn quadrant_blocks_fit(topo: &Topology, lmc: u8) -> bool {
+        let Some(hx) = topo.meta.as_hyperx() else {
+            return false;
+        };
+        let mut slots = [1u32, 0, 0, 0];
+        for node in topo.nodes() {
+            match hx.quadrant(topo.node_switch(node).0) {
+                Ok(q) => slots[q.index()] += 1,
+                Err(_) => return false,
+            }
+        }
+        slots.iter().all(|&n| n << lmc <= QUADRANT_BLOCK)
     }
 
     /// The layout policy.
@@ -198,6 +220,23 @@ mod tests {
         // 168 nodes per quadrant x 4 LIDs = 672 <= 1000.
         assert!(m.lid_space() <= 4000);
         assert_eq!(m.owner(0), None);
+        assert!(LidMap::quadrant_blocks_fit(&t, 2));
+    }
+
+    #[test]
+    fn quadrant_blocks_fit_is_exact() {
+        // Each quadrant of 2x2:t250 holds 250 nodes x 4 LIDs = 1000, and
+        // quadrant 0 also the reserved slot: it overflows by one node.
+        // 2x2:t249 fills quadrant 0 exactly.
+        let t = HyperXConfig::new(vec![2, 2], 250).build();
+        assert!(!LidMap::quadrant_blocks_fit(&t, 2));
+        let t = HyperXConfig::new(vec![2, 2], 249).build();
+        assert!(LidMap::quadrant_blocks_fit(&t, 2));
+        LidMap::new(&t, 2, LidPolicy::QuadrantBlocks);
+        let t = HyperXConfig::new(vec![16, 16], 4).build();
+        assert!(!LidMap::quadrant_blocks_fit(&t, 2));
+        let t = HyperXConfig::new(vec![4, 4, 4], 1).build();
+        assert!(!LidMap::quadrant_blocks_fit(&t, 2));
     }
 
     #[test]

@@ -246,22 +246,23 @@ impl SubnetManager {
                 };
                 o.counter_add(counter, 1);
                 o.counter_add("pathdb.patched_trees", r.patched_trees as u64);
-                o.histogram_record("route.incremental_seconds", secs);
+                o.observe("route.incremental_seconds", secs);
             }
             Spent::Sweep { route, db } => {
                 o.counter_add("route.sweeps", 1);
                 let name = format!("route.sweep_seconds.{}", self.engine.name());
-                o.histogram_record(&name, route);
-                o.histogram_record("pathdb.build_seconds", db);
+                o.observe(&name, route);
+                o.observe("pathdb.build_seconds", db);
                 o.gauge_set("pathdb.isl_hops", cur.pathdb.num_isl_hops() as f64);
                 o.gauge_set("route.vls", r.vls as f64);
                 o.gauge_set("route.lft_entries", cur.routes.num_lft_entries() as f64);
-                let hop_hist = o.registry.histogram("route.pair_hops");
+                let mut pair_hops = hxobs::Sketch::new();
                 for (hops, &n) in r.paths.hist.iter().enumerate() {
                     for _ in 0..n {
-                        hop_hist.record(hops as f64);
+                        pair_hops.record(hops as f64);
                     }
                 }
+                o.sketches.merge("route.pair_hops", &pair_hops);
             }
         }
     }

@@ -239,7 +239,7 @@ impl<'a> Simulator<'a> {
                                             d * US,
                                             vec![],
                                         );
-                                        o.histogram_record("des.compute_seconds", d);
+                                        o.observe("des.compute_seconds", d);
                                     }
                                     push(&mut heap, now + d, Event::RankReady(r), &mut seq);
                                     break;
@@ -276,7 +276,7 @@ impl<'a> Simulator<'a> {
                                             ("tag".to_string(), hxobs::Json::from(tag as u64)),
                                         ],
                                     );
-                                    o.histogram_record("des.msg_bytes", bytes as f64);
+                                    o.observe("des.msg_bytes", bytes as f64);
                                 }
                                 push(
                                     &mut heap,
@@ -306,10 +306,7 @@ impl<'a> Simulator<'a> {
                                                         hxobs::Json::from(from),
                                                     )],
                                                 );
-                                                o.histogram_record(
-                                                    "des.recv_wait_seconds",
-                                                    deliver_t - now,
-                                                );
+                                                o.observe("des.recv_wait_seconds", deliver_t - now);
                                             }
                                             push(
                                                 &mut heap,
@@ -405,7 +402,7 @@ impl<'a> Simulator<'a> {
                                 (t - blocked_at[m.to]) * US,
                                 vec![("from".to_string(), hxobs::Json::from(m.from))],
                             );
-                            o.histogram_record("des.recv_wait_seconds", t - blocked_at[m.to]);
+                            o.observe("des.recv_wait_seconds", t - blocked_at[m.to]);
                         }
                         state[m.to] = RankState::Ready;
                         pc[m.to] += 1;

@@ -354,8 +354,8 @@ fn observe_resolve(stats: &SolveStats) {
     if let Some(o) = hxobs::sink() {
         o.counter_add("flow.solves", 1);
         o.counter_add("flow.filling_rounds", stats.rounds);
-        o.histogram_record("flow.rounds_per_solve", stats.rounds as f64);
-        o.histogram_record("solver.links_touched", stats.links_touched as f64);
+        o.observe("flow.rounds_per_solve", stats.rounds as f64);
+        o.observe("solver.links_touched", stats.links_touched as f64);
         o.gauge_set("flow.last_residual_capacity", stats.residual);
     }
 }

@@ -134,6 +134,18 @@ fn traced_run_is_bit_identical_to_uninstrumented() {
             rec.registry.counter("des.messages").get(),
             plain.messages as u64
         );
+        // Every message's size reached the exported `des.msg_bytes` sketch.
+        let msg_bytes: Vec<hxobs::Json> = rec
+            .metrics_jsonl()
+            .lines()
+            .map(|l| hxobs::Json::parse(l).unwrap())
+            .filter(|j| j.get("name").and_then(hxobs::Json::as_str) == Some("des.msg_bytes"))
+            .collect();
+        assert_eq!(msg_bytes.len(), 1);
+        assert_eq!(
+            msg_bytes[0].get("count").and_then(hxobs::Json::as_num),
+            Some(plain.messages as f64)
+        );
 
         // And a second uninstrumented run still agrees (the recorder left
         // no residue in the simulator).
