@@ -83,10 +83,6 @@ fn header() {
 
 fn main() {
     let _obs = hxbench::obs_scope("capacity_scale");
-    if let Some(o) = hxobs::sink() {
-        o.tracer
-            .name_process(hxobs::track::CAP, "capacity allocator");
-    }
     let knobs = knobs::config();
     let seeds = knobs.cap_seeds.unwrap_or(if knobs.quick { 2 } else { 3 });
     let base_seed = knobs.cap_seed.unwrap_or(0xCA9);

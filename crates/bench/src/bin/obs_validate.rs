@@ -12,7 +12,9 @@
 //!   time-contains the child (begin/end nesting is well-formed),
 //! * plane ids are causally consistent: a span stamped with a plane id
 //!   never hangs under a parent stamped with a *different* one,
-//! * the flight dump parses and its ring retained events,
+//! * every track pid that holds events carries a `process_name`,
+//! * the harness's flight dump (`<harness>.flightdump.json`) parses and
+//!   its ring retained events,
 //! * every line of `<harness>.metrics.jsonl` parses, lines are sorted by
 //!   name, each is a `counter`, `gauge` or `sketch`, and each sketch holds
 //!   `count >= 1` samples with `min <= p50 <= p95 <= p99 <= p999 <= max`
@@ -43,7 +45,7 @@
 //! nonzero with a reason on the first violated invariant.
 
 use hxobs::Json;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::process::exit;
 
@@ -91,6 +93,23 @@ fn validate_trace(path: &PathBuf, harness: &str) -> HashMap<u64, SpanEv> {
         .get("traceEvents")
         .and_then(Json::as_arr)
         .unwrap_or_else(|| fail(&format!("{}: no traceEvents array", path.display())));
+    let pid = |ev: &Json| ev.get("pid").and_then(Json::as_num).unwrap_or(f64::NAN) as u64;
+    let named: HashSet<u64> = events
+        .iter()
+        .filter(|ev| ev.get("name").and_then(Json::as_str) == Some("process_name"))
+        .map(pid)
+        .collect();
+    let unnamed = events
+        .iter()
+        .filter(|ev| ev.get("ph").and_then(Json::as_str) != Some("M"))
+        .map(pid)
+        .find(|p| !named.contains(p));
+    if let Some(p) = unnamed {
+        fail(&format!(
+            "{}: track pid {p} holds events but has no process_name",
+            path.display()
+        ));
+    }
     let mut spans: HashMap<u64, SpanEv> = HashMap::new();
     for ev in events {
         if ev.get("ph").and_then(Json::as_str) != Some("X") {
@@ -360,14 +379,7 @@ fn validate_flight(path: &PathBuf, harness: &str) {
     if events.is_empty() {
         fail("flight dump events array is empty");
     }
-    const KINDS: &[&str] = &[
-        "span_begin",
-        "span_end",
-        "counter",
-        "gauge",
-        "sample",
-        "instant",
-    ];
+    const KINDS: &[&str] = &["span_begin", "span_end", "counter", "gauge", "instant"];
     // The ring tail must hold the end of the harness's own story: a
     // campaign step for the churn harnesses, a served query for hxd.
     let tail_name = match harness {
@@ -464,7 +476,7 @@ fn main() {
         .unwrap_or_else(|| "fault_campaign".into());
 
     let trace = dir.join(format!("{harness}.trace.json"));
-    let flight = dir.join("flightdump.json");
+    let flight = hxobs::flight::dump_path(&dir, &harness);
     let metrics = dir.join(format!("{harness}.metrics.jsonl"));
     let spans = validate_trace(&trace, &harness);
     validate_flight(&flight, &harness);

@@ -122,7 +122,8 @@ pub fn quick() -> bool {
 /// the global [`hxobs`] sink and flight ring on creation and exports
 /// `<obs_dir>/<name>.metrics.jsonl` + `<obs_dir>/<name>.trace.json` on
 /// drop, where `<obs_dir>` is [`knobs::RunConfig::obs_dir`]. The flight
-/// ring is dumped to `<obs_dir>/flightdump.json` alongside them. When
+/// ring is dumped to `<obs_dir>/<name>.flightdump.json` alongside them,
+/// so harnesses sharing an obs dir keep their own dumps. When
 /// observability is off this is a no-op.
 ///
 /// First line of every harness `main` — it also parses the knobs, so a
@@ -141,7 +142,7 @@ pub struct ObsScope(String);
 pub fn obs_scope(name: &str) -> ObsScope {
     let cfg = knobs::config();
     if cfg.obs {
-        hxobs::init(&cfg.obs_dir());
+        hxobs::init(&cfg.obs_dir(), name);
     }
     ObsScope(name.to_string())
 }

@@ -37,7 +37,7 @@
 //! fingerprint.
 
 use hxmpi::{Fabric, MultiFabric, Placement, Pml, RailPolicy};
-use hxobs::{Span, SpanCtx};
+use hxobs::{Scope, Span, SpanCtx};
 use hxroute::engines::RoutingEngine;
 use hxroute::{DirLink, RouteError, SubnetManager};
 use hxsim::{FluidNet, NetParams, PathResolver, SolverKind};
@@ -408,9 +408,7 @@ impl Live<'_> {
         let epoch = db.epoch();
         self.mf.rail(p).install_pathdb(db);
         self.nets[p].set_obs_epoch(epoch);
-        if let Some(o) = hxobs::sink() {
-            o.gauge_set("pathdb.epoch", epoch as f64);
-        }
+        hxobs::gauge("pathdb.epoch", epoch as f64);
         let mut sp = self.span(p, Some(parent), "repath");
         sp.set_epoch(epoch);
         let rail = self.mf.rail(p);
@@ -614,12 +612,11 @@ impl Live<'_> {
                         latency_sum += t - c.started;
                         // Per-epoch tail of simulated flow completion times.
                         let us = (t - c.started) * 1e6;
-                        match self.tag(p) {
-                            Some(tag) => {
-                                hxobs::sketch_record_plane("flow.completion_us", epoch, tag, us)
-                            }
-                            None => hxobs::sketch_record("flow.completion_us", epoch, us),
-                        }
+                        let at = Scope {
+                            epoch: Some(epoch),
+                            plane: self.tag(p),
+                        };
+                        hxobs::sample("flow.completion_us", at, us);
                         tail.record(us);
                         self.nets[p].remove(id);
                     }
@@ -798,11 +795,9 @@ pub fn run_campaign(
         live.run(&mut report, false);
         live.run(&mut report, true);
         report.final_epochs = (0..k).map(|p| live.epoch(p)).collect();
-        if let Some(o) = hxobs::sink() {
-            o.counter_add("campaign.failures", report.failures.iter().sum());
-            o.counter_add("campaign.recoveries", report.recoveries.iter().sum());
-            o.observe("campaign.reroute_ns", report.reroute_ns as f64);
-        }
+        hxobs::count("campaign.failures", report.failures.iter().sum());
+        hxobs::count("campaign.recoveries", report.recoveries.iter().sum());
+        hxobs::sample("campaign.reroute_ns", Scope::NONE, report.reroute_ns as f64);
         report
     })
 }

@@ -20,6 +20,7 @@ use crate::system::{System, T2hx};
 use hxcap::{
     interference, run_capacity, Allocator, AppSlot, CapacityConfig, CapacityResult, PolicyKind,
 };
+use hxobs::Scope;
 use hxsim::flow::directed_capacities;
 use hxtopo::{fnv1a, FNV_OFFSET};
 use rand::{Rng, SeedableRng};
@@ -179,6 +180,10 @@ struct ScaleStepper<'a> {
     frag_samples: u64,
     max_slowdown: f64,
     fp: u64,
+    /// Names of this run's `cap.wait_s`, `cap.frag` and `cap.slowdown`
+    /// sketches, suffixed `.<policy>.r<planes>` so each line holds one
+    /// policy on one rail count (seeds share a line).
+    sketch_names: [String; 3],
 }
 
 impl<'a> ScaleStepper<'a> {
@@ -201,6 +206,8 @@ impl<'a> ScaleStepper<'a> {
         let place_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x91ac_e000_0000_0002);
         let horizon_s = cfg.days * 86_400.0;
         let first = exp_draw(&mut rng, cfg.jobs_per_hour / 3600.0);
+        let sketch_names = ["wait_s", "frag", "slowdown"]
+            .map(|m| format!("cap.{m}.{}.r{}", policy.name(), allocs.len()));
         ScaleStepper {
             cfg,
             policy,
@@ -224,6 +231,7 @@ impl<'a> ScaleStepper<'a> {
             frag_samples: 0,
             max_slowdown: 1.0,
             fp: FNV_OFFSET,
+            sketch_names,
         }
     }
 
@@ -293,11 +301,11 @@ impl<'a> ScaleStepper<'a> {
         let wait = self.now_s - job.arrival_s;
         self.wait_sum_s += wait;
         self.wait_max_s = self.wait_max_s.max(wait);
-        hxobs::sketch_record("cap.wait_s", self.seed, wait);
+        hxobs::sample(&self.sketch_names[0], Scope::NONE, wait);
         let frag = self.allocs[plane].fragmentation();
         self.frag_sum += frag;
         self.frag_samples += 1;
-        hxobs::sketch_record("cap.frag", self.seed, frag);
+        hxobs::sample(&self.sketch_names[1], Scope::NONE, frag);
         self.departures.push(Departure {
             end_s: self.now_s + job.service_s,
             plane,
@@ -332,7 +340,7 @@ impl<'a> ScaleStepper<'a> {
             let rep = interference(a, &self.caps[p]);
             let worst = rep.max_slowdown();
             self.max_slowdown = self.max_slowdown.max(worst);
-            hxobs::sketch_record("cap.slowdown", self.seed, worst);
+            hxobs::sample(&self.sketch_names[2], Scope::NONE, worst);
         }
     }
 

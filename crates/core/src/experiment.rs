@@ -76,11 +76,6 @@ fn tag(combo: Combo, name: &str, n: usize, bytes: u64) -> u64 {
 impl Runner {
     /// Runs a workload at `n` ranks under a combo.
     pub fn run(&self, sys: &T2hx, combo: Combo, w: &dyn Workload, n: usize) -> Samples {
-        let obs = hxobs::sink();
-        if let Some(o) = &obs {
-            o.tracer
-                .name_process(hxobs::track::RUNNER, "experiment runner");
-        }
         let mut run_sp = hxobs::Span::root(hxobs::track::RUNNER, 0, "experiment_run", "core");
         run_sp.arg("combo", hxobs::Json::from(combo.label()));
         run_sp.arg("workload", hxobs::Json::from(w.name()));
@@ -97,16 +92,14 @@ impl Runner {
                 times.push(time);
             }
         }
-        if let Some(o) = &obs {
-            o.counter_add("core.runs", 1);
-            o.counter_add("core.reps", self.reps as u64);
-            o.counter_add(
-                "core.walltime_dropped_reps",
-                self.reps as u64 - values.len() as u64,
-            );
-            for &kt in &times {
-                o.observe("core.rep_kernel_seconds", kt);
-            }
+        hxobs::count("core.runs", 1);
+        hxobs::count("core.reps", self.reps as u64);
+        hxobs::count(
+            "core.walltime_dropped_reps",
+            self.reps as u64 - values.len() as u64,
+        );
+        for &kt in &times {
+            hxobs::sample("core.rep_kernel_seconds", hxobs::Scope::NONE, kt);
         }
         run_sp.arg("completed", hxobs::Json::from(values.len()));
         run_sp.arg(

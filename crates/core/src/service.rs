@@ -427,7 +427,11 @@ impl ServiceReader<'_> {
             sp.arg("cached", hxobs::Json::from(true));
             sp.end();
             hxobs::count("hxd.cache_hits", 1);
-            hxobs::sketch_record("query.latency_us", epoch, t0.elapsed().as_secs_f64() * 1e6);
+            hxobs::sample(
+                "query.latency_us",
+                hxobs::Scope::epoch(epoch),
+                t0.elapsed().as_secs_f64() * 1e6,
+            );
             return Ok(hit.clone());
         }
         self.svc.misses.fetch_add(1, Ordering::Relaxed);
@@ -444,7 +448,11 @@ impl ServiceReader<'_> {
             }
         }
         sp.end();
-        hxobs::sketch_record("query.latency_us", epoch, t0.elapsed().as_secs_f64() * 1e6);
+        hxobs::sample(
+            "query.latency_us",
+            hxobs::Scope::epoch(epoch),
+            t0.elapsed().as_secs_f64() * 1e6,
+        );
         result
     }
 

@@ -16,17 +16,25 @@ use hxtopo::LinkClass;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// The telemetry a live cable event records and a speculation must not.
+/// The telemetry a live cable event records and a speculation must not:
+/// counter values and sketch counts, summed over a name's exported lines
+/// (one per scope), 0 when none was exported.
 fn live_telemetry(rec: &ObsRecorder) -> [u64; 5] {
-    let c = |name: &str| rec.registry.counter(name).get();
+    let export = rec.metrics_jsonl();
+    let total = |name: &str, field: &str| -> u64 {
+        export
+            .lines()
+            .map(|l| Json::parse(l).unwrap())
+            .filter(|j| j.get("name").and_then(Json::as_str) == Some(name))
+            .map(|j| j.get(field).and_then(Json::as_num).unwrap() as u64)
+            .sum()
+    };
     [
-        c("route.link_failures"),
-        c("route.incremental_reroutes"),
-        c("pathdb.patched_trees"),
-        c("route.sweeps"),
-        rec.sketches
-            .merged("reroute.latency_us")
-            .map_or(0, |s| s.count()),
+        total("route.link_failures", "value"),
+        total("route.incremental_reroutes", "value"),
+        total("pathdb.patched_trees", "value"),
+        total("route.sweeps", "value"),
+        total("reroute.latency_us", "count"),
     ]
 }
 

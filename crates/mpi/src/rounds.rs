@@ -201,8 +201,9 @@ impl RoundProgram {
     fn record(&self, name: &str, phases_before: usize) {
         if hxobs::enabled() {
             hxobs::count("mpi.collectives", 1);
-            hxobs::observe(
+            hxobs::sample(
                 &format!("mpi.rounds_per_collective.{name}"),
+                hxobs::Scope::NONE,
                 (self.phases.len() - phases_before) as f64,
             );
         }
@@ -801,7 +802,7 @@ fn estimate_inner(
             },
             bytes,
         );
-        hxobs::observe("mpi.rounds_per_program", rounds as f64);
+        hxobs::sample("mpi.rounds_per_program", hxobs::Scope::NONE, rounds as f64);
         est_sp.arg("rounds", hxobs::Json::from(rounds));
         est_sp.arg("bytes", hxobs::Json::from(bytes));
         est_sp.arg("estimated_s", hxobs::Json::from(total));

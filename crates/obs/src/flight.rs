@@ -3,8 +3,8 @@
 //! demand.
 //!
 //! A failing harness, a wedged campaign or a crashed `hxd` service leaves
-//! `flightdump.json` in the directory the ring was [`install`]ed with —
-//! the post-mortem that flat log files cannot give: the spans that were
+//! `<name>.flightdump.json` ([`dump_path`]) where the ring was
+//! [`install`]ed to dump — the post-mortem that flat log files cannot give: the spans that were
 //! *open* when the process died, in causal order, with their epoch
 //! provenance.
 //!
@@ -38,8 +38,12 @@ pub const NAME_BYTES: usize = (WORDS - 7) * 8;
 /// Ring capacity (events) armed by [`crate::init`].
 pub const DEFAULT_CAP: usize = 4096;
 
-/// File name of a ring dump inside its output directory.
-pub const DUMP_FILE: &str = "flightdump.json";
+/// Where the ring of the run `name` is dumped inside `dir`:
+/// `<dir>/<name>.flightdump.json`, so runs sharing a directory keep their
+/// own dumps.
+pub fn dump_path(dir: &Path, name: &str) -> PathBuf {
+    dir.join(format!("{name}.flightdump.json"))
+}
 
 /// What a flight event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,10 +57,8 @@ pub enum Kind {
     Counter = 2,
     /// A gauge set; `value` is the new value.
     Gauge = 3,
-    /// A sketch sample; `value` is the sample.
-    Sample = 4,
     /// A point event (instants, panics); `value` is unused.
-    Instant = 5,
+    Instant = 4,
 }
 
 impl Kind {
@@ -66,8 +68,7 @@ impl Kind {
             1 => Kind::SpanEnd,
             2 => Kind::Counter,
             3 => Kind::Gauge,
-            4 => Kind::Sample,
-            5 => Kind::Instant,
+            4 => Kind::Instant,
             _ => return None,
         })
     }
@@ -78,7 +79,6 @@ impl Kind {
             Kind::SpanEnd => "span_end",
             Kind::Counter => "counter",
             Kind::Gauge => "gauge",
-            Kind::Sample => "sample",
             Kind::Instant => "instant",
         }
     }
@@ -101,7 +101,7 @@ pub struct FlightEvent {
     pub parent: u64,
     /// Path-store epoch provenance, 0 when not applicable.
     pub epoch: u64,
-    /// Kind-dependent payload (duration, delta, sample, gauge value).
+    /// Kind-dependent payload (duration, delta, gauge value).
     pub value: f64,
     /// Event name, truncated to [`NAME_BYTES`].
     pub name: String,
@@ -324,11 +324,11 @@ pub fn ring() -> Option<Arc<FlightRecorder>> {
 }
 
 /// Installs (or replaces) the global ring and arms the panic hook, which
-/// dumps the ring to `<dir>/flightdump.json`.
-pub fn install(r: Arc<FlightRecorder>, dir: &Path) {
+/// dumps the ring to `dump` (see [`dump_path`]).
+pub fn install(r: Arc<FlightRecorder>, dump: &Path) {
     *RING.write() = Some(Armed {
         ring: r,
-        dump: dir.join(DUMP_FILE),
+        dump: dump.to_path_buf(),
     });
     ACTIVE.store(true, Ordering::Release);
     install_panic_hook();
@@ -362,7 +362,7 @@ pub fn dump_ring_to(ring: &FlightRecorder, path: &Path) -> std::io::Result<PathB
 
 /// Arms the process panic hook (once): on panic, the hook records the
 /// panic itself as an [`Kind::Instant`] event and dumps the armed ring to
-/// the directory it was [`install`]ed with before delegating to the
+/// the file it was [`install`]ed with before delegating to the
 /// previous hook.
 fn install_panic_hook() {
     PANIC_HOOK.get_or_init(|| {
@@ -450,7 +450,7 @@ mod tests {
         let r = FlightRecorder::new(16);
         assert_eq!(r.capacity(), 16);
         for i in 0..40u64 {
-            r.record(&ev(&format!("e{i}"), Kind::Sample, i));
+            r.record(&ev(&format!("e{i}"), Kind::Gauge, i));
         }
         let snap = r.snapshot();
         assert_eq!(snap.len(), 16);

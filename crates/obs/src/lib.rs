@@ -1,39 +1,34 @@
 //! hxobs: observability layer for the t2hx HyperX/Fat-Tree study.
 //!
-//! Two halves, both thread-safe and allocation-light:
+//! Instrumented code records a metric one way: the gated free functions
+//! [`count`] (counters), [`gauge`] (last-write-wins values) and [`sample`]
+//! (a value into the log₂ quantile [`Sketch`] of a name at a [`Scope`]:
+//! its path-store epoch and fabric plane, each optional; [`sample_n`] is
+//! its weighted form). Each is a no-op unless a sink is installed, and
+//! the gate is [`enabled`], a single relaxed atomic load. One rule decides
+//! what also lands in the crash [`flight`] ring: counters and gauges do,
+//! samples do not (per-message samples would push the span ends a
+//! post-mortem needs out of the ring).
 //!
-//! * **metrics** — named counters and gauges ([`metrics::Registry`]) and
-//!   one distribution type, the mergeable log₂-bucket quantile sketch
-//!   ([`sketch::Sketch`], p50/p95/p99/p999), kept per name and optional
-//!   `(epoch, plane)` scope in a [`sketch::SketchRegistry`]; exported
-//!   together as one name-sorted JSONL file;
-//! * a **structured event tracer** ([`trace::Tracer`]) emitting spans and
-//!   instants in Chrome trace-event JSON, loadable in Perfetto, with
-//!   pid/tid mapped to plane/rank for DES traces.
+//! Traces ride the same gate: causal [`Span`]s with parent/child links
+//! and epoch provenance render into a Chrome trace-event file
+//! ([`trace::Tracer`]) loadable in Perfetto, and mirror their begin/end
+//! into the flight ring. Wall-clock subsystems use the fixed [`track`]
+//! pids, named from one table when the trace is exported; the DES, which
+//! stamps simulated time explicitly, writes through [`sink`] itself.
 //!
-//! Two further subsystems ride the same gate:
-//!
-//! * **causal spans** ([`span::Span`]) — explicitly-threaded hierarchical
-//!   span contexts with parent/child links and path-store epoch
-//!   provenance, rendered into the same Perfetto trace;
-//! * a **crash flight recorder** ([`flight`]) — a fixed-capacity lock-free
-//!   ring of the last N span/metric events, dumped to
-//!   `<out_dir>/flightdump.json` from a panic hook or on demand.
-//!
-//! Instrumented code pays for what it uses: the global sink defaults to
-//! off and every call site is gated on [`enabled`], a single relaxed
-//! atomic load. Enable by calling [`init`] (sink plus flight ring, both
-//! exporting into one output directory) or [`install`]; drain with
-//! [`finalize`] which writes `<out_dir>/<name>.metrics.jsonl` and
-//! `<out_dir>/<name>.trace.json`. The library never reads the environment:
-//! the caller decides whether observability is on and where it writes.
+//! Enable by calling [`init`] (sink plus flight ring) or [`install`];
+//! drain with [`finalize`], which writes `<dir>/<name>.metrics.jsonl`,
+//! `<dir>/<name>.trace.json` and the ring's `<dir>/<name>.flightdump.json`.
+//! The library never reads the environment: the caller decides whether
+//! observability is on and where it writes.
 
 #![deny(missing_docs)]
 
 pub mod flight;
 pub mod json;
-pub mod metrics;
-pub mod sketch;
+mod metrics;
+mod sketch;
 pub mod span;
 pub mod stats;
 pub mod trace;
@@ -44,8 +39,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 pub use json::Json;
-pub use metrics::{Counter, Gauge, Registry};
-pub use sketch::{Sketch, SketchRegistry};
+pub use sketch::{Scope, Sketch};
 pub use span::{Span, SpanCtx};
 pub use stats::Summary;
 pub use trace::{TraceEvent, Tracer};
@@ -66,18 +60,27 @@ pub mod track {
     /// The capacity allocator's wall-clock track; `capacity_scale` runs
     /// use the placement-policy index as the tid within it.
     pub const CAP: u32 = 1004;
+
+    /// Process names of the fixed tracks: every trace export names each
+    /// of these that holds events.
+    pub(crate) const NAMES: [(u32, &str); 5] = [
+        (OPENSM, "opensm"),
+        (RUNNER, "experiment runner"),
+        (MPI, "mpi"),
+        (HXD, "hxd"),
+        (CAP, "capacity allocator"),
+    ];
 }
 
-/// Live sink: a counter/gauge [`Registry`], a [`SketchRegistry`] of
-/// distributions and a Chrome-trace [`Tracer`].
+/// Live sink: counters and gauges, per-`(name, scope)` sketches and a
+/// Chrome-trace [`Tracer`]. Metrics reach it only through [`count`],
+/// [`gauge`] and [`sample`]; it is read back through its export.
 #[derive(Default)]
 pub struct ObsRecorder {
-    /// Named counters and gauges.
-    pub registry: Registry,
+    registry: metrics::Registry,
     /// The tracing half: Chrome trace-event spans and instants.
     pub tracer: Tracer,
-    /// Distributions: per-`(name, scope)` quantile sketches.
-    pub sketches: SketchRegistry,
+    sketches: sketch::SketchRegistry,
 }
 
 impl ObsRecorder {
@@ -89,59 +92,6 @@ impl ObsRecorder {
     /// Microseconds of wall time since this recorder was created.
     pub fn now_us(&self) -> f64 {
         self.tracer.now_us()
-    }
-
-    /// Adds `delta` to counter `name`.
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        self.registry.counter(name).add(delta);
-    }
-
-    /// Sets gauge `name`.
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        self.registry.gauge(name).set(value);
-    }
-
-    /// Records one sample into the unscoped sketch `name`.
-    pub fn observe(&self, name: &str, value: f64) {
-        self.sketches.observe(name, value);
-    }
-
-    /// Records a complete span on track `(pid, tid)`; times in µs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn span(
-        &self,
-        pid: u32,
-        tid: u32,
-        name: &str,
-        cat: &'static str,
-        ts_us: f64,
-        dur_us: f64,
-        args: Vec<(String, Json)>,
-    ) {
-        self.tracer.span(pid, tid, name, cat, ts_us, dur_us, args);
-    }
-
-    /// Records an instant event on track `(pid, tid)`.
-    pub fn instant(
-        &self,
-        pid: u32,
-        tid: u32,
-        name: &str,
-        cat: &'static str,
-        ts_us: f64,
-        args: Vec<(String, Json)>,
-    ) {
-        self.tracer.instant(pid, tid, name, cat, ts_us, args);
-    }
-
-    /// Records one tail-latency sample under `name` for path-store `epoch`.
-    pub fn sketch_record(&self, name: &str, epoch: u64, value: f64) {
-        self.sketches.record(name, epoch, value);
-    }
-
-    /// Records one plane-scoped tail-latency sample (multi-rail fabrics).
-    pub fn sketch_record_plane(&self, name: &str, epoch: u64, plane: u32, value: f64) {
-        self.sketches.record_plane(name, epoch, plane, value);
     }
 
     /// The metrics export: every counter, gauge and sketch as one JSON
@@ -193,8 +143,9 @@ pub fn uninstall() -> Option<Arc<ObsRecorder>> {
     SINK.write().take()
 }
 
-/// The current sink, or `None` when observability is off. Callers on hot
-/// paths should grab this once per run/solve, not per event.
+/// The current sink, or `None` when observability is off. For trace
+/// events with explicit timestamps; metrics go through [`count`],
+/// [`gauge`] and [`sample`].
 pub fn sink() -> Option<Arc<ObsRecorder>> {
     if !enabled() {
         return None;
@@ -204,27 +155,29 @@ pub fn sink() -> Option<Arc<ObsRecorder>> {
 
 /// Installs a fresh [`ObsRecorder`] and arms a fresh [`flight`] ring of
 /// [`flight::DEFAULT_CAP`] events whose panic dump lands in
-/// `<dir>/flightdump.json`, replacing whatever an earlier phase of the
-/// same process left installed, so counters, traces, sketches and the
-/// ring never bleed across exports. Harness binaries call this at startup
-/// and [`finalize`] with the same `dir` before exit.
-pub fn init(dir: &Path) {
+/// [`flight::dump_path`]`(dir, name)`, replacing whatever an earlier
+/// phase of the same process left installed, so counters, traces,
+/// sketches and the ring never bleed across exports. Harness binaries
+/// call this at startup and [`finalize`] with the same `name` and `dir`
+/// before exit.
+pub fn init(dir: &Path, name: &str) {
     install(Arc::new(ObsRecorder::new()));
     flight::install(
         Arc::new(flight::FlightRecorder::new(flight::DEFAULT_CAP)),
-        dir,
+        &flight::dump_path(dir, name),
     );
 }
 
 /// Uninstalls the global sink and writes `<name>.metrics.jsonl` +
 /// `<name>.trace.json` under `dir`. When a flight ring is armed and holds
-/// events, it is dumped to `<dir>/flightdump.json` alongside them and
-/// disarmed. No-op (returns `None`) when observability was never enabled.
+/// events, it is dumped to [`flight::dump_path`]`(dir, name)` alongside
+/// them and disarmed. No-op (returns `None`) when observability was never
+/// enabled.
 pub fn finalize(name: &str, dir: &Path) -> Option<(PathBuf, PathBuf)> {
     let rec = uninstall()?;
     if let Some(ring) = flight::uninstall() {
         if ring.recorded() > 0 {
-            if let Err(e) = flight::dump_ring_to(&ring, &dir.join(flight::DUMP_FILE)) {
+            if let Err(e) = flight::dump_ring_to(&ring, &flight::dump_path(dir, name)) {
                 eprintln!("hxobs: failed to write flight dump: {e}");
             }
         }
@@ -238,95 +191,79 @@ pub fn finalize(name: &str, dir: &Path) -> Option<(PathBuf, PathBuf)> {
     }
 }
 
-// ---- convenience free functions: gated, safe to call unconditionally ----
+// ---- the recording functions: gated, safe to call unconditionally ----
 
-/// Adds to a named counter if observability is on. Also lands in the
-/// flight ring as a [`flight::Kind::Counter`] event when one is armed.
+/// Adds `delta` to counter `name` if observability is on.
 #[inline]
 pub fn count(name: &str, delta: u64) {
     if enabled() {
-        if let Some(s) = sink() {
-            s.counter_add(name, delta);
-            flight_metric(&s, flight::Kind::Counter, name, delta as f64, 0, 0);
-        }
+        record(name, Metric::Count(delta));
     }
 }
 
-/// Sets a named gauge if observability is on. Also lands in the flight
-/// ring as a [`flight::Kind::Gauge`] event when one is armed.
+/// Sets gauge `name` to `value` if observability is on.
 #[inline]
 pub fn gauge(name: &str, value: f64) {
     if enabled() {
-        if let Some(s) = sink() {
-            s.gauge_set(name, value);
-            flight_metric(&s, flight::Kind::Gauge, name, value, 0, 0);
-        }
+        record(name, Metric::Gauge(value));
     }
 }
 
-/// Shared flight-ring tail for the metric free functions; `tid` carries
-/// a sample's plane (flight events have no plane slot).
+/// Records `value` into the sketch of `name` at `scope` if observability
+/// is on.
 #[inline]
-fn flight_metric(
-    s: &ObsRecorder,
-    kind: flight::Kind,
-    name: &str,
-    value: f64,
-    epoch: u64,
-    tid: u32,
-) {
+pub fn sample(name: &str, scope: Scope, value: f64) {
+    sample_n(name, scope, value, 1);
+}
+
+/// Records `n` samples of `value` into the sketch of `name` at `scope` if
+/// observability is on: one call for a histogram entry instead of `n`.
+#[inline]
+pub fn sample_n(name: &str, scope: Scope, value: f64, n: u64) {
+    if enabled() {
+        record(name, Metric::Sample(scope, value, n));
+    }
+}
+
+/// What one recording call carries.
+enum Metric {
+    Count(u64),
+    Gauge(f64),
+    Sample(Scope, f64, u64),
+}
+
+/// The one recording path behind [`count`], [`gauge`] and [`sample_n`].
+/// Flight-ring rule: counters and gauges are mirrored into the ring,
+/// samples are not.
+fn record(name: &str, m: Metric) {
+    let sink = SINK.read();
+    let Some(s) = sink.as_ref() else { return };
+    let (kind, value) = match m {
+        Metric::Count(delta) => {
+            s.registry.add(name, delta);
+            (flight::Kind::Counter, delta as f64)
+        }
+        Metric::Gauge(value) => {
+            s.registry.set(name, value);
+            (flight::Kind::Gauge, value)
+        }
+        Metric::Sample(scope, value, n) => {
+            s.sketches.record(name, scope, value, n);
+            return;
+        }
+    };
     if flight::active() {
         flight::record(&flight::FlightEvent {
             kind,
             pid: 0,
-            tid,
+            tid: 0,
             ts_us: s.now_us(),
             span: 0,
             parent: 0,
-            epoch,
+            epoch: 0,
             value,
             name: name.to_string(),
         });
-    }
-}
-
-/// Records a sample into the unscoped sketch `name` if observability is
-/// on. Unlike [`sketch_record`] it skips the flight ring: per-message
-/// samples would push span ends out of it.
-#[inline]
-pub fn observe(name: &str, value: f64) {
-    if enabled() {
-        if let Some(s) = sink() {
-            s.observe(name, value);
-        }
-    }
-}
-
-/// Records a tail-latency sample under `name` for path-store `epoch` if
-/// observability is on. Also lands in the flight ring as a
-/// [`flight::Kind::Sample`] event, so a crash dump shows the most recent
-/// latencies alongside the open spans.
-#[inline]
-pub fn sketch_record(name: &str, epoch: u64, value: f64) {
-    if enabled() {
-        if let Some(s) = sink() {
-            s.sketch_record(name, epoch, value);
-            flight_metric(&s, flight::Kind::Sample, name, value, epoch, 0);
-        }
-    }
-}
-
-/// Records a plane-scoped tail-latency sample under `name` for path-store
-/// `epoch` on fabric plane `plane` if observability is on. The per-rail
-/// sibling of [`sketch_record`]: sketch JSONL lines gain a `plane` field so
-/// multi-rail tails stay separable.
-#[inline]
-pub fn sketch_record_plane(name: &str, epoch: u64, plane: u32, value: f64) {
-    if enabled() {
-        if let Some(s) = sink() {
-            s.sketch_record_plane(name, epoch, plane, value);
-            flight_metric(&s, flight::Kind::Sample, name, value, epoch, plane);
-        }
     }
 }
 
@@ -334,25 +271,21 @@ pub fn sketch_record_plane(name: &str, epoch: u64, plane: u32, value: f64) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn obs_recorder_routes_to_registry_and_tracer() {
-        let r = ObsRecorder::new();
-        r.counter_add("c", 2);
-        r.gauge_set("g", 3.5);
-        r.observe("h", 1.0);
-        r.span(1, 2, "work", "test", 0.0, 10.0, vec![]);
-        r.instant(1, 2, "tick", "test", 5.0, vec![]);
-        assert_eq!(r.registry.counter("c").get(), 2);
-        assert_eq!(r.registry.gauge("g").get(), 3.5);
-        assert_eq!(r.sketches.merged("h").unwrap().count(), 1);
-        assert_eq!(r.tracer.len(), 2);
+    /// The exported `field` of every metric line named `name`.
+    fn exported(r: &ObsRecorder, name: &str, field: &str) -> Vec<f64> {
+        r.metrics_jsonl()
+            .lines()
+            .map(|l| json::parse(l).unwrap())
+            .filter(|j| j.get("name").and_then(Json::as_str) == Some(name))
+            .map(|j| j.get(field).and_then(Json::as_num).unwrap())
+            .collect()
     }
 
     #[test]
     fn write_files_produces_parseable_artifacts() {
         let r = ObsRecorder::new();
-        r.counter_add("events", 5);
-        r.span(0, 0, "phase", "test", 0.0, 100.0, vec![]);
+        r.registry.add("events", 5);
+        r.tracer.span(0, 0, "phase", "test", 0.0, 100.0, vec![]);
         let dir = std::env::temp_dir().join(format!("hxobs-test-{}", std::process::id()));
         let (m, t) = r.write_files(&dir, "unit").unwrap();
         let metrics = std::fs::read_to_string(&m).unwrap();
@@ -373,17 +306,20 @@ mod tests {
         install(rec.clone());
         assert!(enabled());
         count("global.counter", 7);
-        observe("global.hist", 2.0);
+        sample("global.hist", Scope::NONE, 2.0);
+        sample_n("global.hist", Scope::epoch(3), 4.0, 5);
+        sample_n("global.hist", Scope::epoch(3), 8.0, 0);
         gauge("global.gauge", 9.0);
-        assert_eq!(rec.registry.counter("global.counter").get(), 7);
-        assert_eq!(rec.sketches.merged("global.hist").unwrap().count(), 1);
-        assert_eq!(rec.registry.gauge("global.gauge").get(), 9.0);
+        assert_eq!(exported(&rec, "global.counter", "value"), [7.0]);
+        assert_eq!(exported(&rec, "global.hist", "count"), [1.0, 5.0]);
+        assert_eq!(exported(&rec, "global.hist", "sum"), [2.0, 20.0]);
+        assert_eq!(exported(&rec, "global.gauge", "value"), [9.0]);
         let back = uninstall().unwrap();
         assert!(Arc::ptr_eq(&back, &rec));
         assert!(!enabled());
         assert!(sink().is_none());
-        // Disabled convenience calls are silent no-ops.
+        // Disabled recording calls are silent no-ops.
         count("global.counter", 100);
-        assert_eq!(rec.registry.counter("global.counter").get(), 7);
+        assert_eq!(exported(&rec, "global.counter", "value"), [7.0]);
     }
 }

@@ -9,13 +9,12 @@
 //! within a factor of two: `exact <= estimate < 2 * exact`. That bound is
 //! pinned by the proptests in `tests/sketch.rs`.
 //!
-//! [`SketchRegistry`] keys sketches by name and scope. Plain distributions
-//! ([`crate::observe`]: DES message sizes, solver component sizes, route
-//! pair hops) have no scope; per-epoch tails (flow completion, re-solve
-//! time, reroute latency) carry their path-store epoch and, on multi-rail
-//! fabrics, their plane. Each sketch exports as one `{"type":"sketch"}`
-//! JSONL line with count/sum/min/max, p50/p95/p99/p999 and the non-empty
-//! buckets.
+//! Sketches are kept per name and [`Scope`]. Plain distributions (DES
+//! message sizes, solver component sizes, route pair hops) have no scope;
+//! per-epoch tails (flow completion, re-solve time, reroute latency)
+//! carry their path-store epoch and, on multi-rail fabrics, their plane.
+//! Each sketch exports as one `{"type":"sketch"}` JSONL line with
+//! count/sum/min/max, p50/p95/p99/p999 and the non-empty buckets.
 
 use crate::json::Json;
 use parking_lot::Mutex;
@@ -75,9 +74,17 @@ impl Sketch {
 
     /// Records one sample (negative samples clamp into the lowest bucket).
     pub fn record(&mut self, v: f64) {
-        self.buckets[bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum += v;
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` samples of `v` at once; `n == 0` records nothing.
+    pub fn record_n(&mut self, v: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[bucket_of(v)] += n;
+        self.count += n;
+        self.sum += v * n as f64;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -142,7 +149,7 @@ impl Sketch {
 
     /// The `{"type":"sketch"}` export line for this sketch under `name`
     /// at `scope`; `epoch` and `plane` fields appear only when scoped.
-    fn to_json(&self, name: &str, (epoch, plane): Scope) -> Json {
+    fn to_json(&self, name: &str, Scope { epoch, plane }: Scope) -> Json {
         let mut fields = vec![
             ("type", Json::str("sketch")),
             ("name", Json::str(name)),
@@ -176,72 +183,60 @@ impl Sketch {
     }
 }
 
-/// Where a sketch was recorded: the path-store epoch and the fabric plane,
-/// each `None` for call sites that do not scope by it.
-type Scope = (Option<u64>, Option<u32>);
+/// Where a sample was recorded: the path-store epoch and the fabric
+/// plane, each `None` for call sites that do not scope by it. Sketches of
+/// one name export in scope order, the unscoped one first.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Scope {
+    /// Path-store epoch the sample belongs to.
+    pub epoch: Option<u64>,
+    /// Fabric plane (NIC rail) the sample belongs to.
+    pub plane: Option<u32>,
+}
+
+impl Scope {
+    /// No scope: a plain distribution.
+    pub const NONE: Scope = Scope {
+        epoch: None,
+        plane: None,
+    };
+
+    /// Path-store epoch `epoch`, no plane.
+    pub const fn epoch(epoch: u64) -> Scope {
+        Scope {
+            epoch: Some(epoch),
+            plane: None,
+        }
+    }
+}
 
 /// Per-`(name, scope)` sketch store behind a single mutex. Recording sites
 /// run once per message, solve, flow completion or reroute, never per
 /// packet, so one mostly uncontended lock is cheap; a registry hit
 /// allocates nothing, and the disabled case never reaches the registry.
 #[derive(Default)]
-pub struct SketchRegistry {
+pub(crate) struct SketchRegistry {
     map: Mutex<BTreeMap<String, BTreeMap<Scope, Sketch>>>,
 }
 
 impl SketchRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> SketchRegistry {
-        SketchRegistry::default()
-    }
-
-    /// Applies `f` to the sketch for `name` at `scope`, created on first
-    /// use. Only a miss allocates (the name and the bucket array).
-    fn with(&self, name: &str, scope: Scope, f: impl FnOnce(&mut Sketch)) {
-        let mut map = self.map.lock();
-        if let Some(scopes) = map.get_mut(name) {
-            f(scopes.entry(scope).or_default());
+    /// Records `n` samples of `value` into the sketch of `name` at
+    /// `scope`, created on first use; `n == 0` creates nothing. Only a
+    /// miss allocates (the name and the bucket array).
+    pub(crate) fn record(&self, name: &str, scope: Scope, value: f64, n: u64) {
+        if n == 0 {
             return;
         }
-        f(map
-            .entry(name.to_string())
+        let mut map = self.map.lock();
+        if let Some(scopes) = map.get_mut(name) {
+            scopes.entry(scope).or_default().record_n(value, n);
+            return;
+        }
+        map.entry(name.to_string())
             .or_default()
             .entry(scope)
-            .or_default());
-    }
-
-    /// Records `value` into the unscoped sketch for `name`.
-    pub fn observe(&self, name: &str, value: f64) {
-        self.with(name, (None, None), |s| s.record(value));
-    }
-
-    /// Folds a locally filled `sketch` into the unscoped sketch for
-    /// `name`: one lock for a whole batch of samples. An empty sketch
-    /// leaves the registry untouched.
-    pub fn merge(&self, name: &str, sketch: &Sketch) {
-        if sketch.count() > 0 {
-            self.with(name, (None, None), |s| s.merge(sketch));
-        }
-    }
-
-    /// Records `value` into the sketch for `name` at `epoch`.
-    pub fn record(&self, name: &str, epoch: u64, value: f64) {
-        self.with(name, (Some(epoch), None), |s| s.record(value));
-    }
-
-    /// Records `value` into the plane-scoped sketch for `name` at `epoch`.
-    pub fn record_plane(&self, name: &str, epoch: u64, plane: u32, value: f64) {
-        self.with(name, (Some(epoch), Some(plane)), |s| s.record(value));
-    }
-
-    /// The merge of every sketch recorded under `name`, across scopes.
-    pub fn merged(&self, name: &str) -> Option<Sketch> {
-        let map = self.map.lock();
-        let mut out: Option<Sketch> = None;
-        for s in map.get(name)?.values() {
-            out.get_or_insert_with(Sketch::new).merge(s);
-        }
-        out
+            .or_default()
+            .record_n(value, n);
     }
 
     /// One export line per sketch, sorted by `(name, epoch, plane)` with
@@ -341,12 +336,28 @@ mod tests {
     }
 
     #[test]
+    fn record_n_equals_n_records() {
+        let (mut a, mut b) = (Sketch::new(), Sketch::new());
+        a.record_n(3.0, 4);
+        a.record_n(9.0, 0);
+        for _ in 0..4 {
+            b.record(3.0);
+        }
+        assert_eq!((a.count(), a.sum(), a.max()), (b.count(), b.sum(), b.max()));
+        assert_eq!(a.tail(), b.tail());
+    }
+
+    #[test]
     fn registry_separates_planes() {
-        let r = SketchRegistry::new();
-        r.record("flow.completion_us", 1, 10.0);
-        r.record_plane("flow.completion_us", 1, 0, 100.0);
-        r.record_plane("flow.completion_us", 1, 1, 200.0);
-        r.record_plane("flow.completion_us", 1, 1, 300.0);
+        let r = SketchRegistry::default();
+        let at = |plane| Scope {
+            epoch: Some(1),
+            plane,
+        };
+        r.record("flow.completion_us", at(None), 10.0, 1);
+        r.record("flow.completion_us", at(Some(0)), 100.0, 1);
+        r.record("flow.completion_us", at(Some(1)), 200.0, 1);
+        r.record("flow.completion_us", at(Some(1)), 300.0, 1);
         // Plane-scoped lines carry a plane field, unplaned ones do not.
         assert_eq!(
             exported(&r, "flow.completion_us"),
@@ -356,32 +367,25 @@ mod tests {
                 (Some(1), Some(1), 2)
             ]
         );
-        // Merged folds every plane plus the unplaned stream.
-        assert_eq!(r.merged("flow.completion_us").unwrap().count(), 4);
     }
 
     #[test]
     fn registry_keys_by_name_and_scope() {
-        let r = SketchRegistry::new();
-        r.record("flow.completion_us", 2, 1000.0);
-        r.record("flow.completion_us", 1, 10.0);
-        r.record("flow.completion_us", 1, 20.0);
-        r.observe("flow.completion_us", 5.0);
-        r.record("resolve_us", 1, 5.0);
-        let mut batch = Sketch::new();
-        batch.record(2.0);
-        batch.record(3.0);
-        r.merge("route.pair_hops", &batch);
-        r.merge("route.pair_hops", &Sketch::new());
+        let r = SketchRegistry::default();
+        r.record("flow.completion_us", Scope::epoch(2), 1000.0, 1);
+        r.record("flow.completion_us", Scope::epoch(1), 10.0, 1);
+        r.record("flow.completion_us", Scope::epoch(1), 20.0, 1);
+        r.record("flow.completion_us", Scope::NONE, 5.0, 1);
+        r.record("resolve_us", Scope::epoch(1), 5.0, 1);
+        r.record("route.pair_hops", Scope::NONE, 2.0, 3);
+        r.record("route.pair_hops", Scope::NONE, 3.0, 1);
+        r.record("route.pair_hops", Scope::epoch(1), 3.0, 0);
         assert_eq!(
             exported(&r, "flow.completion_us"),
             vec![(None, None, 1), (Some(1), None, 2), (Some(2), None, 1)]
         );
-        assert_eq!(exported(&r, "route.pair_hops"), vec![(None, None, 2)]);
-        let merged = r.merged("flow.completion_us").unwrap();
-        assert_eq!(merged.count(), 4);
-        assert_eq!(merged.max(), Some(1000.0));
-        assert!(r.merged("absent").is_none());
+        assert_eq!(exported(&r, "route.pair_hops"), vec![(None, None, 4)]);
+        assert!(exported(&r, "absent").is_empty());
         // Every line carries the tail and buckets that sum to its count.
         let lines = r.lines();
         assert_eq!(lines.len(), 5);

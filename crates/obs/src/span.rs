@@ -247,7 +247,7 @@ impl Span {
         if let Some(plane) = self.plane {
             args.push(("plane".to_string(), Json::from(u64::from(plane))));
         }
-        sink.span(
+        sink.tracer.span(
             self.ctx.pid,
             self.ctx.tid,
             self.name,

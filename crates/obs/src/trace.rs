@@ -144,19 +144,9 @@ impl Tracer {
     }
 
     fn metadata(&self, kind: &'static str, pid: u32, tid: u32, name: String) {
-        if !self.named.lock().insert((kind, pid, tid)) {
-            return;
+        if self.named.lock().insert((kind, pid, tid)) {
+            self.events.lock().push(metadata(kind, pid, tid, name));
         }
-        self.events.lock().push(TraceEvent {
-            name: kind.to_string(),
-            cat: "__metadata",
-            ph: "M",
-            ts: 0.0,
-            dur: None,
-            pid,
-            tid,
-            args: vec![("name".to_string(), Json::str(name))],
-        });
     }
 
     /// Number of events recorded so far (metadata included).
@@ -170,14 +160,22 @@ impl Tracer {
     }
 
     /// Serialises to a Chrome trace JSON object string. Metadata events are
-    /// emitted first so viewers label tracks before content arrives;
-    /// otherwise insertion order is preserved (deterministic for
+    /// emitted first so viewers label tracks before content arrives: the
+    /// recorded names, then a `process_name` for every fixed
+    /// [`crate::track`] that holds events and was not named explicitly.
+    /// Otherwise insertion order is preserved (deterministic for
     /// single-threaded producers).
     pub fn to_chrome_json(&self) -> String {
         let ev = self.events.lock();
+        let named = self.named.lock();
         let mut arr: Vec<Json> = Vec::with_capacity(ev.len());
         for e in ev.iter().filter(|e| e.ph == "M") {
             arr.push(e.to_json());
+        }
+        for &(pid, name) in &crate::track::NAMES {
+            if !named.contains(&("process_name", pid, 0)) && ev.iter().any(|e| e.pid == pid) {
+                arr.push(metadata("process_name", pid, 0, name.to_string()).to_json());
+            }
         }
         for e in ev.iter().filter(|e| e.ph != "M") {
             arr.push(e.to_json());
@@ -187,6 +185,20 @@ impl Tracer {
             ("traceEvents", Json::Arr(arr)),
         ])
         .to_string()
+    }
+}
+
+/// A metadata ("M") record naming track `(pid, tid)`.
+fn metadata(kind: &'static str, pid: u32, tid: u32, name: String) -> TraceEvent {
+    TraceEvent {
+        name: kind.to_string(),
+        cat: "__metadata",
+        ph: "M",
+        ts: 0.0,
+        dur: None,
+        pid,
+        tid,
+        args: vec![("name".to_string(), Json::str(name))],
     }
 }
 

@@ -1,5 +1,5 @@
 //! Crash-path integration test: an injected panic must leave a parseable
-//! `flightdump.json` holding the ring's tail — the spans and metrics that
+//! `<name>.flightdump.json` holding the ring's tail — the spans and metrics that
 //! led up to the crash plus the panic record itself.
 //!
 //! This file stays a single test: the panic hook and the global ring are
@@ -17,7 +17,8 @@ fn injected_panic_dumps_parseable_flight_recording() {
     let _ = std::fs::remove_dir_all(&dir);
 
     hxobs::install(Arc::new(ObsRecorder::new()));
-    flight::install(Arc::new(FlightRecorder::new(64)), &dir);
+    let dump = flight::dump_path(&dir, "crash");
+    flight::install(Arc::new(FlightRecorder::new(64)), &dump);
 
     // Some pre-crash history for the ring to retain.
     let mut sp = Span::root(hxobs::track::RUNNER, 0, "step", "campaign");
@@ -26,13 +27,14 @@ fn injected_panic_dumps_parseable_flight_recording() {
     inner.end();
     sp.end();
     hxobs::count("pre_crash.counter", 2);
+    hxobs::sample("pre_crash.sample", hxobs::Scope::NONE, 3.0);
 
     let unwound = std::panic::catch_unwind(|| {
         panic!("injected flight-recorder test panic");
     });
     assert!(unwound.is_err());
 
-    let dump = dir.join("flightdump.json");
+    assert_eq!(dump, dir.join("crash.flightdump.json"));
     let text = std::fs::read_to_string(&dump).expect("panic hook wrote the dump");
     let doc = Json::parse(&text).expect("dump parses");
     assert!(doc.get("recorded").unwrap().as_num().unwrap() >= 4.0);
@@ -51,6 +53,8 @@ fn injected_panic_dumps_parseable_flight_recording() {
     assert!(events
         .iter()
         .any(|e| kind_of(e) == "counter" && name_of(e) == "pre_crash.counter"));
+    // Samples stay out of the ring.
+    assert!(!events.iter().any(|e| name_of(e) == "pre_crash.sample"));
     let panic_ev = events
         .iter()
         .find(|e| kind_of(e) == "instant" && name_of(e).starts_with("panic: "))

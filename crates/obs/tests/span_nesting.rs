@@ -22,7 +22,8 @@ fn fresh() -> (MutexGuard<'static, ()>, Arc<ObsRecorder>) {
     let rec = Arc::new(ObsRecorder::new());
     hxobs::install(rec.clone());
     // No test here dumps the ring; a failing assertion's panic hook does.
-    flight::install(Arc::new(FlightRecorder::new(256)), &std::env::temp_dir());
+    let dump = flight::dump_path(&std::env::temp_dir(), "span_nesting");
+    flight::install(Arc::new(FlightRecorder::new(256)), &dump);
     (guard, rec)
 }
 

@@ -2,8 +2,13 @@
 //! a Chrome trace-event JSON object that Perfetto can load, and the metrics
 //! export must be one well-formed JSON object per line.
 
-use hxobs::{Json, ObsRecorder};
+use hxobs::{Json, ObsRecorder, Scope};
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
+
+/// Serializes the tests here: recording goes through the process-global
+/// sink.
+static GLOBAL: Mutex<()> = Mutex::new(());
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("hxobs-test-{}-{tag}", std::process::id()));
@@ -11,13 +16,15 @@ fn scratch_dir(tag: &str) -> PathBuf {
     d
 }
 
-fn sample_recorder() -> ObsRecorder {
-    let r = ObsRecorder::new();
+fn sample_recorder() -> Arc<ObsRecorder> {
+    let _g = GLOBAL.lock().unwrap_or_else(|p| p.into_inner());
+    let r = Arc::new(ObsRecorder::new());
+    hxobs::install(r.clone());
     r.tracer.name_process(0, "des plane 0");
     r.tracer.name_thread(0, 0, "rank 0");
     r.tracer.name_thread(0, 1, "rank 1");
-    r.span(0, 0, "compute", "des", 10.0, 25.0, vec![]);
-    r.span(
+    r.tracer.span(0, 0, "compute", "des", 10.0, 25.0, vec![]);
+    r.tracer.span(
         0,
         1,
         "send",
@@ -29,7 +36,7 @@ fn sample_recorder() -> ObsRecorder {
             ("bytes".to_string(), Json::from(4096u64)),
         ],
     );
-    r.instant(
+    r.tracer.instant(
         0,
         0,
         "deliver",
@@ -37,16 +44,21 @@ fn sample_recorder() -> ObsRecorder {
         40.0,
         vec![("from".to_string(), Json::from(1u64))],
     );
-    r.counter_add("des.messages", 2);
-    r.gauge_set("des.last_makespan_s", 0.5);
-    r.observe("des.msg_bytes", 4096.0);
-    r.observe("des.msg_bytes", 65536.0);
+    hxobs::count("des.messages", 2);
+    hxobs::gauge("des.last_makespan_s", 0.5);
+    hxobs::sample("des.msg_bytes", Scope::NONE, 4096.0);
+    hxobs::sample("des.msg_bytes", Scope::NONE, 65536.0);
     // Sketch names that sort before and after the counters: the export
     // interleaves both registries by name.
-    r.sketch_record("a.first_us", 1, 10.0);
-    r.sketch_record("a.first_us", 1, 30.0);
-    r.sketch_record_plane("z.last_us", 2, 1, 5.0);
-    r.sketch_record_plane("z.last_us", 2, 1, 7.0);
+    hxobs::sample("a.first_us", Scope::epoch(1), 10.0);
+    hxobs::sample("a.first_us", Scope::epoch(1), 30.0);
+    let z = Scope {
+        epoch: Some(2),
+        plane: Some(1),
+    };
+    hxobs::sample("z.last_us", z, 5.0);
+    hxobs::sample("z.last_us", z, 7.0);
+    hxobs::uninstall();
     r
 }
 
@@ -172,4 +184,30 @@ fn metrics_export_is_one_json_object_per_line() {
     std::fs::remove_file(metrics_path).ok();
     std::fs::remove_file(trace_path).ok();
     std::fs::remove_dir(dir).ok();
+}
+
+#[test]
+fn every_fixed_track_with_events_is_named() {
+    use hxobs::track::{CAP, HXD, MPI, OPENSM, RUNNER};
+    let rec = {
+        let _g = GLOBAL.lock().unwrap_or_else(|p| p.into_inner());
+        let rec = Arc::new(ObsRecorder::new());
+        hxobs::install(rec.clone());
+        for pid in [OPENSM, RUNNER, MPI, HXD] {
+            hxobs::Span::root(pid, 0, "work", "test").end();
+        }
+        hxobs::uninstall();
+        rec
+    };
+    let doc = Json::parse(&rec.tracer.to_chrome_json()).unwrap();
+    let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+    let pid_of = |e: &Json| e.get("pid").and_then(Json::as_num).unwrap() as u32;
+    let named: Vec<u32> = events
+        .iter()
+        .filter(|e| e.get("name").and_then(Json::as_str) == Some("process_name"))
+        .map(pid_of)
+        .collect();
+    // One name per track that holds events, none for the idle CAP track.
+    assert_eq!(named, [OPENSM, RUNNER, MPI, HXD]);
+    assert!(!events.iter().any(|e| pid_of(e) == CAP));
 }

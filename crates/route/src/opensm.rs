@@ -15,7 +15,7 @@ use crate::lft::{RouteError, Routes};
 use crate::lid::Lid;
 use crate::pathdb::PathDb;
 use crate::verify::{verify_deadlock_free, PathStats};
-use hxobs::{Span, SpanCtx};
+use hxobs::{Scope, Span, SpanCtx};
 use hxtopo::{LinkClass, LinkId, Topology};
 use std::sync::Arc;
 use std::time::Instant;
@@ -226,43 +226,37 @@ impl SubnetManager {
     /// sweep or cable event reports and a speculation does not. `recover`
     /// names the event behind a patch.
     fn record(&self, r: &SweepReport, spent: Spent, recover: bool) {
-        if let Spent::Patch(secs) = spent {
-            match self.plane {
-                Some(p) => hxobs::sketch_record_plane("reroute.latency_us", r.epoch, p, secs * 1e6),
-                None => hxobs::sketch_record("reroute.latency_us", r.epoch, secs * 1e6),
-            }
-        }
-        let (Some(o), Some(cur)) = (hxobs::sink(), self.current()) else {
+        let (true, Some(cur)) = (hxobs::enabled(), self.current()) else {
             return;
         };
-        o.tracer.name_process(hxobs::track::OPENSM, "opensm");
-        o.gauge_set("pathdb.epoch", r.epoch as f64);
+        hxobs::gauge("pathdb.epoch", r.epoch as f64);
         match spent {
             Spent::Patch(secs) => {
+                let at = Scope {
+                    epoch: Some(r.epoch),
+                    plane: self.plane,
+                };
+                hxobs::sample("reroute.latency_us", at, secs * 1e6);
                 let counter = if recover {
                     "route.incremental_recoveries"
                 } else {
                     "route.incremental_reroutes"
                 };
-                o.counter_add(counter, 1);
-                o.counter_add("pathdb.patched_trees", r.patched_trees as u64);
-                o.observe("route.incremental_seconds", secs);
+                hxobs::count(counter, 1);
+                hxobs::count("pathdb.patched_trees", r.patched_trees as u64);
+                hxobs::sample("route.incremental_seconds", Scope::NONE, secs);
             }
             Spent::Sweep { route, db } => {
-                o.counter_add("route.sweeps", 1);
+                hxobs::count("route.sweeps", 1);
                 let name = format!("route.sweep_seconds.{}", self.engine.name());
-                o.observe(&name, route);
-                o.observe("pathdb.build_seconds", db);
-                o.gauge_set("pathdb.isl_hops", cur.pathdb.num_isl_hops() as f64);
-                o.gauge_set("route.vls", r.vls as f64);
-                o.gauge_set("route.lft_entries", cur.routes.num_lft_entries() as f64);
-                let mut pair_hops = hxobs::Sketch::new();
+                hxobs::sample(&name, Scope::NONE, route);
+                hxobs::sample("pathdb.build_seconds", Scope::NONE, db);
+                hxobs::gauge("pathdb.isl_hops", cur.pathdb.num_isl_hops() as f64);
+                hxobs::gauge("route.vls", r.vls as f64);
+                hxobs::gauge("route.lft_entries", cur.routes.num_lft_entries() as f64);
                 for (hops, &n) in r.paths.hist.iter().enumerate() {
-                    for _ in 0..n {
-                        pair_hops.record(hops as f64);
-                    }
+                    hxobs::sample_n("route.pair_hops", Scope::NONE, hops as f64, n as u64);
                 }
-                o.sketches.merge("route.pair_hops", &pair_hops);
             }
         }
     }
@@ -338,18 +332,7 @@ impl SubnetManager {
         // or event arriving mid-bring-up) — degrade to a retryable error
         // with the fabric view untouched instead of panicking.
         self.swept(name)?;
-        if let Some(o) = hxobs::sink() {
-            o.tracer.name_process(hxobs::track::OPENSM, "opensm");
-            o.counter_add(counter, 1);
-            o.instant(
-                hxobs::track::OPENSM,
-                0,
-                name,
-                "route",
-                o.now_us(),
-                vec![("link".to_string(), hxobs::Json::from(l.0 as u64))],
-            );
-        }
+        hxobs::count(counter, 1);
         match self.cable_event(l, recover, parent) {
             Ok((r, spent)) => {
                 self.record(&r, spent, recover);
@@ -615,17 +598,7 @@ impl SubnetManager {
         let Some(engine) = self.engine.with_demand(demand) else {
             return Err(RouteError::NoDemandVariant(self.engine.name()));
         };
-        if let Some(o) = hxobs::sink() {
-            o.counter_add("route.demand_reroutes", 1);
-            o.instant(
-                hxobs::track::OPENSM,
-                0,
-                "reroute_with_demand",
-                "route",
-                o.now_us(),
-                vec![],
-            );
-        }
+        hxobs::count("route.demand_reroutes", 1);
         self.engine = Arc::from(engine);
         self.sweep()
     }

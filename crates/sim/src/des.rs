@@ -10,6 +10,7 @@
 
 use crate::fluid::{FlowId, FluidNet};
 use crate::params::NetParams;
+use hxobs::Scope;
 use hxroute::DirLink;
 use hxtopo::Topology;
 use std::cmp::Reverse;
@@ -230,7 +231,7 @@ impl<'a> Simulator<'a> {
                                 pc[r] += 1;
                                 if d > 0.0 {
                                     if let Some(o) = &obs {
-                                        o.span(
+                                        o.tracer.span(
                                             pid,
                                             r as u32,
                                             "compute",
@@ -239,7 +240,7 @@ impl<'a> Simulator<'a> {
                                             d * US,
                                             vec![],
                                         );
-                                        o.observe("des.compute_seconds", d);
+                                        hxobs::sample("des.compute_seconds", Scope::NONE, d);
                                     }
                                     push(&mut heap, now + d, Event::RankReady(r), &mut seq);
                                     break;
@@ -263,7 +264,7 @@ impl<'a> Simulator<'a> {
                                 };
                                 msgs.push(m);
                                 if let Some(o) = &obs {
-                                    o.span(
+                                    o.tracer.span(
                                         pid,
                                         r as u32,
                                         "send",
@@ -276,7 +277,7 @@ impl<'a> Simulator<'a> {
                                             ("tag".to_string(), hxobs::Json::from(tag as u64)),
                                         ],
                                     );
-                                    o.observe("des.msg_bytes", bytes as f64);
+                                    hxobs::sample("des.msg_bytes", Scope::NONE, bytes as f64);
                                 }
                                 push(
                                     &mut heap,
@@ -294,7 +295,7 @@ impl<'a> Simulator<'a> {
                                         pc[r] += 1;
                                         if deliver_t > now {
                                             if let Some(o) = &obs {
-                                                o.span(
+                                                o.tracer.span(
                                                     pid,
                                                     r as u32,
                                                     "recv_wait",
@@ -306,7 +307,11 @@ impl<'a> Simulator<'a> {
                                                         hxobs::Json::from(from),
                                                     )],
                                                 );
-                                                o.observe("des.recv_wait_seconds", deliver_t - now);
+                                                hxobs::sample(
+                                                    "des.recv_wait_seconds",
+                                                    Scope::NONE,
+                                                    deliver_t - now,
+                                                );
                                             }
                                             push(
                                                 &mut heap,
@@ -372,7 +377,7 @@ impl<'a> Simulator<'a> {
                     let m = &msgs[mid];
                     let key = (m.to, m.from, m.tag);
                     if let Some(o) = &obs {
-                        o.instant(
+                        o.tracer.instant(
                             pid,
                             m.to as u32,
                             "deliver",
@@ -393,7 +398,7 @@ impl<'a> Simulator<'a> {
                         })
                     {
                         if let Some(o) = &obs {
-                            o.span(
+                            o.tracer.span(
                                 pid,
                                 m.to as u32,
                                 "recv_wait",
@@ -402,7 +407,11 @@ impl<'a> Simulator<'a> {
                                 (t - blocked_at[m.to]) * US,
                                 vec![("from".to_string(), hxobs::Json::from(m.from))],
                             );
-                            o.observe("des.recv_wait_seconds", t - blocked_at[m.to]);
+                            hxobs::sample(
+                                "des.recv_wait_seconds",
+                                Scope::NONE,
+                                t - blocked_at[m.to],
+                            );
                         }
                         state[m.to] = RankState::Ready;
                         pc[m.to] += 1;
@@ -421,11 +430,9 @@ impl<'a> Simulator<'a> {
         let makespan = finish.iter().copied().fold(0.0, f64::max);
         run_sp.arg("messages", hxobs::Json::from(msgs.len()));
         run_sp.end_at(makespan * US);
-        if let Some(o) = &obs {
-            o.counter_add("des.runs", 1);
-            o.counter_add("des.messages", msgs.len() as u64);
-            o.gauge_set("des.last_makespan_s", makespan);
-        }
+        hxobs::count("des.runs", 1);
+        hxobs::count("des.messages", msgs.len() as u64);
+        hxobs::gauge("des.last_makespan_s", makespan);
         RunResult {
             finish,
             makespan,

@@ -11,6 +11,7 @@
 //! discarded when they surface.
 
 use crate::solver::{RateSolver, RateTable, SolverKind};
+use hxobs::Scope;
 use hxroute::DirLink;
 use hxtopo::Topology;
 use std::cmp::Reverse;
@@ -252,7 +253,7 @@ impl FluidNet {
         let obs = hxobs::enabled();
         if obs && self.active > 0 {
             hxobs::count("fluid.recomputes", 1);
-            hxobs::observe("fluid.flows_per_recompute", self.active as f64);
+            hxobs::sample("fluid.flows_per_recompute", Scope::NONE, self.active as f64);
         }
         let t0 = obs.then(std::time::Instant::now);
         let Self {
@@ -268,13 +269,12 @@ impl FluidNet {
         solver.resolve(caps, rates);
         if let (true, Some(t0)) = (obs, t0) {
             let ns = t0.elapsed().as_nanos() as f64;
-            hxobs::observe("solver.resolve_ns", ns);
-            match self.obs_plane {
-                Some(p) => {
-                    hxobs::sketch_record_plane("solver.resolve_us", self.obs_epoch, p, ns / 1e3)
-                }
-                None => hxobs::sketch_record("solver.resolve_us", self.obs_epoch, ns / 1e3),
-            }
+            hxobs::sample("solver.resolve_ns", Scope::NONE, ns);
+            let at = Scope {
+                epoch: Some(self.obs_epoch),
+                plane: self.obs_plane,
+            };
+            hxobs::sample("solver.resolve_us", at, ns / 1e3);
         }
         for &id in rates.changed() {
             // The solver only re-solves live flows, so the slot exists.

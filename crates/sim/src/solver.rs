@@ -23,6 +23,7 @@
 //! the affected components are gathered by breadth-first search over the
 //! incidence index and re-solved; everything else keeps its frozen rate.
 
+use hxobs::Scope;
 use hxroute::DirLink;
 use std::fmt;
 
@@ -343,21 +344,21 @@ fn fill_component(
         stats.residual += s.rem[c as usize];
         s.count[c as usize] = 0;
     }
-    if hxobs::enabled() {
-        hxobs::observe("solver.component_size", n as f64);
-    }
+    hxobs::sample("solver.component_size", Scope::NONE, n as f64);
 }
 
 /// Emits the per-resolve metric set both backends share (names kept from
 /// the pre-refactor `max_min_rates` so dashboards carry over).
 fn observe_resolve(stats: &SolveStats) {
-    if let Some(o) = hxobs::sink() {
-        o.counter_add("flow.solves", 1);
-        o.counter_add("flow.filling_rounds", stats.rounds);
-        o.observe("flow.rounds_per_solve", stats.rounds as f64);
-        o.observe("solver.links_touched", stats.links_touched as f64);
-        o.gauge_set("flow.last_residual_capacity", stats.residual);
-    }
+    hxobs::count("flow.solves", 1);
+    hxobs::count("flow.filling_rounds", stats.rounds);
+    hxobs::sample("flow.rounds_per_solve", Scope::NONE, stats.rounds as f64);
+    hxobs::sample(
+        "solver.links_touched",
+        Scope::NONE,
+        stats.links_touched as f64,
+    );
+    hxobs::gauge("flow.last_residual_capacity", stats.residual);
 }
 
 fn find(parent: &mut [u32], mut x: u32) -> u32 {

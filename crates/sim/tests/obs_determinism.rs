@@ -130,22 +130,25 @@ fn traced_run_is_bit_identical_to_uninstrumented() {
         // The traced run really did record: per-rank tracks plus events,
         // and the message counter saw all 3 messages per pair of ranks.
         assert!(!rec.tracer.is_empty(), "trace should not be empty");
-        assert_eq!(
-            rec.registry.counter("des.messages").get(),
-            plain.messages as u64
-        );
-        // Every message's size reached the exported `des.msg_bytes` sketch.
-        let msg_bytes: Vec<hxobs::Json> = rec
+        let lines: Vec<hxobs::Json> = rec
             .metrics_jsonl()
             .lines()
             .map(|l| hxobs::Json::parse(l).unwrap())
-            .filter(|j| j.get("name").and_then(hxobs::Json::as_str) == Some("des.msg_bytes"))
             .collect();
+        let named = |name: &str| -> Vec<&hxobs::Json> {
+            lines
+                .iter()
+                .filter(|j| j.get("name").and_then(hxobs::Json::as_str) == Some(name))
+                .collect()
+        };
+        let field = |j: &hxobs::Json, k: &str| j.get(k).and_then(hxobs::Json::as_num);
+        let messages = named("des.messages");
+        assert_eq!(messages.len(), 1);
+        assert_eq!(field(messages[0], "value"), Some(plain.messages as f64));
+        // Every message's size reached the exported `des.msg_bytes` sketch.
+        let msg_bytes = named("des.msg_bytes");
         assert_eq!(msg_bytes.len(), 1);
-        assert_eq!(
-            msg_bytes[0].get("count").and_then(hxobs::Json::as_num),
-            Some(plain.messages as f64)
-        );
+        assert_eq!(field(msg_bytes[0], "count"), Some(plain.messages as f64));
 
         // And a second uninstrumented run still agrees (the recorder left
         // no residue in the simulator).
